@@ -57,8 +57,6 @@ class TsdceConfig:
     rho: float
     n_t: int
     n_r: int
-    svd_tol: float = 1e-12
-    svd_max_iter: int = 10_000
 
     def __post_init__(self):
         if self.l_desired < 1 or self.rounds < 1:
@@ -67,9 +65,9 @@ class TsdceConfig:
             raise ValueError("l_desired must not exceed min(n_t, n_r)")
 
 
-def extract_rank_one(residual: np.ndarray, tol=1e-12, max_iter=10_000) -> np.ndarray:
+def extract_rank_one(residual: np.ndarray) -> np.ndarray:
     """Best rank-one approximation from the dominant singular triplet."""
-    s, u, v = dominant_singular_triplet(residual, tol=tol, max_iter=max_iter)
+    s, u, v = dominant_singular_triplet(residual)
     return s * np.outer(u, v.conj())
 
 
@@ -201,17 +199,19 @@ def run(obs: Observation, cfg: TsdceConfig, trace=None):
     d_bar = sp.d_bar
     sqrt_rho = np.sqrt(cfg.rho)
     estimates = {}
+    cancel = {}  # path -> its scaled cisoid, rebuilt only when re-estimated
     for k in range(1, cfg.rounds + 1):
         for l in range(1, cfg.l_desired + 1):
             residual = d_bar.copy()
-            for i, est in estimates.items():
+            for i, c in cancel.items():
                 if i != l:
-                    residual -= sqrt_rho * reconstruct_path(est, cfg.n_t, cfg.n_r)
+                    residual -= c
             if k == 1 and (l < cfg.l_desired or cfg.l_desired == 1):
-                d_tilde = extract_rank_one(residual, cfg.svd_tol, cfg.svd_max_iter)
+                d_tilde = extract_rank_one(residual)
             else:
                 d_tilde = residual
             estimates[l] = _estimate_component(d_tilde, cfg.rho, cfg.n_t, cfg.n_r)
+            cancel[l] = sqrt_rho * reconstruct_path(estimates[l], cfg.n_t, cfg.n_r)
             if trace is not None:
                 trace.append(
                     {"round": k, "path": l, "residual": residual, "estimate": estimates[l]}

@@ -2,8 +2,8 @@
 driver, flat key-value config parsing and CSV emission.
 
 Determinism contract: every trial owns an RNG substream derived from
-(seed, snr index, trial index), so results are independent of worker
-count and evaluation order.
+(seed, snr index, trial index), so results are independent of evaluation
+order and of the FFT worker count (TSDCE_THREADS).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,7 +144,12 @@ def doa_metrics(errors_deg, threshold_deg: float, total_measurements: int):
 
 
 def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
-    """One channel realization scored by every configured method."""
+    """One channel realization scored by every configured method.
+
+    TSDCE_THREADS (default: all cores) sets the threads of each dft_peak
+    FFT; it is read on every call.
+    """
+    fft_workers = max(1, int(os.environ.get("TSDCE_THREADS", os.cpu_count() or 1)))
     base = SeededRng(cfg.seed)
     stream = base.substream((snr_idx << 32) | trial)
     snr = cfg.snr_list[snr_idx]
@@ -178,7 +182,8 @@ def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
                 errors = None
             else:  # dft_peak
                 est = analysis.dft_peak_baseline(
-                    obs, cfg.l_desired, cfg.n_dft, n_t=cfg.n_t, n_r=cfg.n_r
+                    obs, cfg.l_desired, cfg.n_dft, n_t=cfg.n_t, n_r=cfg.n_r,
+                    workers=fft_workers,
                 )
                 h_hat = algorithm.reconstruct_channel(est, cfg.n_t, cfg.n_r)
                 errors = angle_errors_deg(paths, est, match_paths(paths, est))
@@ -198,21 +203,13 @@ def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
 def run_experiment(cfg: ExperimentConfig):
     """Full sweep: one MetricRecord per (method, SNR).
 
-    Trials run on a thread pool capped by TSDCE_THREADS (default: all
-    cores); aggregation is an ordered reduction so outputs do not depend
-    on the worker count.
+    Trials run serially, one ``_run_trial`` call each; the only threads
+    are those of the dft_peak FFTs (TSDCE_THREADS, default all cores),
+    which do not change any result.
     """
-    workers = int(os.environ.get("TSDCE_THREADS", os.cpu_count() or 1))
-    workers = max(1, workers)
     records = []
     for snr_idx, snr_db in enumerate(cfg.snr_db_list):
-        if workers == 1:
-            trial_results = [_run_trial(cfg, snr_idx, t) for t in range(cfg.trials)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                trial_results = list(
-                    pool.map(lambda t: _run_trial(cfg, snr_idx, t), range(cfg.trials))
-                )
+        trial_results = [_run_trial(cfg, snr_idx, t) for t in range(cfg.trials)]
         for method in cfg.methods:
             per = [r[method] for r in trial_results]
             failures = [p for p in per if "failed" in p]

@@ -3,7 +3,8 @@ dominant singular triplet and the unbiased 2D sample autocorrelation.
 
 All matrix arguments are dense complex numpy arrays. Functions are pure;
 ``SeededRng`` is the single piece of mutable state and is not safe for
-concurrent mutation (use independent substreams instead).
+concurrent mutation; the Monte Carlo sweep runs its trials serially,
+each on its own substream.
 """
 
 from __future__ import annotations
@@ -13,20 +14,12 @@ import numpy as np
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-class ConvergenceError(RuntimeError):
-    """Iterative solver did not reach tolerance; carries the last iterate."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-
-
 class SeededRng:
     """Counter-based (Philox) random stream with reproducible substreams.
 
     Identical seed and call sequence produce identical outputs. Substreams
-    derived via ``substream(k)`` are order-invariant, so parallel Monte
-    Carlo trials can each own one.
+    derived via ``substream(k)`` are order-invariant, so every Monte Carlo
+    trial owns one and its draws do not depend on which trials ran before.
     """
 
     def __init__(self, seed: int):
@@ -66,60 +59,26 @@ def dft2d(m: np.ndarray, inverse: bool = False) -> np.ndarray:
     return np.fft.ifft2(m) if inverse else np.fft.fft2(m)
 
 
-def dominant_singular_triplet(m, tol: float = 1e-12, max_iter: int = 10_000):
-    """Leading singular triplet (s, u, v) of ``m`` via power iteration.
+def dominant_singular_triplet(m):
+    """Leading singular triplet (s, u, v) of ``m`` from LAPACK's SVD.
 
-    Iterates on the Gram matrix M^H M and stops when the two-sided
-    residual ||M^H u - s v|| drops below tol * ||M||_F (the companion
-    residual M v - s u is zero by construction of u). The phase
-    ambiguity is fixed by
-    rotating so the first nonzero entry of ``u`` has zero phase (the
-    compensating phase goes into ``v``), making the triplet deterministic.
-
-    Raises ConvergenceError (with the last iterate attached) if the
-    criterion is not met within ``max_iter`` sweeps.
+    The phase ambiguity is fixed by rotating so the first nonzero entry
+    of ``u`` is real and positive (the compensating phase goes into
+    ``v``), making the triplet deterministic. The zero matrix returns
+    s = 0 with u and v the first unit vectors.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         raise ValueError("matrix must be non-empty")
     nr, nt = m.shape
-    fro = np.linalg.norm(m)
-    if fro == 0.0:
+    if not m.any():
         u = np.zeros(nr, dtype=complex)
         v = np.zeros(nt, dtype=complex)
         u[0] = 1.0
         v[0] = 1.0
         return 0.0, u, v
-
-    # Deterministic start independent of the caller's RNG; a fixed
-    # pseudo-random direction avoids accidental orthogonality to the
-    # leading right singular vector.
-    start = np.random.Generator(np.random.Philox(key=0xD0F1))
-    v = start.normal(size=nt) + 1j * start.normal(size=nt)
-    v /= np.linalg.norm(v)
-
-    gram = m.conj().T @ m
-    s, u = 0.0, np.zeros(nr, dtype=complex)
-    for _ in range(max_iter):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw > 0.0:
-            v = w / nw
-        mv = m @ v
-        s = float(np.linalg.norm(mv))
-        if s == 0.0:
-            u = np.zeros(nr, dtype=complex)
-            u[0] = 1.0
-            return _fix_phase(0.0, u, v)
-        u = mv / s
-        if np.linalg.norm(m.conj().T @ u - s * v) <= tol * fro:
-            return _fix_phase(s, u, v)
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
-        last_iterate=(s, u, v),
-    )
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    return _fix_phase(s[0], u[:, 0], vh[0].conj())
 
 
 def _fix_phase(s, u, v):

@@ -4,6 +4,7 @@ variance estimate, spatial LS channel estimate)."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,11 +62,14 @@ class SpatialObservation:
     sigma_z_sq_hat: Optional[float]
 
 
+@functools.lru_cache(maxsize=None)
 def build_codebook(P: int, Q: int, n_t: int, n_r: int) -> Codebook:
     """Codebook whose beams make W^H H F a 2D-DFT of the windowed channel.
 
     Beam cosines are the wrapped uniform grids 2p/P and -2q/Q; columns of
     f and w are unit-norm steering vectors at the corresponding angles.
+    Built once per (P, Q, n_t, n_r) and shared, so its arrays are
+    read-only.
     """
     if P < n_t or Q < n_r:
         raise ValueError(
@@ -76,6 +80,8 @@ def build_codebook(P: int, Q: int, n_t: int, n_r: int) -> Codebook:
     rx_cos = wrap(-2.0 * np.arange(Q) / Q, -1.0, 1.0)
     f = np.stack([steering_vector(np.arccos(c), n_t, "tx") for c in tx_cos], axis=1)
     w = np.stack([steering_vector(np.arccos(c), n_r, "rx") for c in rx_cos], axis=1)
+    for a in (tx_cos, rx_cos, f, w):
+        a.setflags(write=False)
     return Codebook(p_count=P, q_count=Q, tx_cosines=tx_cos, rx_cosines=rx_cos, f=f, w=w)
 
 

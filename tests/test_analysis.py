@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from tsdce.algorithm import PathEstimate
 from tsdce.analysis import (
     FisherModel,
     MarchenkoPastur,
@@ -21,7 +22,7 @@ from tsdce.analysis import (
     upper_bound_single_path,
 )
 from tsdce.channel import PathParams, build_channel, sample_paths
-from tsdce.numkit import SeededRng
+from tsdce.numkit import SeededRng, dft2d
 from tsdce.observation import (
     build_codebook,
     spatial_ls_estimate,
@@ -38,6 +39,30 @@ def kron_ls_oracle(obs, cb, n_t, n_r):
     y = obs.y.reshape(-1, order="F")
     h_vec = np.linalg.solve(big.conj().T @ big, big.conj().T @ y) / np.sqrt(obs.rho)
     return h_vec.reshape((n_r, n_t), order="F")
+
+
+def padded_dft_peak_oracle(obs, L_d, n_dft, n_t, n_r):
+    """DFT peak picking through the full zero-padded n_dft x n_dft 2D DFT
+    of the crop, the reference construction for the pruned transform."""
+    work = to_spatial(obs, n_t, n_r).d_bar.copy()
+    m = np.arange(n_r)[:, None]
+    n = np.arange(n_t)[None, :]
+    estimates = []
+    for _ in range(L_d):
+        padded = np.zeros((n_dft, n_dft), dtype=complex)
+        padded[:n_r, :n_t] = work
+        spectrum = dft2d(padded)
+        qi, pi_ = np.unravel_index(np.argmax(np.abs(spectrum)), spectrum.shape)
+        omega_aoa = wrap(2 * np.pi * qi / n_dft, -np.pi, np.pi)
+        omega_aod = wrap(2 * np.pi * pi_ / n_dft, -np.pi, np.pi)
+        cisoid = np.exp(1j * (omega_aoa * m + omega_aod * n))
+        a_hat = (work * cisoid.conj()).mean() / np.sqrt(obs.rho)
+        gain = np.sqrt(n_t * n_r) * a_hat
+        estimates.append(
+            PathEstimate.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa)
+        )
+        work = work - np.sqrt(obs.rho) * a_hat * cisoid
+    return estimates
 
 
 def model_from_channel(ch, noise_var):
@@ -132,6 +157,28 @@ class TestDftPeakBaseline:
         got = sorted(e.gain_magnitude for e in ests)
         assert got[1] == pytest.approx(0.9, rel=0.1)
         assert got[0] == pytest.approx(0.5, rel=0.1)
+
+    def test_pruned_fft_matches_padded_reference(self):
+        cb = build_codebook(16, 16, 16, 16)
+        for t in range(5):
+            stream = SeededRng(96).substream(t)
+            ch = build_channel(sample_paths(3, stream), 16, 16)
+            obs = synthesize_observation(ch, cb, 1.0, 0.1, stream)
+            got = dft_peak_baseline(obs, 3, n_dft=1024, n_t=16, n_r=16)
+            ref = padded_dft_peak_oracle(obs, 3, 1024, 16, 16)
+            for e, r in zip(got, ref):
+                assert (e.omega_aod, e.omega_aoa) == pytest.approx(
+                    (r.omega_aod, r.omega_aoa), abs=1e-12)
+                assert e.gain == pytest.approx(r.gain, rel=1e-9)
+
+    def test_estimates_independent_of_workers(self):
+        cb = build_codebook(16, 16, 16, 16)
+        stream = SeededRng(97)
+        ch = build_channel(sample_paths(3, stream), 16, 16)
+        obs = synthesize_observation(ch, cb, 1.0, 0.1, stream)
+        one = dft_peak_baseline(obs, 3, n_dft=1024, n_t=16, n_r=16, workers=1)
+        four = dft_peak_baseline(obs, 3, n_dft=1024, n_t=16, n_r=16, workers=4)
+        assert one == four
 
 
 class TestUpperBoundSinglePath:

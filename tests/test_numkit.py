@@ -1,4 +1,4 @@
-"""Numeric kernel tests: seeded RNG, 2D DFT, power-iteration SVD and the
+"""Numeric kernel tests: seeded RNG, 2D DFT, dominant singular triplet and the
 unbiased 2D autocorrelation, each checked against an independent oracle."""
 
 import numpy as np
@@ -115,6 +115,14 @@ class TestDominantSingularTriplet:
         m = 2.5 * np.outer(a, b.conj())
         s, u, v = dominant_singular_triplet(m)
         assert np.allclose(s * np.outer(u, v.conj()), m, atol=1e-10)
+
+    def test_phase_convention(self):
+        # the first nonzero entry of u is real (to rounding) and positive
+        for seed in range(5):
+            m = random_complex(SeededRng(seed), (6, 5))
+            s, u, v = dominant_singular_triplet(m)
+            first = u[np.flatnonzero(np.abs(u) > 0)[0]]
+            assert abs(first.imag) <= 1e-15 * abs(first) and first.real > 0.0
 
     def test_zero_matrix(self):
         s, u, v = dominant_singular_triplet(np.zeros((4, 4), dtype=complex))

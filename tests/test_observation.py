@@ -90,6 +90,14 @@ class TestBuildCodebook:
             gram = big.conj().T @ big
             assert np.allclose(gram, (P * P / 256.0) * np.eye(256), atol=1e-9)
 
+    def test_built_once_and_read_only(self):
+        cb = build_codebook(16, 16, 16, 16)
+        assert build_codebook(16, 16, 16, 16) is cb
+        with pytest.raises(ValueError):
+            cb.f[0, 0] = 0.0
+        for a in (cb.w, cb.tx_cosines, cb.rx_cosines):
+            assert not a.flags.writeable
+
     def test_rejects_small_codebook(self):
         with pytest.raises(ValueError):
             build_codebook(8, 16, 16, 16)
