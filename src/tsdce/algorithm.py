@@ -10,11 +10,12 @@ gain. A successive-interference-cancellation loop repeats this for
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import freq_to_angle
+from .channel import cisoid_sum, freq_to_angle
 from .numkit import acf2d_unbiased, dominant_singular_triplet
 from .observation import Observation, to_spatial, wrap
 
@@ -90,22 +91,21 @@ def select_wrap_branch(delta: np.ndarray) -> np.ndarray:
     branch has the smaller sample variance. Ties keep the original.
 
     A frequency near +-pi makes the principal-value differences flip
-    sign; the [0, 2pi] branch removes those flips.
+    sign; the [0, 2pi] branch removes those flips. It adds exactly 2pi to
+    the negative entries (indicator k), so var(wrapped) - var(delta) =
+    4pi^2 var(k) + 4pi cov(delta, k); no negative entry means a tie.
     """
     delta = np.asarray(delta, dtype=float)
     if len(delta) < 2:
         raise ValueError("need at least two phase differences")
-    # [0, 2pi) wrap so the fixed leading zero stays zero instead of
-    # turning into a 2pi outlier that skews the variance comparison
-    wrapped = np.mod(delta, 2.0 * np.pi)
-    if np.var(wrapped) < np.var(delta):
-        return wrapped
+    neg = delta < 0
+    share = np.count_nonzero(neg) / len(delta)
+    cov = (delta[neg].sum() - delta.sum() * share) / len(delta)
+    if share > 0 and np.pi * share * (1.0 - share) + cov < 0:
+        # [0, 2pi) wrap so the fixed leading zero stays zero instead of
+        # turning into a 2pi outlier
+        return np.mod(delta, 2.0 * np.pi)
     return delta
-
-
-def unwrap_cumsum(delta: np.ndarray) -> np.ndarray:
-    """Cumulative sum of phase differences = unwrapped phase sequence."""
-    return np.cumsum(np.asarray(delta, dtype=float))
 
 
 def wls_weights(M: int) -> np.ndarray:
@@ -131,6 +131,27 @@ def wls_slope(phases: np.ndarray, weights: np.ndarray) -> float:
     return float((weights * (i - x_bar) * (phases - y_bar)).sum() / denom)
 
 
+@functools.lru_cache(maxsize=None)
+def _slope_weights(M: int) -> np.ndarray:
+    """Read-only g_M with g_M @ delta == wls_slope(cumsum(delta), wls_weights(M)):
+    the slope is linear in the phases, so g_M[k] is the slope of the k-th
+    unit step, the cumsum of the k-th unit vector."""
+    w = wls_weights(M)
+    g = np.array([wls_slope(step, w) for step in np.tri(M).T])
+    g.setflags(write=False)
+    return g
+
+
+@functools.lru_cache(maxsize=None)
+def _amplitude_weights(n_r: int, n_t: int) -> np.ndarray:
+    """Read-only lag weights kappa / norm of `estimate_amplitude`, 0 at lag 0."""
+    norm = 0.25 * n_r * (n_r + 1) * n_t * (n_t + 1) - n_t * n_r
+    weights = np.outer(n_r - np.arange(n_r), n_t - np.arange(n_t)) / norm
+    weights[0, 0] = 0.0
+    weights.setflags(write=False)
+    return weights
+
+
 def estimate_amplitude(r: np.ndarray, rho: float, n_t: int, n_r: int) -> float:
     """Path gain magnitude from the ACF magnitudes at nonzero lags.
 
@@ -139,22 +160,15 @@ def estimate_amplitude(r: np.ndarray, rho: float, n_t: int, n_r: int) -> float:
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    mlag = np.arange(n_r)[:, None]
-    nlag = np.arange(n_t)[None, :]
-    kappa = (n_r - mlag) * (n_t - nlag)
-    norm = 0.25 * n_r * (n_r + 1) * n_t * (n_t + 1) - n_t * n_r
-    acc = np.sum(kappa * np.abs(r)) - kappa[0, 0] * np.abs(r[0, 0])
-    a1_sq = acc / (rho * norm)
+    a1_sq = np.vdot(_amplitude_weights(n_r, n_t), np.abs(r)) / rho
     return float(np.sqrt(n_t * n_r) * np.sqrt(a1_sq))
 
 
 def estimate_gain_phase(d_tilde, omega_aoa: float, omega_aod: float, rho: float) -> float:
     """Phase of the derotated mean of the spatial observation (the
     circular-normal maximum-likelihood mean)."""
-    n_r, n_t = d_tilde.shape
-    m = np.arange(n_r)[:, None]
-    n = np.arange(n_t)[None, :]
-    mean = np.mean(d_tilde * np.exp(-1j * (omega_aoa * m + omega_aod * n))) / np.sqrt(rho)
+    cis = cisoid_sum(1.0, omega_aoa, omega_aod, *d_tilde.shape)
+    mean = np.vdot(cis, d_tilde) / (d_tilde.size * np.sqrt(rho))  # vdot conjugates cis
     if mean == 0:
         raise UndefinedPhaseError("zero derotated mean, phase undefined")
     return float(np.angle(mean))
@@ -163,10 +177,7 @@ def estimate_gain_phase(d_tilde, omega_aoa: float, omega_aod: float, rho: float)
 def reconstruct_path(est: PathEstimate, n_t: int, n_r: int) -> np.ndarray:
     """Spatial-domain cisoid (|a|/sqrt(n_t n_r)) e^{j phase} e^{j(wm+wn)}
     used for interference cancellation."""
-    m = np.arange(n_r)[:, None]
-    n = np.arange(n_t)[None, :]
-    amp = est.gain_magnitude / np.sqrt(n_t * n_r)
-    return amp * np.exp(1j * (est.gain_phase + est.omega_aoa * m + est.omega_aod * n))
+    return cisoid_sum(est.gain / np.sqrt(n_t * n_r), est.omega_aoa, est.omega_aod, n_r, n_t)
 
 
 def _estimate_component(d_tilde, rho, n_t, n_r) -> PathEstimate:
@@ -174,11 +185,9 @@ def _estimate_component(d_tilde, rho, n_t, n_r) -> PathEstimate:
     r = acf2d_unbiased(d_tilde)
     omegas = {}
     for axis, M in (("col0", n_r), ("row0", n_t)):
-        delta = phase_differences(r, axis)
-        delta = select_wrap_branch(delta)
-        unwrapped = unwrap_cumsum(delta)
-        slope = wls_slope(unwrapped, wls_weights(M))
-        omegas[axis] = wrap(slope, -np.pi, np.pi)
+        delta = select_wrap_branch(phase_differences(r, axis))
+        # WLS slope of the unwrapped phases cumsum(delta)
+        omegas[axis] = wrap(_slope_weights(M) @ delta, -np.pi, np.pi)
     gain_mag = estimate_amplitude(r, rho, n_t, n_r)
     try:
         gain_phase = estimate_gain_phase(d_tilde, omegas["col0"], omegas["row0"], rho)
@@ -223,9 +232,5 @@ def reconstruct_channel(estimates, n_t: int, n_r: int) -> np.ndarray:
     """Rebuild the channel matrix from estimated path parameters."""
     if not estimates:
         raise ValueError("need at least one path estimate")
-    m = np.arange(n_r)[:, None]
-    n = np.arange(n_t)[None, :]
-    h = np.zeros((n_r, n_t), dtype=complex)
-    for est in estimates:
-        h += est.gain * np.exp(1j * (est.omega_aoa * m + est.omega_aod * n))
-    return h
+    gains, w_aoa, w_aod = zip(*[(e.gain, e.omega_aoa, e.omega_aod) for e in estimates])
+    return cisoid_sum(gains, w_aoa, w_aod, n_r, n_t)

@@ -21,7 +21,7 @@ from scipy import integrate
 from scipy.special import gammaln, roots_laguerre
 
 from .algorithm import PathEstimate
-from .channel import ChannelRealization
+from .channel import ChannelRealization, cisoid_sum
 from .numkit import SeededRng
 from .observation import Codebook, Observation, to_spatial
 
@@ -71,9 +71,7 @@ def dft_peak_baseline(
     n_r = q_count if n_r is None else n_r
     n_t = p_count if n_t is None else n_t
     sp = to_spatial(obs, n_t, n_r)
-    work = sp.d_bar.copy()
-    m = np.arange(n_r)[:, None]
-    n = np.arange(n_t)[None, :]
+    work = sp.d_bar
     estimates = []
     for _ in range(L_d):
         rows = sp_fft.fft(work, n=n_dft, axis=1, workers=workers)
@@ -88,14 +86,13 @@ def dft_peak_baseline(
             omega_aoa -= 2 * np.pi
         if omega_aod > np.pi:
             omega_aod -= 2 * np.pi
-        derot = work * np.exp(-1j * (omega_aoa * m + omega_aod * n))
-        a_hat = derot.mean() / np.sqrt(obs.rho)
+        cis = cisoid_sum(1.0, omega_aoa, omega_aod, n_r, n_t)
+        a_hat = np.vdot(cis, work) / (work.size * np.sqrt(obs.rho))  # derotated mean
         gain = np.sqrt(n_t * n_r) * a_hat
         estimates.append(
             PathEstimate.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa)
         )
-        cisoid = a_hat * np.exp(1j * (omega_aoa * m + omega_aod * n))
-        work = work - np.sqrt(obs.rho) * cisoid
+        work = work - np.sqrt(obs.rho) * a_hat * cis
     return estimates
 
 
@@ -322,18 +319,17 @@ def _channel_jacobian(model: FisherModel) -> np.ndarray:
     column below is the derivative of the vectorized channel w.r.t. one
     parameter, verified against central finite differences in the tests.
     """
-    L = model.n_paths
-    m = np.arange(model.n_r)[:, None]
-    n = np.arange(model.n_t)[None, :]
-    cols = []
-    for l in range(L):
-        mag, phase, w_aod, w_aoa = model.params[4 * l : 4 * l + 4]
-        cis = np.exp(1j * (phase + w_aoa * m + w_aod * n))
-        cols.append(cis.ravel())                       # d/d|a|
-        cols.append((1j * mag * cis).ravel())          # d/d phase
-        cols.append((1j * n * mag * cis).ravel())      # d/d omega_aod
-        cols.append((1j * m * mag * cis).ravel())      # d/d omega_aoa
-    return np.stack(cols, axis=1)
+    mag, phase, w_aod, w_aoa = model.params.reshape(-1, 4).T
+    # one unit-magnitude n_r x n_t cisoid per path
+    cis = np.array([
+        cisoid_sum(np.exp(1j * p), wa, wd, model.n_r, model.n_t)
+        for p, wa, wd in zip(phase, w_aoa, w_aod)
+    ])
+    m, n = np.indices((model.n_r, model.n_t))
+    scaled = 1j * mag[:, None, None] * cis
+    # per path: d/d|a|, d/d phase, d/d omega_aod, d/d omega_aoa
+    cols = np.stack([cis, scaled, n * scaled, m * scaled], axis=1)
+    return cols.reshape(4 * model.n_paths, -1).T
 
 
 def fisher_matrix(model: FisherModel) -> np.ndarray:
@@ -384,24 +380,15 @@ def crlb_nmse_bound(
         / rho
         * sum(ordered_eigenvalue_mean(mp, l, channel.n_r) for l in range(1, L + 1))
     )
-    params = np.empty(4 * L)
-    for l, p in enumerate(channel.paths):
-        params[4 * l : 4 * l + 4] = (
-            p.gain_magnitude,
-            p.gain_phase,
-            p.omega_aod,
-            p.omega_aoa,
-        )
+    params = np.ravel(
+        [(p.gain_magnitude, p.gain_phase, p.omega_aod, p.omega_aoa) for p in channel.paths]
+    )
     model = FisherModel(params=params, noise_var=noise_var, n_t=channel.n_t, n_r=channel.n_r)
     variances, degenerate = crlb_variances(model)
     if degenerate:
         warnings.warn("near-singular Fisher matrix, pseudo-inverse applied")
     perturbed = params + rng.normal(1.0, size=params.shape) * np.sqrt(variances)
-    m = np.arange(channel.n_r)[:, None]
-    n = np.arange(channel.n_t)[None, :]
-    h_hat = np.zeros((channel.n_r, channel.n_t), dtype=complex)
-    for l in range(L):
-        mag, phase, w_aod, w_aoa = perturbed[4 * l : 4 * l + 4]
-        h_hat += mag * np.exp(1j * (phase + w_aoa * m + w_aod * n))
+    mag, phase, w_aod, w_aoa = perturbed.reshape(L, 4).T
+    h_hat = cisoid_sum(mag * np.exp(1j * phase), w_aoa, w_aod, channel.n_r, channel.n_t)
     err = np.linalg.norm(h_hat - channel.h) ** 2
     return float(err / np.linalg.norm(channel.h) ** 2)

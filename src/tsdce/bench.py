@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -102,19 +102,22 @@ def match_paths(true_paths, estimates):
 
     Cost is the summed absolute (AoA, AoD) error in degrees; exhaustive
     permutation search, fine for the L <= 8 configurations used here.
+    Costs within 1e-9 relative of the minimum count as equal: in 1-D
+    many pairings tie exactly (two estimates on the same side of two
+    true angles), so among those the smallest summed squared error wins,
+    and rounding cannot flip the pairing.
     """
     if not true_paths or not estimates:
         raise ValueError("both path lists must be non-empty")
     n = min(len(true_paths), len(estimates))
-    best, best_cost = None, np.inf
-    for perm in itertools.permutations(range(len(estimates)), n):
-        cost = 0.0
-        for ti, ei in zip(range(n), perm):
-            cost += abs(np.degrees(true_paths[ti].aoa - estimates[ei].aoa))
-            cost += abs(np.degrees(true_paths[ti].aod - estimates[ei].aod))
-        if cost < best_cost:
-            best_cost, best = cost, list(zip(range(n), perm))
-    return best
+    # errors[ti, ei]: the AoA and AoD errors of pairing true ti with estimate ei
+    errors = np.degrees([[(t.aoa - e.aoa, t.aod - e.aod) for e in estimates] for t in true_paths])
+    perms = np.array(list(itertools.permutations(range(len(estimates)), n)))
+    picked = errors[np.arange(n), perms]  # (pairing, true path, AoA/AoD)
+    l1 = np.abs(picked).sum(axis=(1, 2))
+    tied = np.flatnonzero(l1 <= l1.min() * (1.0 + 1e-9))
+    best = tied[np.argmin((picked[tied] ** 2).sum(axis=(1, 2)))]
+    return list(zip(range(n), perms[best].tolist()))
 
 
 def angle_errors_deg(true_paths, estimates, pairing):
@@ -256,23 +259,8 @@ def _fmt(x) -> str:
 def emit_csv(records, path):
     """Write one row per record; floats use 6 significant digits and an
     absent RMSE is an empty field."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.method,
-                    r.snr_db,
-                    r.nmse_db,
-                    r.doa_rmse_deg,
-                    r.p_detect,
-                    r.mean_sse,
-                    r.trials,
-                    r.wall_ms,
-                )
-            )
-        )
+    # MetricRecord's fields are in CSV_HEADER order
+    lines = [CSV_HEADER] + [",".join(_fmt(v) for v in astuple(r)) for r in records]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -346,7 +334,3 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    return replace(cfg, **kwargs)

@@ -53,18 +53,26 @@ class ChannelRealization:
     h: np.ndarray
 
 
-def steering_vector(angle: float, n: int, side: str = "tx") -> np.ndarray:
-    """Unit-norm ULA response: element k = exp(-j*pi*k*cos(angle))/sqrt(n).
-
-    Tx and Rx share the same formula; ``side`` exists only for call-site
-    clarity.
-    """
+def steering_vector(angle: float, n: int) -> np.ndarray:
+    """Unit-norm ULA response, Tx and Rx alike: element k =
+    exp(-j*pi*k*cos(angle))/sqrt(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if side not in ("tx", "rx"):
-        raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
     k = np.arange(n)
     return np.exp(-1j * np.pi * k * np.cos(angle)) / np.sqrt(n)
+
+
+def cisoid_sum(gains, omega_aoa, omega_aod, n_r: int, n_t: int) -> np.ndarray:
+    """H[m, n] = sum_l g_l exp(j(omega_aoa_l m + omega_aod_l n)), n_r x n_t,
+    for scalars (one cisoid) or length-L sequences.
+
+    Separable: (e_r * g) @ e_t with e_r[m, l] = exp(j omega_aoa_l m) and
+    e_t[l, n] = exp(j omega_aod_l n), (n_r + n_t) L exponentials instead
+    of n_r n_t L.
+    """
+    e_r = np.exp(1j * (np.arange(n_r)[:, None] * np.reshape(omega_aoa, (1, -1))))
+    e_t = np.exp(1j * (np.reshape(omega_aod, (-1, 1)) * np.arange(n_t)))
+    return (e_r * np.ravel(gains)) @ e_t
 
 
 def sample_paths(L: int, rng: SeededRng, angle_range=(0.0, np.pi)):
@@ -92,13 +100,10 @@ def build_channel(paths, n_t: int, n_r: int) -> ChannelRealization:
     """Synthesize H[m, n] = sum_l alpha_l exp(j(omega_aoa*m + omega_aod*n))."""
     if n_t < 2 or n_r < 2:
         raise ValueError("n_t and n_r must be >= 2")
-    m = np.arange(n_r)[:, None]
-    n = np.arange(n_t)[None, :]
-    h = np.zeros((n_r, n_t), dtype=complex)
-    ordered = sorted(paths, key=lambda p: p.gain_magnitude, reverse=True)
-    for p in ordered:
-        h += p.gain * np.exp(1j * (p.omega_aoa * m + p.omega_aod * n))
-    return ChannelRealization(n_t=n_t, n_r=n_r, paths=tuple(ordered), h=h)
+    ordered = tuple(sorted(paths, key=lambda p: p.gain_magnitude, reverse=True))
+    gains, w_aoa, w_aod = zip(*[(p.gain, p.omega_aoa, p.omega_aod) for p in ordered])
+    h = cisoid_sum(gains, w_aoa, w_aod, n_r, n_t)
+    return ChannelRealization(n_t=n_t, n_r=n_r, paths=ordered, h=h)
 
 
 def freq_to_angle(omega: float, side: str) -> float:

@@ -9,6 +9,8 @@ each on its own substream.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -90,22 +92,39 @@ def _fix_phase(s, u, v):
     return float(s), u, v
 
 
+@functools.lru_cache(maxsize=None)
+def _acf_operators(nr: int, nt: int):
+    """Read-only per-shape constants of `acf2d_unbiased`: the zero-padded
+    DFT factors F_r (2nr x nr) and F_t (nt x 2nt), the inverse DFT
+    factors cropped to non-negative lags and 1/kappa."""
+    def dft(n):  # first n columns of the 2n-point DFT; exponent reduced mod 2n
+        return np.exp(-1j * np.pi * (np.outer(np.arange(2 * n), np.arange(n)) % (2 * n)) / n)
+
+    fr, ft = dft(nr), dft(nt).T
+    inv_kappa = 1.0 / np.outer(nr - np.arange(nr), nt - np.arange(nt))
+    ops = (fr, ft, fr.conj().T / (2 * nr), ft.conj().T / (2 * nt), inv_kappa)
+    for a in ops:
+        a.setflags(write=False)
+    return ops
+
+
 def acf2d_unbiased(m: np.ndarray) -> np.ndarray:
     """Unbiased 2D sample autocorrelation over non-negative lags.
 
     R[dm, dn] = (1/kappa) * sum_{u,v} conj(M[u, v]) M[u+dm, v+dn] with
     kappa = (n_r - dm)(n_t - dn); exact on pure cisoids at every lag.
 
-    Computed through a zero-padded FFT (linear correlation); the direct
-    double loop gives the same values to machine precision.
+    Computed through a zero-padded 2D DFT (linear correlation) as products
+    with cached DFT matrices, cheaper than FFT calls at these sizes; the
+    direct double loop gives the same values to machine precision.
     """
     m = np.asarray(m, dtype=complex)
     nr, nt = m.shape
     if nr < 2 or nt < 2:
         raise ValueError("matrix must be at least 2x2")
-    spec = np.fft.fft2(m, s=(2 * nr, 2 * nt))
-    corr = np.fft.ifft2(spec.conj() * spec)[:nr, :nt]
-    kappa = (nr - np.arange(nr))[:, None] * (nt - np.arange(nt))[None, :]
-    r = corr / kappa
+    fr, ft, gr, gt, inv_kappa = _acf_operators(nr, nt)
+    spec = fr @ m @ ft
+    power = spec.real**2 + spec.imag**2
+    r = (gr @ power @ gt) * inv_kappa
     r[0, 0] = r[0, 0].real
     return r

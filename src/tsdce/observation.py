@@ -78,8 +78,8 @@ def build_codebook(P: int, Q: int, n_t: int, n_r: int) -> Codebook:
         )
     tx_cos = wrap(2.0 * np.arange(P) / P, -1.0, 1.0)
     rx_cos = wrap(-2.0 * np.arange(Q) / Q, -1.0, 1.0)
-    f = np.stack([steering_vector(np.arccos(c), n_t, "tx") for c in tx_cos], axis=1)
-    w = np.stack([steering_vector(np.arccos(c), n_r, "rx") for c in rx_cos], axis=1)
+    f = np.stack([steering_vector(np.arccos(c), n_t) for c in tx_cos], axis=1)
+    w = np.stack([steering_vector(np.arccos(c), n_r) for c in rx_cos], axis=1)
     for a in (tx_cos, rx_cos, f, w):
         a.setflags(write=False)
     return Codebook(p_count=P, q_count=Q, tx_cosines=tx_cos, rx_cosines=rx_cos, f=f, w=w)

@@ -1,6 +1,7 @@
 """Harness tests: metrics, path matching, config parsing, CSV round trips
 and the Monte Carlo sweep driver."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -20,8 +21,8 @@ from tsdce.bench import (
     parse_records,
     ratio_to_db,
     run_experiment,
-    with_overrides,
 )
+from tsdce import bench
 from tsdce.channel import PathParams
 from tsdce.numkit import SeededRng
 
@@ -68,6 +69,22 @@ class TestMatchPaths:
         ests = [make_estimate(1.2, 0.4), make_estimate(0.5, 1.0),
                 make_estimate(2.0, 2.5)]
         assert set(match_paths(truths, ests)) == {(0, 1), (1, 2), (2, 0)}
+
+    def test_l1_tie_broken_by_squared_error(self):
+        # both estimates lie above both true AoAs: the two pairings have the
+        # same L1 cost, and the straight one has the smaller squared error
+        truths = [make_path(1.0, 1.0), make_path(1.0, 1.2)]
+        ests = [make_estimate(1.0, 1.3), make_estimate(1.0, 1.5)]
+        assert match_paths(truths, ests) == [(0, 0), (1, 1)]
+        assert match_paths(truths, ests[::-1]) == [(0, 1), (1, 0)]
+        # the L1 tie is exact for any such positions, so which pairing has
+        # the smaller rounded L1 sum is decided by rounding; perturbations
+        # at the 1e-13 level must not flip the choice
+        steps = 1e-13 * np.arange(-3, 4)
+        for d0 in steps:
+            for d1 in steps:
+                moved = [make_estimate(1.0, 1.3 + d0), make_estimate(1.0 + d1, 1.5 + d1)]
+                assert match_paths(truths, moved) == [(0, 0), (1, 1)]
 
     def test_angle_errors(self):
         truths = [make_path(0.5, 1.0)]
@@ -125,11 +142,6 @@ rho = 1.0
     def test_l_desired_defaults_to_paths(self):
         assert ExperimentConfig(paths=3).l_desired == 3
         assert ExperimentConfig(paths=3, l_desired=2).l_desired == 2
-
-    def test_with_overrides(self):
-        cfg = ExperimentConfig(trials=10)
-        assert with_overrides(cfg, trials=99).trials == 99
-        assert cfg.trials == 10
 
 
 class TestCsv:
@@ -215,6 +227,22 @@ class TestRunExperiment:
             assert ra.mean_sse == rb.mean_sse
             assert ra.p_detect == rb.p_detect
 
+    def test_one_trial_call_per_snr_and_trial(self, monkeypatch):
+        # run_experiment looks _run_trial up as a module global once per
+        # (snr_idx, trial), so wrapping it sees every trial exactly once
+        calls = []
+        original = bench._run_trial
+
+        def counting(cfg, snr_idx, trial):
+            calls.append((snr_idx, trial))
+            return original(cfg, snr_idx, trial)
+
+        monkeypatch.setattr(bench, "_run_trial", counting)
+        cfg = ExperimentConfig(trials=4, paths=2, snr_db_list=(0.0, 10.0, 20.0),
+                               methods=("tsdce", "ls"), seed=10)
+        run_experiment(cfg)
+        assert sorted(calls) == [(s, t) for s in range(3) for t in range(4)]
+
     def test_thread_count_invariance(self, monkeypatch):
         cfg = ExperimentConfig(trials=12, paths=2, rounds=2,
                                snr_db_list=(10.0,), methods=("tsdce", "ls"),
@@ -233,7 +261,7 @@ class TestRunExperiment:
                                 snr_db_list=(0.0, 10.0, 20.0),
                                 methods=("tsdce",), seed=9)
         one = run_experiment(base)
-        two = run_experiment(with_overrides(base, rounds=2))
+        two = run_experiment(dataclasses.replace(base, rounds=2))
         for r1, r2 in zip(one, two):
             # the gain is decisive from 10 dB up; at 0 dB the two rounds
             # coincide to within Monte Carlo noise

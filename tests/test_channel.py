@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tsdce.channel import (
     PathParams,
     build_channel,
+    cisoid_sum,
     freq_to_angle,
     sample_paths,
     steering_vector,
@@ -20,8 +21,8 @@ def channel_from_steering(paths, n_t, n_r):
     """Reference synthesis: sqrt(n_t n_r) sum_l alpha_l a_rx a_tx^H."""
     h = np.zeros((n_r, n_t), dtype=complex)
     for p in paths:
-        a_r = steering_vector(p.aoa, n_r, side="rx")
-        a_t = steering_vector(p.aod, n_t, side="tx")
+        a_r = steering_vector(p.aoa, n_r)
+        a_t = steering_vector(p.aod, n_t)
         h += np.sqrt(n_t * n_r) * p.gain * np.outer(a_r, a_t.conj())
     return h
 
@@ -42,9 +43,32 @@ class TestSteeringVector:
         v = steering_vector(np.pi / 2, 4)
         assert np.allclose(v, np.full(4, 0.5))
 
-    def test_rejects_bad_side(self):
-        with pytest.raises(ValueError):
-            steering_vector(1.0, 4, side="up")
+
+def cisoid_sum_oracle(gains, w_aoa, w_aod, n_r, n_t):
+    """Explicit per-path formula sum_l g_l exp(j(w_aoa_l m + w_aod_l n))."""
+    m = np.arange(n_r)[:, None]
+    n = np.arange(n_t)[None, :]
+    h = np.zeros((n_r, n_t), dtype=complex)
+    for g, wa, wd in zip(gains, w_aoa, w_aod):
+        h += g * np.exp(1j * (wa * m + wd * n))
+    return h
+
+
+class TestCisoidSum:
+    @pytest.mark.parametrize("n_r, n_t, L", [(16, 16, 3), (8, 12, 1), (5, 3, 4)])
+    def test_matches_explicit_formula(self, n_r, n_t, L):
+        rng = SeededRng(8)
+        gains = rng.normal(1.0, size=L) + 1j * rng.normal(1.0, size=L)
+        w_aoa = rng.uniform(-np.pi, np.pi, size=L)
+        w_aod = rng.uniform(-np.pi, np.pi, size=L)
+        out = cisoid_sum(gains, w_aoa, w_aod, n_r, n_t)
+        expected = cisoid_sum_oracle(gains, w_aoa, w_aod, n_r, n_t)
+        assert out.shape == (n_r, n_t)
+        assert np.allclose(out, expected, rtol=0, atol=1e-13 * np.abs(gains).sum())
+
+    def test_scalar_arguments_give_one_cisoid(self):
+        out = cisoid_sum(0.5j, 0.3, -2.0, 4, 6)
+        assert np.allclose(out, cisoid_sum_oracle([0.5j], [0.3], [-2.0], 4, 6), atol=1e-15)
 
 
 class TestPathParams:

@@ -77,10 +77,10 @@ class TestBuildCodebook:
         cb = build_codebook(16, 16, 16, 16)
         for p in (0, 3, 9):
             angle = np.arccos(cb.tx_cosines[p])
-            assert np.allclose(cb.f[:, p], steering_vector(angle, 16, side="tx"))
+            assert np.allclose(cb.f[:, p], steering_vector(angle, 16))
         for q in (0, 5, 15):
             angle = np.arccos(cb.rx_cosines[q])
-            assert np.allclose(cb.w[:, q], steering_vector(angle, 16, side="rx"))
+            assert np.allclose(cb.w[:, q], steering_vector(angle, 16))
 
     def test_kronecker_orthogonality(self):
         # Q^H Q = (QP / n_t n_r) I for Q = F^T (x) W^H

@@ -10,6 +10,8 @@ from tsdce.algorithm import (
     PathEstimate,
     TsdceConfig,
     UndefinedPhaseError,
+    _estimate_component,
+    _slope_weights,
     estimate_amplitude,
     estimate_gain_phase,
     extract_rank_one,
@@ -18,7 +20,6 @@ from tsdce.algorithm import (
     reconstruct_path,
     run,
     select_wrap_branch,
-    unwrap_cumsum,
     wls_slope,
     wls_weights,
 )
@@ -39,6 +40,72 @@ def wls_slope_oracle(phases, weights):
     wa = a * weights[:, None]
     slope, _ = np.linalg.solve(a.T @ wa, wa.T @ phases)
     return slope
+
+
+def acf2d_oracle(m):
+    """Unbiased 2D ACF through a zero-padded FFT (linear correlation)."""
+    nr, nt = m.shape
+    spec = np.fft.fft2(m, s=(2 * nr, 2 * nt))
+    corr = np.fft.ifft2(spec.conj() * spec)[:nr, :nt]
+    kappa = (nr - np.arange(nr))[:, None] * (nt - np.arange(nt))[None, :]
+    r = corr / kappa
+    r[0, 0] = r[0, 0].real
+    return r
+
+
+def select_wrap_branch_oracle(delta):
+    """The branch with the smaller sample variance; ties keep delta."""
+    wrapped = np.mod(delta, 2.0 * np.pi)
+    return wrapped if np.var(wrapped) < np.var(delta) else delta
+
+
+def estimate_component_oracle(d_tilde, rho):
+    """Single-path estimate step by step, with every formula written out:
+    FFT ACF, np.var branch test, cumsum unwrapping, normal-equation slope,
+    kappa-weighted amplitude and the elementwise derotated mean."""
+    n_r, n_t = d_tilde.shape
+    r = acf2d_oracle(d_tilde)
+
+    def frequency(seq):
+        delta = np.zeros(len(seq))
+        delta[1:] = np.angle(seq[1:] * np.conj(seq[:-1]))
+        delta = select_wrap_branch_oracle(delta)
+        slope = wls_slope_oracle(np.cumsum(delta), wls_weights(len(seq)))
+        return wrap(slope, -np.pi, np.pi)
+
+    w_aoa, w_aod = frequency(r[:, 0]), frequency(r[0, :])
+    kappa = (n_r - np.arange(n_r))[:, None] * (n_t - np.arange(n_t))[None, :]
+    norm = 0.25 * n_r * (n_r + 1) * n_t * (n_t + 1) - n_t * n_r
+    acc = np.sum(kappa * np.abs(r)) - kappa[0, 0] * np.abs(r[0, 0])
+    mag = np.sqrt(n_t * n_r) * np.sqrt(acc / (rho * norm))
+    m = np.arange(n_r)[:, None]
+    n = np.arange(n_t)[None, :]
+    mean = np.mean(d_tilde * np.exp(-1j * (w_aoa * m + w_aod * n))) / np.sqrt(rho)
+    return mag * np.exp(1j * np.angle(mean)), w_aod, w_aoa
+
+
+class TestEstimateComponentOracle:
+    @pytest.mark.parametrize("n_r, n_t", [(16, 16), (8, 12)])
+    def test_matches_oracle_on_noisy_components(self, n_r, n_t):
+        rho = 2.0
+        cases = 0
+        for t in range(60):
+            rng = SeededRng(90).substream(t)
+            w_row, w_col = rng.uniform(-np.pi, np.pi, size=2)
+            amp = rng.uniform(0.2, 1.0) / np.sqrt(n_t * n_r)
+            noise_std = 10.0 ** rng.uniform(-3.0, -0.5) / np.sqrt(n_t * n_r)
+            noise = rng.normal(1.0, size=(n_r, n_t)) + 1j * rng.normal(1.0, size=(n_r, n_t))
+            d = np.sqrt(rho) * cisoid(n_r, n_t, w_row, w_col, amp=amp, phase=rng.uniform(-3, 3))
+            d = d + noise_std * noise
+            if t % 2:
+                d = extract_rank_one(d)
+            gain, w_aod, w_aoa = estimate_component_oracle(d, rho)
+            est = _estimate_component(d, rho, n_t, n_r)
+            assert est.omega_aoa == pytest.approx(w_aoa, abs=1e-10)
+            assert est.omega_aod == pytest.approx(w_aod, abs=1e-10)
+            assert abs(est.gain - gain) <= 1e-9 * abs(gain)
+            cases += 1
+        assert cases >= 50
 
 
 class TestExtractRankOne:
@@ -98,24 +165,51 @@ class TestSelectWrapBranch:
         # the artificial leading zero stays put
         assert out[0] == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=-np.pi, max_value=np.pi), min_size=2, max_size=20))
+    def test_matches_variance_comparison(self, vals):
+        d = np.array(vals)
+        expected = select_wrap_branch_oracle(d)
+        out = select_wrap_branch(d)
+        # the two tests of the variance gap differ only by rounding, so a
+        # near-tie may go either way
+        wrapped = np.mod(d, 2 * np.pi)
+        if abs(np.var(wrapped) - np.var(d)) > 1e-9 * (1.0 + np.var(d)):
+            assert np.array_equal(out, expected)
+
+    def test_all_negative_is_a_tie(self):
+        d = np.array([-0.5, -0.2, -0.9])
+        assert np.array_equal(select_wrap_branch(d), d)
+
     def test_constant_sequence_kept(self):
         d = np.full(5, 0.7)
         assert np.allclose(select_wrap_branch(d), d)
 
 
 class TestUnwrapCumsum:
+    """The phases are unwrapped by a cumulative sum of the differences;
+    the estimator folds that sum into the slope weights g_M."""
+
     def test_basic(self):
-        assert np.allclose(unwrap_cumsum(np.array([0.0, 0.5, 0.5])), [0.0, 0.5, 1.0])
+        d = np.array([0.0, 0.5, 0.5])
+        assert _slope_weights(3) @ d == pytest.approx(
+            wls_slope(np.array([0.0, 0.5, 1.0]), wls_weights(3)), abs=1e-15)
 
     def test_zeros(self):
-        assert np.allclose(unwrap_cumsum(np.zeros(4)), 0.0)
+        assert _slope_weights(4) @ np.zeros(4) == 0.0
 
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.floats(min_value=-3, max_value=3), min_size=1, max_size=20))
+    @given(st.lists(st.floats(min_value=-3, max_value=3), min_size=2, max_size=20))
     def test_matches_prefix_sum(self, vals):
         d = np.array(vals)
         ref = [sum(vals[: i + 1]) for i in range(len(vals))]
-        assert np.allclose(unwrap_cumsum(d), ref, atol=1e-9)
+        expected = wls_slope_oracle(np.array(ref), wls_weights(len(vals)))
+        assert _slope_weights(len(vals)) @ d == pytest.approx(expected, abs=1e-9)
+
+    def test_cached_read_only(self):
+        g = _slope_weights(16)
+        assert g is _slope_weights(16)
+        assert not g.flags.writeable
 
 
 class TestWlsWeights:
