@@ -15,40 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import cisoid_sum, freq_to_angle
+from .channel import PathParams, cisoid_sum
 from .numkit import acf2d_unbiased, dominant_singular_triplet
 from .observation import Observation, to_spatial, wrap
 
 
 class UndefinedPhaseError(ValueError):
     """Gain-phase estimate requested for an identically-zero residual."""
-
-
-@dataclass(frozen=True)
-class PathEstimate:
-    """Estimated path parameters; same shape as channel.PathParams."""
-
-    gain_magnitude: float
-    gain_phase: float
-    aod: float
-    aoa: float
-    omega_aod: float
-    omega_aoa: float
-
-    @classmethod
-    def from_freqs(cls, gain_magnitude, gain_phase, omega_aod, omega_aoa):
-        return cls(
-            gain_magnitude=float(gain_magnitude),
-            gain_phase=float(gain_phase),
-            aod=freq_to_angle(omega_aod, "aod"),
-            aoa=freq_to_angle(omega_aoa, "aoa"),
-            omega_aod=float(omega_aod),
-            omega_aoa=float(omega_aoa),
-        )
-
-    @property
-    def gain(self) -> complex:
-        return self.gain_magnitude * np.exp(1j * self.gain_phase)
 
 
 @dataclass(frozen=True)
@@ -164,24 +137,20 @@ def estimate_amplitude(r: np.ndarray, rho: float, n_t: int, n_r: int) -> float:
     return float(np.sqrt(n_t * n_r) * np.sqrt(a1_sq))
 
 
-def estimate_gain_phase(d_tilde, omega_aoa: float, omega_aod: float, rho: float) -> float:
+def estimate_gain_phase(d_tilde, omega_aoa: float, omega_aod: float, rho: float):
     """Phase of the derotated mean of the spatial observation (the
-    circular-normal maximum-likelihood mean)."""
+    circular-normal maximum-likelihood mean), and the unit cisoid
+    exp(j(omega_aoa m + omega_aod n)) it derotates by."""
     cis = cisoid_sum(1.0, omega_aoa, omega_aod, *d_tilde.shape)
     mean = np.vdot(cis, d_tilde) / (d_tilde.size * np.sqrt(rho))  # vdot conjugates cis
     if mean == 0:
         raise UndefinedPhaseError("zero derotated mean, phase undefined")
-    return float(np.angle(mean))
+    return float(np.angle(mean)), cis
 
 
-def reconstruct_path(est: PathEstimate, n_t: int, n_r: int) -> np.ndarray:
-    """Spatial-domain cisoid (|a|/sqrt(n_t n_r)) e^{j phase} e^{j(wm+wn)}
-    used for interference cancellation."""
-    return cisoid_sum(est.gain / np.sqrt(n_t * n_r), est.omega_aoa, est.omega_aod, n_r, n_t)
-
-
-def _estimate_component(d_tilde, rho, n_t, n_r) -> PathEstimate:
-    """Single-path parameter estimation from a spatial-domain component."""
+def _estimate_component(d_tilde, rho, n_t, n_r):
+    """Single-path parameter estimation from a spatial-domain component:
+    the estimate and its unit cisoid."""
     r = acf2d_unbiased(d_tilde)
     omegas = {}
     for axis, M in (("col0", n_r), ("row0", n_t)):
@@ -190,10 +159,11 @@ def _estimate_component(d_tilde, rho, n_t, n_r) -> PathEstimate:
         omegas[axis] = wrap(_slope_weights(M) @ delta, -np.pi, np.pi)
     gain_mag = estimate_amplitude(r, rho, n_t, n_r)
     try:
-        gain_phase = estimate_gain_phase(d_tilde, omegas["col0"], omegas["row0"], rho)
+        gain_phase, cis = estimate_gain_phase(d_tilde, omegas["col0"], omegas["row0"], rho)
     except UndefinedPhaseError:
         gain_phase = 0.0
-    return PathEstimate.from_freqs(gain_mag, gain_phase, omegas["row0"], omegas["col0"])
+        cis = cisoid_sum(1.0, omegas["col0"], omegas["row0"], n_r, n_t)
+    return PathParams.from_freqs(gain_mag, gain_phase, omegas["row0"], omegas["col0"]), cis
 
 
 def run(obs: Observation, cfg: TsdceConfig, trace=None):
@@ -206,7 +176,7 @@ def run(obs: Observation, cfg: TsdceConfig, trace=None):
     """
     sp = to_spatial(obs, cfg.n_t, cfg.n_r)
     d_bar = sp.d_bar
-    sqrt_rho = np.sqrt(cfg.rho)
+    scale = np.sqrt(cfg.rho / (cfg.n_t * cfg.n_r))
     estimates = {}
     cancel = {}  # path -> its scaled cisoid, rebuilt only when re-estimated
     for k in range(1, cfg.rounds + 1):
@@ -219,8 +189,9 @@ def run(obs: Observation, cfg: TsdceConfig, trace=None):
                 d_tilde = extract_rank_one(residual)
             else:
                 d_tilde = residual
-            estimates[l] = _estimate_component(d_tilde, cfg.rho, cfg.n_t, cfg.n_r)
-            cancel[l] = sqrt_rho * reconstruct_path(estimates[l], cfg.n_t, cfg.n_r)
+            estimates[l], cis = _estimate_component(d_tilde, cfg.rho, cfg.n_t, cfg.n_r)
+            # sqrt(rho) (|a|/sqrt(n_t n_r)) e^{j phase} e^{j(wm+wn)}
+            cancel[l] = (scale * estimates[l].gain) * cis
             if trace is not None:
                 trace.append(
                     {"round": k, "path": l, "residual": residual, "estimate": estimates[l]}

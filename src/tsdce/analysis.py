@@ -20,8 +20,7 @@ from scipy import fft as sp_fft
 from scipy import integrate
 from scipy.special import gammaln, roots_laguerre
 
-from .algorithm import PathEstimate
-from .channel import ChannelRealization, cisoid_sum
+from .channel import ChannelRealization, PathParams, cisoid_sum
 from .numkit import SeededRng
 from .observation import Codebook, Observation, to_spatial
 
@@ -90,7 +89,7 @@ def dft_peak_baseline(
         a_hat = np.vdot(cis, work) / (work.size * np.sqrt(obs.rho))  # derotated mean
         gain = np.sqrt(n_t * n_r) * a_hat
         estimates.append(
-            PathEstimate.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa)
+            PathParams.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa)
         )
         work = work - np.sqrt(obs.rho) * a_hat * cis
     return estimates

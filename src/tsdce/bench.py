@@ -146,6 +146,18 @@ def doa_metrics(errors_deg, threshold_deg: float, total_measurements: int):
     return float(np.sqrt(np.mean(detected**2))), p_detect
 
 
+def draw_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
+    """(paths, channel, observation) of one sweep trial, all drawn from
+    the trial's own substream of (seed, snr index, trial index)."""
+    stream = SeededRng(cfg.seed).substream((snr_idx << 32) | trial)
+    sigma_n_sq = cfg.rho / cfg.snr_list[snr_idx]
+    paths = sample_paths(cfg.paths, stream, cfg.angle_range)
+    ch = build_channel(paths, cfg.n_t, cfg.n_r)
+    cb = build_codebook(cfg.p_count, cfg.q_count, cfg.n_t, cfg.n_r)
+    obs = synthesize_observation(ch, cb, cfg.rho, sigma_n_sq, stream)
+    return paths, ch, obs
+
+
 def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
     """One channel realization scored by every configured method.
 
@@ -153,14 +165,7 @@ def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
     FFT; it is read on every call.
     """
     fft_workers = max(1, int(os.environ.get("TSDCE_THREADS", os.cpu_count() or 1)))
-    base = SeededRng(cfg.seed)
-    stream = base.substream((snr_idx << 32) | trial)
-    snr = cfg.snr_list[snr_idx]
-    sigma_n_sq = cfg.rho / snr
-    paths = sample_paths(cfg.paths, stream, cfg.angle_range)
-    ch = build_channel(paths, cfg.n_t, cfg.n_r)
-    cb = build_codebook(cfg.p_count, cfg.q_count, cfg.n_t, cfg.n_r)
-    obs = synthesize_observation(ch, cb, cfg.rho, sigma_n_sq, stream)
+    paths, ch, obs = draw_trial(cfg, snr_idx, trial)
 
     out = {}
     for method in cfg.methods:

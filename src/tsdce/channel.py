@@ -7,6 +7,7 @@ convention: omega_aod = pi*cos(aod), omega_aoa = -pi*cos(aoa).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,17 @@ class PathParams:
             omega_aoa=float(-np.pi * np.cos(aoa)),
         )
 
+    @classmethod
+    def from_freqs(cls, gain_magnitude, gain_phase, omega_aod, omega_aoa) -> "PathParams":
+        return cls(
+            gain_magnitude=float(gain_magnitude),
+            gain_phase=float(gain_phase),
+            aod=freq_to_angle(omega_aod, "aod"),
+            aoa=freq_to_angle(omega_aoa, "aoa"),
+            omega_aod=float(omega_aod),
+            omega_aoa=float(omega_aoa),
+        )
+
     @property
     def gain(self) -> complex:
         return self.gain_magnitude * np.exp(1j * self.gain_phase)
@@ -62,16 +74,27 @@ def steering_vector(angle: float, n: int) -> np.ndarray:
     return np.exp(-1j * np.pi * k * np.cos(angle)) / np.sqrt(n)
 
 
+@functools.lru_cache(maxsize=None)
+def _index(n: int) -> np.ndarray:
+    """Read-only array index 0..n-1 as floats."""
+    i = np.arange(n, dtype=float)
+    i.setflags(write=False)
+    return i
+
+
 def cisoid_sum(gains, omega_aoa, omega_aod, n_r: int, n_t: int) -> np.ndarray:
     """H[m, n] = sum_l g_l exp(j(omega_aoa_l m + omega_aod_l n)), n_r x n_t,
     for scalars (one cisoid) or length-L sequences.
 
     Separable: (e_r * g) @ e_t with e_r[m, l] = exp(j omega_aoa_l m) and
     e_t[l, n] = exp(j omega_aod_l n), (n_r + n_t) L exponentials instead
-    of n_r n_t L.
+    of n_r n_t L. One cisoid is the outer product of its two factors.
     """
-    e_r = np.exp(1j * (np.arange(n_r)[:, None] * np.reshape(omega_aoa, (1, -1))))
-    e_t = np.exp(1j * (np.reshape(omega_aod, (-1, 1)) * np.arange(n_t)))
+    if isinstance(omega_aoa, float):  # np.float64 too
+        e_r = gains * np.exp(1j * omega_aoa * _index(n_r))
+        return e_r[:, None] * np.exp(1j * omega_aod * _index(n_t))
+    e_r = np.exp(1j * (_index(n_r)[:, None] * np.reshape(omega_aoa, (1, -1))))
+    e_t = np.exp(1j * (np.reshape(omega_aod, (-1, 1)) * _index(n_t)))
     return (e_r * np.ravel(gains)) @ e_t
 
 

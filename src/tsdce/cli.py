@@ -2,7 +2,7 @@
 
 Subcommands:
   run    -- full Monte Carlo sweep to a metrics CSV
-  single -- one realization with matrix dumps for debugging/figures
+  single -- one sweep trial, replayed with matrix dumps for debugging/figures
   bound  -- analytic bound curves over the configured SNR list
 
 Exit codes: 0 success, 2 configuration error, 3 failure-rate breach.
@@ -19,7 +19,7 @@ import numpy as np
 from . import algorithm, analysis, bench
 from .channel import build_channel, sample_paths
 from .numkit import SeededRng
-from .observation import build_codebook, synthesize_observation, to_spatial
+from .observation import to_spatial
 
 
 def _dump_matrix(path, m):
@@ -46,13 +46,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_single(args) -> int:
     cfg = bench.load_config(args.config)
+    if not 0 <= args.snr_index < len(cfg.snr_db_list):
+        raise bench.ConfigError(
+            f"--snr-index {args.snr_index} is outside snr_db_list "
+            f"(0..{len(cfg.snr_db_list) - 1})"
+        )
     os.makedirs(args.dump, exist_ok=True)
-    snr = 10.0 ** (args.snr_db / 10.0)
-    stream = SeededRng(cfg.seed).substream(args.trial)
-    paths = sample_paths(cfg.paths, stream, cfg.angle_range)
-    ch = build_channel(paths, cfg.n_t, cfg.n_r)
-    cb = build_codebook(cfg.p_count, cfg.q_count, cfg.n_t, cfg.n_r)
-    obs = synthesize_observation(ch, cb, cfg.rho, cfg.rho / snr, stream)
+    _, ch, obs = bench.draw_trial(cfg, args.snr_index, args.trial)
     sp = to_spatial(obs, cfg.n_t, cfg.n_r)
     _dump_matrix(os.path.join(args.dump, "Y.csv"), obs.y)
     _dump_matrix(os.path.join(args.dump, "D.csv"), sp.d)
@@ -127,10 +127,13 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=_cmd_run)
 
-    p_single = sub.add_parser("single", help="one realization with matrix dumps")
+    p_single = sub.add_parser("single", help="replay one sweep trial with matrix dumps")
     p_single.add_argument("--config", required=True)
-    p_single.add_argument("--snr-db", type=float, required=True, dest="snr_db")
-    p_single.add_argument("--trial", type=int, default=0)
+    p_single.add_argument(
+        "--snr-index", type=int, required=True, dest="snr_index",
+        help="index into the config's snr_db_list, as in a sweep",
+    )
+    p_single.add_argument("--trial", type=int, default=0, help="trial index, as in a sweep")
     p_single.add_argument("--dump", required=True)
     p_single.set_defaults(func=_cmd_single)
 

@@ -1,5 +1,6 @@
 """Numerical kernel: seeded complex Gaussian sampling, 2D DFT/IDFT,
-dominant singular triplet and the unbiased 2D sample autocorrelation.
+dominant singular triplet (one LAPACK eigenpair) and the unbiased 2D
+sample autocorrelation.
 
 All matrix arguments are dense complex numpy arrays. Functions are pure;
 ``SeededRng`` is the single piece of mutable state and is not safe for
@@ -12,6 +13,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy.linalg.lapack import zheevr
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -62,7 +64,13 @@ def dft2d(m: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 
 def dominant_singular_triplet(m):
-    """Leading singular triplet (s, u, v) of ``m`` from LAPACK's SVD.
+    """Leading singular triplet (s, u, v) of ``m``.
+
+    Only the top eigenpair of the Gram matrix of the smaller side is
+    computed (LAPACK ``zheevr``, one eigenvalue by index); the other
+    vector follows as u = m v / s or v = m^H u / s. ``m`` is scaled by
+    max|m| first, so tiny or huge entries neither underflow nor overflow
+    in the Gram matrix.
 
     The phase ambiguity is fixed by rotating so the first nonzero entry
     of ``u`` is real and positive (the compensating phase goes into
@@ -73,14 +81,29 @@ def dominant_singular_triplet(m):
     if m.size == 0:
         raise ValueError("matrix must be non-empty")
     nr, nt = m.shape
-    if not m.any():
+    scale = np.abs(m).max()
+    if scale == 0:
         u = np.zeros(nr, dtype=complex)
         v = np.zeros(nt, dtype=complex)
         u[0] = 1.0
         v[0] = 1.0
         return 0.0, u, v
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return _fix_phase(s[0], u[:, 0], vh[0].conj())
+    if not np.isfinite(scale):
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
+    a = m / scale
+    tall = nr >= nt
+    gram = a.conj().T @ a if tall else a @ a.conj().T
+    n = gram.shape[0]
+    w, z, _, _, info = zheevr(gram, range="I", lower=1, il=n, iu=n)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zheevr failed with info = {info}")
+    s_a = np.sqrt(w[0])  # >= 1: some entry of the scaled matrix has modulus 1
+    x = z[:, 0]
+    if tall:
+        u, v = (a @ x) / s_a, x
+    else:
+        u, v = x, (a.conj().T @ x) / s_a
+    return _fix_phase(s_a * scale, u, v)
 
 
 def _fix_phase(s, u, v):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from tsdce.algorithm import PathEstimate
 from tsdce.analysis import (
     FisherModel,
     MarchenkoPastur,
@@ -59,7 +58,7 @@ def padded_dft_peak_oracle(obs, L_d, n_dft, n_t, n_r):
         a_hat = (work * cisoid.conj()).mean() / np.sqrt(obs.rho)
         gain = np.sqrt(n_t * n_r) * a_hat
         estimates.append(
-            PathEstimate.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa)
+            PathParams.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa)
         )
         work = work - np.sqrt(obs.rho) * a_hat * cisoid
     return estimates

@@ -7,7 +7,6 @@ import os
 import numpy as np
 import pytest
 
-from tsdce.algorithm import PathEstimate
 from tsdce.bench import (
     ConfigError,
     ExperimentConfig,
@@ -32,8 +31,8 @@ def make_path(aod, aoa, mag=1.0):
 
 
 def make_estimate(aod, aoa, mag=1.0):
-    return PathEstimate.from_freqs(mag, 0.0, np.pi * np.cos(aod),
-                                   -np.pi * np.cos(aoa))
+    return PathParams.from_freqs(mag, 0.0, np.pi * np.cos(aod),
+                                 -np.pi * np.cos(aoa))
 
 
 class TestMetrics:

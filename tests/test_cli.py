@@ -2,8 +2,10 @@
 
 import csv
 
+import numpy as np
 import pytest
 
+from tsdce import bench
 from tsdce.cli import main
 
 
@@ -28,6 +30,16 @@ def config_path(tmp_path):
     return str(path)
 
 
+def read_matrix(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    m = np.zeros((1 + max(int(r["m"]) for r in rows), 1 + max(int(r["n"]) for r in rows)),
+                 dtype=complex)
+    for r in rows:
+        m[int(r["m"]), int(r["n"])] = complex(float(r["re"]), float(r["im"]))
+    return m
+
+
 class TestRunCommand:
     def test_writes_metrics_csv(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "metrics.csv")
@@ -47,7 +59,7 @@ class TestRunCommand:
 class TestSingleCommand:
     def test_dumps_matrices(self, config_path, tmp_path):
         dump = tmp_path / "dump"
-        rc = main(["single", "--config", config_path, "--snr-db", "10",
+        rc = main(["single", "--config", config_path, "--snr-index", "1",
                    "--trial", "0", "--dump", str(dump)])
         assert rc == 0
         names = {p.name for p in dump.iterdir()}
@@ -55,6 +67,31 @@ class TestSingleCommand:
                 "H_hat.csv"} <= names
         header = (dump / "Y.csv").read_text().splitlines()[0]
         assert header == "m,n,re,im"
+
+    def test_replays_sweep_trial(self, config_path, tmp_path, monkeypatch):
+        # the channel and observation that the sweep scores at SNR index 1,
+        # trial 3; the dump writes 17 significant digits, so they round-trip
+        drawn, draw = [], bench.draw_trial
+
+        def recording(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(bench, "draw_trial", recording)
+        bench._run_trial(bench.load_config(config_path), 1, 3)
+        monkeypatch.undo()
+        (_, ch, obs), = drawn
+        dump = tmp_path / "dump"
+        rc = main(["single", "--config", config_path, "--snr-index", "1",
+                   "--trial", "3", "--dump", str(dump)])
+        assert rc == 0
+        assert np.array_equal(read_matrix(dump / "H_true.csv"), ch.h)
+        assert np.array_equal(read_matrix(dump / "Y.csv"), obs.y)
+
+    def test_snr_index_out_of_range(self, config_path, tmp_path):
+        rc = main(["single", "--config", config_path, "--snr-index", "2",
+                   "--dump", str(tmp_path / "dump")])
+        assert rc == 2
 
 
 class TestBoundCommand:

@@ -130,6 +130,46 @@ class TestDominantSingularTriplet:
         assert np.linalg.norm(u) == pytest.approx(1.0)
 
 
+def rank_two(n_r, n_t, ratio, rng):
+    """sigma_1 u1 v1^H + sigma_2 u2 v2^H with sigma_1 / sigma_2 = ratio."""
+    u, _ = np.linalg.qr(random_complex(rng, (n_r, 2)))
+    v, _ = np.linalg.qr(random_complex(rng, (n_t, 2)))
+    return ratio * np.outer(u[:, 0], v[:, 0].conj()) + np.outer(u[:, 1], v[:, 1].conj())
+
+
+class TestDominantSingularTripletAgainstSvd:
+    """The one-eigenpair kernel against the full LAPACK SVD: s within 1e-10
+    relative, the rank-one term s u v^H within 1e-9 of ||m||. At scales
+    1e+-170 an unscaled Gram matrix would overflow or go subnormal."""
+
+    CASES = {
+        "16x16": lambda rng: random_complex(rng, (16, 16)),
+        "8x12": lambda rng: random_complex(rng, (8, 12)),
+        "12x8": lambda rng: random_complex(rng, (12, 8)),
+        "rank2_gap_1.05_tall": lambda rng: rank_two(16, 10, 1.05, rng),
+        "rank2_gap_1.05_wide": lambda rng: rank_two(10, 16, 1.05, rng),
+    }
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-170, 1e170])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_svd(self, case, scale):
+        for seed in range(3):
+            m = scale * self.CASES[case](SeededRng(100 + seed))
+            s, u, v = dominant_singular_triplet(m)
+            u_ref, s_ref, vh_ref = np.linalg.svd(m)
+            assert abs(s - s_ref[0]) <= 1e-10 * s_ref[0]
+            # compared at unit scale, where the norms cannot overflow
+            err = (s / scale) * np.outer(u, v.conj()) - (s_ref[0] / scale) * np.outer(
+                u_ref[:, 0], vh_ref[0])
+            assert np.linalg.norm(err) <= 1e-9 * np.linalg.norm(m / scale)
+
+    def test_non_finite_raises(self):
+        m = random_complex(SeededRng(7), (4, 4))
+        m[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            dominant_singular_triplet(m)
+
+
 class TestAcf2dUnbiased:
     def test_matches_naive_loop(self):
         d = random_complex(SeededRng(21), (7, 6))

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsdce.algorithm import (
-    PathEstimate,
     TsdceConfig,
     UndefinedPhaseError,
     _estimate_component,
@@ -17,13 +16,12 @@ from tsdce.algorithm import (
     extract_rank_one,
     phase_differences,
     reconstruct_channel,
-    reconstruct_path,
     run,
     select_wrap_branch,
     wls_slope,
     wls_weights,
 )
-from tsdce.channel import PathParams, build_channel, sample_paths
+from tsdce.channel import PathParams, build_channel, cisoid_sum, sample_paths
 from tsdce.numkit import SeededRng, acf2d_unbiased
 from tsdce.observation import build_codebook, synthesize_observation, wrap
 
@@ -100,10 +98,11 @@ class TestEstimateComponentOracle:
             if t % 2:
                 d = extract_rank_one(d)
             gain, w_aod, w_aoa = estimate_component_oracle(d, rho)
-            est = _estimate_component(d, rho, n_t, n_r)
+            est, cis = _estimate_component(d, rho, n_t, n_r)
             assert est.omega_aoa == pytest.approx(w_aoa, abs=1e-10)
             assert est.omega_aod == pytest.approx(w_aod, abs=1e-10)
             assert abs(est.gain - gain) <= 1e-9 * abs(gain)
+            assert np.allclose(cis, cisoid(n_r, n_t, w_aoa, w_aod), atol=1e-12)
             cases += 1
         assert cases >= 50
 
@@ -279,36 +278,31 @@ class TestEstimateAmplitude:
 class TestEstimateGainPhase:
     def test_perfect_derotation(self):
         d = cisoid(8, 8, 0.9, -0.4, amp=0.5, phase=0.7)
-        assert estimate_gain_phase(d, 0.9, -0.4, 1.0) == pytest.approx(0.7, abs=1e-12)
+        assert estimate_gain_phase(d, 0.9, -0.4, 1.0)[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_zero_phase(self):
         d = cisoid(8, 8, 0.9, -0.4, amp=0.5, phase=0.0)
-        assert estimate_gain_phase(d, 0.9, -0.4, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert estimate_gain_phase(d, 0.9, -0.4, 1.0)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_frequency_mismatch_first_order(self):
         # small frequency error tilts the sum; phase error stays within
         # the first-order bound (n_r + n_t) * delta / 2
         delta = 1e-3
         d = cisoid(8, 8, 0.9, -0.4, phase=0.3)
-        est = estimate_gain_phase(d, 0.9 + delta, -0.4 + delta, 1.0)
+        est, _ = estimate_gain_phase(d, 0.9 + delta, -0.4 + delta, 1.0)
         assert abs(est - 0.3) <= (8 + 8) * delta / 2 + 1e-9
 
     def test_zero_input_raises(self):
         with pytest.raises(UndefinedPhaseError):
             estimate_gain_phase(np.zeros((4, 4), dtype=complex), 0.1, 0.1, 1.0)
 
-
-class TestReconstructPath:
-    def test_zero_gain(self):
-        est = PathEstimate.from_freqs(0.0, 0.0, 0.5, -0.5)
-        assert np.allclose(reconstruct_path(est, 8, 8), 0.0)
-
-    def test_matches_cisoid_formula(self):
-        est = PathEstimate.from_freqs(0.9, 0.25, 0.5, -1.1)
-        out = reconstruct_path(est, 8, 6)
-        expected = cisoid(6, 8, est.omega_aoa, est.omega_aod,
-                          amp=0.9 / np.sqrt(48.0), phase=0.25)
-        assert np.allclose(out, expected, atol=1e-12)
+    def test_returns_unit_cisoid(self):
+        # the cisoid the SIC loop cancels with: exactly the one-cisoid
+        # cisoid_sum, and the explicit formula to rounding
+        d = cisoid(6, 8, -1.1, 0.5, amp=0.3, phase=0.25)
+        _, cis = estimate_gain_phase(d, -1.1, 0.5, 1.0)
+        assert np.array_equal(cis, cisoid_sum(1.0, -1.1, 0.5, 6, 8))
+        assert np.allclose(cis, cisoid(6, 8, -1.1, 0.5), atol=1e-12)
 
 
 class TestRun:
@@ -378,7 +372,7 @@ class TestRun:
             obs = synthesize_observation(ch, self.cb, 1.0, 0.1, rng)
             ests = run(obs, cfg)
             sp = to_spatial(obs, 16, 16)
-            total = sum(reconstruct_path(e, 16, 16) for e in ests)
+            total = reconstruct_channel(ests, 16, 16) / 16.0  # 1/sqrt(n_t n_r)
             assert (np.linalg.norm(sp.d_bar - total)
                     <= np.linalg.norm(sp.d_bar) + 1e-12)
 
@@ -389,16 +383,49 @@ class TestRun:
             TsdceConfig(l_desired=1, rounds=0, rho=1.0, n_t=16, n_r=16)
 
 
+class TestSicCallCounts:
+    """Kernel calls of one 16x16 L3K3 run, counted in every module that
+    binds the kernel, so that no SIC step quietly does duplicate work."""
+
+    KERNELS = {
+        "cisoid_sum": 9,  # one unit cisoid per estimate, shared with the cancellation
+        "dominant_singular_triplet": 2,  # rank-one extraction of paths 1 and 2, round 1
+        "acf2d_unbiased": 9,  # one per estimate
+    }
+
+    def test_counts(self, monkeypatch):
+        import tsdce
+
+        rng = SeededRng(75)
+        ch = build_channel(sample_paths(3, rng), 16, 16)
+        obs = synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.1, rng)
+        counts = dict.fromkeys(self.KERNELS, 0)
+        for module in (tsdce.numkit, tsdce.channel, tsdce.observation, tsdce.algorithm):
+            for name in self.KERNELS:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, self._counting(counts, name,
+                                                                      getattr(module, name)))
+        run(obs, TsdceConfig(l_desired=3, rounds=3, rho=1.0, n_t=16, n_r=16))
+        assert counts == self.KERNELS
+
+    @staticmethod
+    def _counting(counts, name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+
 class TestReconstructChannel:
     def test_truth_roundtrip(self):
         paths = sample_paths(2, SeededRng(81))
         ch = build_channel(paths, 16, 16)
-        ests = [PathEstimate.from_freqs(p.gain_magnitude, p.gain_phase,
-                                        p.omega_aod, p.omega_aoa) for p in paths]
+        ests = [PathParams.from_freqs(p.gain_magnitude, p.gain_phase,
+                                      p.omega_aod, p.omega_aoa) for p in paths]
         assert np.allclose(reconstruct_channel(ests, 16, 16), ch.h, atol=1e-10)
 
     def test_single_estimate_rank_one(self):
-        est = PathEstimate.from_freqs(1.0, 0.0, 0.4, -0.9)
+        est = PathParams.from_freqs(1.0, 0.0, 0.4, -0.9)
         h = reconstruct_channel([est], 16, 16)
         assert np.linalg.svd(h, compute_uv=False)[1] < 1e-10
 
