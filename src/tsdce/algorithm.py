@@ -137,7 +137,9 @@ def estimate_amplitude(r: np.ndarray, rho: float, n_t: int, n_r: int) -> float:
     return float(np.sqrt(n_t * n_r) * np.sqrt(a1_sq))
 
 
-def estimate_gain_phase(d_tilde, omega_aoa: float, omega_aod: float, rho: float):
+def estimate_gain_phase(
+    d_tilde, omega_aoa: float, omega_aod: float, rho: float
+) -> tuple[float, np.ndarray]:
     """Phase of the derotated mean of the spatial observation (the
     circular-normal maximum-likelihood mean), and the unit cisoid
     exp(j(omega_aoa m + omega_aod n)) it derotates by."""
@@ -148,7 +150,7 @@ def estimate_gain_phase(d_tilde, omega_aoa: float, omega_aod: float, rho: float)
     return float(np.angle(mean)), cis
 
 
-def _estimate_component(d_tilde, rho, n_t, n_r):
+def _estimate_component(d_tilde, rho, n_t, n_r) -> tuple[PathParams, np.ndarray]:
     """Single-path parameter estimation from a spatial-domain component:
     the estimate and its unit cisoid."""
     r = acf2d_unbiased(d_tilde)
