@@ -3,16 +3,16 @@
 Contains the explicit least-squares estimator, a simplified DFT
 peak-pick/cancel baseline, the single-path upper bound, the multi-path
 upper bound built from the exact finite-N means of the ordered noise
-eigenvalues (Laguerre unitary ensemble), and the Fisher-matrix CRLB with
-Monte Carlo channel reconstruction. The paper's model of those means, as
-order statistics of independent Marchenko-Pastur draws, is kept as
+eigenvalues (Laguerre unitary ensemble), and the closed-form
+Cramer-Rao bound on the channel matrix from the Fisher information of the
+path parameters. The paper's model of those means, as order statistics of
+independent Marchenko-Pastur draws, is kept as
 `iid_ordered_eigenvalue_mean`.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +21,6 @@ from scipy import integrate
 from scipy.special import gammaln, roots_laguerre
 
 from .channel import ChannelRealization, PathParams, cisoid_sum
-from .numkit import SeededRng
 from .observation import Codebook, Observation, to_spatial
 
 
@@ -48,15 +47,14 @@ def ls_estimate_explicit(obs: Observation, cb: Codebook) -> np.ndarray:
 
 
 def dft_peak_baseline(
-    obs: Observation, L_d: int, n_dft: int = 1024, n_t=None, n_r=None, workers: int = 1
+    obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int, n_r: int, workers: int = 1
 ):
     """Simplified DFT-domain peak-pick baseline with iterative cancellation.
 
     Zero-pads the informative spatial crop to n_dft x n_dft, reads the
     strongest DFT bin as the frequency pair, estimates the complex gain
     by derotated averaging, cancels the reconstructed cisoid and repeats.
-    Frequency accuracy is limited to the bin width 2*pi/n_dft. The crop
-    size defaults to the full observation (matched codebook).
+    Frequency accuracy is limited to the bin width 2*pi/n_dft.
 
     The padded 2D DFT is pruned: the row pass transforms only the n_r
     nonzero rows, the column pass then fills the whole n_dft x n_dft
@@ -67,8 +65,6 @@ def dft_peak_baseline(
     q_count, p_count = obs.y.shape
     if n_dft < max(q_count, p_count) or (n_dft & (n_dft - 1)) != 0:
         raise ValueError("n_dft must be a power of two >= max(Q, P)")
-    n_r = q_count if n_r is None else n_r
-    n_t = p_count if n_t is None else n_t
     sp = to_spatial(obs, n_t, n_r)
     work = sp.d_bar
     estimates = []
@@ -276,6 +272,15 @@ def ordered_eigenvalue_mean(mp: MarchenkoPastur, l: int, n_r: int) -> float:
     return float(mp.sigma_z_sq / n_t * _laguerre_ordered_means(n_r, n_t)[l - 1])
 
 
+def _top_noise_eigenvalue_sum(L: int, n_t: int, n_r: int, sigma_z_sq: float) -> float:
+    """Sum of the means of the L largest eigenvalues of (1/n_t) Z^H Z, Z
+    n_t x n_r with CN(0, sigma_z_sq) entries."""
+    if not 1 <= L <= n_r:
+        raise ValueError("L must lie in 1..n_r")
+    mp = MarchenkoPastur(sigma_z_sq=sigma_z_sq, c=n_r / n_t)
+    return sum(ordered_eigenvalue_mean(mp, l, n_r) for l in range(1, L + 1))
+
+
 def upper_bound_multi_path(L: int, rho: float, n_t: int, n_r: int, sigma_z_sq: float) -> float:
     """Mean-SSE upper bound (n_t n_r / rho) * sum_l n_t * lambda_l_mean.
 
@@ -283,10 +288,7 @@ def upper_bound_multi_path(L: int, rho: float, n_t: int, n_r: int, sigma_z_sq: f
     eigenvalue, `ordered_eigenvalue_mean`; the paper's i.i.d. model of it
     is `iid_ordered_eigenvalue_mean`.
     """
-    if not 1 <= L <= n_r:
-        raise ValueError("L must lie in 1..n_r")
-    mp = MarchenkoPastur(sigma_z_sq=sigma_z_sq, c=n_r / n_t)
-    total = sum(ordered_eigenvalue_mean(mp, l, n_r) for l in range(1, L + 1))
+    total = _top_noise_eigenvalue_sum(L, n_t, n_r, sigma_z_sq)
     return n_t * n_r / rho * n_t * total
 
 
@@ -338,56 +340,42 @@ def fisher_matrix(model: FisherModel) -> np.ndarray:
     return 0.5 * (f + f.T)
 
 
-def crlb_variances(model: FisherModel, floor_ratio: float = 1e-12):
-    """Diagonal of the (eigenvalue-floored pseudo-) inverse Fisher matrix.
+def crlb_nmse_bound(channel: ChannelRealization, rho: float, sigma_z_sq: float) -> float:
+    """Cramer-Rao bound on ||H_hat - H||^2 / ||H||^2 for one channel.
 
-    Returns (variances, degenerate_flag); the flag marks realizations
-    where flooring was needed (e.g. nearly coincident path frequencies).
+    Residual variance. The spatial crop is d_bar = sqrt(rho/(n_t n_r)) H + Z
+    with Z white, CN(0, sigma_z_sq) entries. Rank-L denoising keeps, on
+    average, the noise energy of Z's L largest squared singular values,
+    sum_l n_t lambda_l_mean, where lambda_l_mean is the mean of the l-th
+    largest eigenvalue of (1/n_t) Z^H Z (`ordered_eigenvalue_mean`). In
+    channel units that is (n_t n_r / rho) sum_l n_t lambda_l_mean, the
+    multi-path bound. Spread evenly over the n_t n_r entries of H as a
+    white residual, as the bound's derivation assumes, it gives
+    noise_var = (n_t / rho) sum_l lambda_l_mean per entry.
+
+    Bound. With the Jacobian J of vec(H) in the 4L real path parameters,
+    F = (2 / noise_var) Re[J^H J] and the CRLB of H = f(theta) is
+    tr(J F^-1 J^H) = tr(F^-1 Re[J^H J]) = (noise_var / 2) rank(F), which is
+    2 L noise_var at full rank (S. Kay, Fundamentals of Statistical Signal
+    Processing, Vol. I, Sec. 3.8). It is deterministic per channel. For a
+    rank-deficient F (a zero-amplitude path, coincident paths) it is the
+    pseudo-inverse CRLB tr(J F+ J^H), with F+ inverting each eigenvalue
+    lambda_i of F as 1 / max(lambda_i, 1e-12 lambda_max): an eigenvalue
+    above that floor adds noise_var / 2, one below it adds less, so the
+    value stays finite and continuous as two paths merge. Averaging
+    across realizations is left to the caller.
     """
-    f = fisher_matrix(model)
-    vals, vecs = np.linalg.eigh(f)
-    lam_max = vals[-1]
-    if lam_max <= 0:
-        raise ArithmeticError("Fisher matrix is identically zero")
-    floor = floor_ratio * lam_max
-    degenerate = bool(np.any(vals < floor))
-    inv_vals = np.where(vals > floor, 1.0 / np.maximum(vals, floor), 1.0 / floor)
-    inv = (vecs * inv_vals) @ vecs.conj().T
-    return np.diag(inv).real.copy(), degenerate
-
-
-def crlb_nmse_bound(
-    channel: ChannelRealization,
-    rho: float,
-    sigma_z_sq: float,
-    rng: SeededRng,
-) -> float:
-    """One CRLB-reconstruction NMSE sample for a channel realization.
-
-    The residual variance after L-rank denoising is taken from the exact
-    finite-N means of the L largest noise eigenvalues
-    (`ordered_eigenvalue_mean`); every true parameter is
-    perturbed by Gaussian noise at its CRLB variance and the channel is
-    rebuilt from the perturbed parameters. The white-residual assumption
-    is inherited from the bound's derivation. Averaging across
-    realizations is left to the caller.
-    """
-    L = len(channel.paths)
-    mp = MarchenkoPastur(sigma_z_sq=sigma_z_sq, c=channel.n_r / channel.n_t)
     noise_var = (
         channel.n_t
         / rho
-        * sum(ordered_eigenvalue_mean(mp, l, channel.n_r) for l in range(1, L + 1))
+        * _top_noise_eigenvalue_sum(len(channel.paths), channel.n_t, channel.n_r, sigma_z_sq)
     )
     params = np.ravel(
         [(p.gain_magnitude, p.gain_phase, p.omega_aod, p.omega_aoa) for p in channel.paths]
     )
     model = FisherModel(params=params, noise_var=noise_var, n_t=channel.n_t, n_r=channel.n_r)
-    variances, degenerate = crlb_variances(model)
-    if degenerate:
-        warnings.warn("near-singular Fisher matrix, pseudo-inverse applied")
-    perturbed = params + rng.normal(1.0, size=params.shape) * np.sqrt(variances)
-    mag, phase, w_aod, w_aoa = perturbed.reshape(L, 4).T
-    h_hat = cisoid_sum(mag * np.exp(1j * phase), w_aoa, w_aod, channel.n_r, channel.n_t)
-    err = np.linalg.norm(h_hat - channel.h) ** 2
-    return float(err / np.linalg.norm(channel.h) ** 2)
+    vals = np.linalg.eigvalsh(fisher_matrix(model))
+    if vals[-1] <= 0:
+        raise ArithmeticError("Fisher matrix is identically zero")
+    rank = np.sum(vals / np.maximum(vals, 1e-12 * vals[-1]))
+    return float(noise_var / 2 * rank / np.linalg.norm(channel.h) ** 2)

@@ -19,7 +19,7 @@ import numpy as np
 from . import algorithm, analysis, bench
 from .channel import build_channel, sample_paths
 from .numkit import SeededRng
-from .observation import to_spatial
+from .observation import snr_in_spatial_domain, to_spatial
 
 
 def _dump_matrix(path, m):
@@ -91,7 +91,7 @@ def _cmd_bound(args) -> int:
         sigma_n_sq = cfg.rho / snr
         sigma_z_sq = sigma_n_sq / (cfg.q_count * cfg.p_count)
         if args.kind == "lemma3":
-            snr_c = snr * cfg.q_count * cfg.p_count / (cfg.n_t * cfg.n_r)
+            snr_c = snr_in_spatial_domain(snr, cfg.p_count, cfg.q_count, cfg.n_t, cfg.n_r)
             sse = analysis.upper_bound_single_path(snr_c, cfg.n_t, cfg.n_r)
         elif args.kind == "lemma4":
             sse = analysis.upper_bound_multi_path(
@@ -101,10 +101,9 @@ def _cmd_bound(args) -> int:
             base = SeededRng(cfg.seed)
             ratios = []
             for t in range(cfg.trials):
-                stream = base.substream(t)
-                paths = sample_paths(cfg.paths, stream, cfg.angle_range)
+                paths = sample_paths(cfg.paths, base.substream(t), cfg.angle_range)
                 ch = build_channel(paths, cfg.n_t, cfg.n_r)
-                ratios.append(analysis.crlb_nmse_bound(ch, cfg.rho, sigma_z_sq, stream))
+                ratios.append(analysis.crlb_nmse_bound(ch, cfg.rho, sigma_z_sq))
             ratio = float(np.mean(ratios))
             sse = ratio * e_h_sq
         rows.append(

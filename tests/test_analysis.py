@@ -1,6 +1,8 @@
 """Baseline and bound tests: explicit LS, DFT peak picking, the analytic
 error bounds and the Fisher-information machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -9,7 +11,6 @@ from tsdce.analysis import (
     FisherModel,
     MarchenkoPastur,
     crlb_nmse_bound,
-    crlb_variances,
     dft_peak_baseline,
     fisher_matrix,
     iid_ordered_eigenvalue_mean,
@@ -71,20 +72,22 @@ def model_from_channel(ch, noise_var):
     return FisherModel(np.array(params), noise_var, ch.n_t, ch.n_r)
 
 
+def channel_of_params(params, n_t, n_r):
+    """H[m, n] = sum_l |a_l| exp(j(phase_l + w_aoa_l m + w_aod_l n)),
+    written out path by path from the (|a|, phase, w_aod, w_aoa) vector."""
+    mm, nn = np.meshgrid(np.arange(n_r), np.arange(n_t), indexing="ij")
+    h = np.zeros((n_r, n_t), dtype=complex)
+    for mag, phase, w_aod, w_aoa in np.reshape(params, (-1, 4)):
+        h += mag * np.exp(1j * (phase + w_aoa * mm + w_aod * nn))
+    return h
+
+
 def stacked_jacobian_fd(model, step=1e-6):
     """Central finite differences of vec(H) with respect to each real
     parameter."""
-    from tsdce.analysis import _channel_jacobian
 
     def h_vec(params):
-        m = FisherModel(params, model.noise_var, model.n_t, model.n_r)
-        mm, nn = np.meshgrid(np.arange(model.n_r), np.arange(model.n_t),
-                             indexing="ij")
-        h = np.zeros((model.n_r, model.n_t), dtype=complex)
-        for l in range(len(params) // 4):
-            mag, phase, w_aod, w_aoa = params[4 * l: 4 * l + 4]
-            h += mag * np.exp(1j * (phase + w_aoa * mm + w_aod * nn))
-        return h.reshape(-1)
+        return channel_of_params(params, model.n_t, model.n_r).reshape(-1)
 
     cols = []
     for i in range(len(model.params)):
@@ -324,15 +327,42 @@ class TestFisherMatrix:
         variances = []
         for n in (8, 16, 32):
             model = FisherModel(np.array([1.0, 0.2, 0.7, -0.9]), 0.1, n, n)
-            var, _ = crlb_variances(model)
-            variances.append(var[2])
+            variances.append(np.linalg.inv(fisher_matrix(model))[2, 2])
         assert variances[0] > 6 * variances[1] > 36 * variances[2]
+
+
+def crlb_noise_var(ch, rho, sigma_z_sq):
+    """n_t / rho times the sum of the L largest noise-eigenvalue means."""
+    mp = MarchenkoPastur(sigma_z_sq=sigma_z_sq, c=ch.n_r / ch.n_t)
+    means = [ordered_eigenvalue_mean(mp, l, ch.n_r) for l in range(1, len(ch.paths) + 1)]
+    return ch.n_t / rho * sum(means)
+
+
+def crlb_trace_reference(ch, rho, sigma_z_sq):
+    """tr(J F+ J^H) / ||H||^2 from the Jacobian, with F+ the inverse of
+    the Fisher matrix whose eigenvalues are floored at 1e-12 of the
+    largest."""
+    from tsdce.analysis import _channel_jacobian
+    model = model_from_channel(ch, crlb_noise_var(ch, rho, sigma_z_sq))
+    vals, vecs = np.linalg.eigh(fisher_matrix(model))
+    f_plus = (vecs / np.maximum(vals, 1e-12 * vals[-1])) @ vecs.T
+    jac = _channel_jacobian(model)
+    return np.trace(jac @ f_plus @ jac.conj().T).real / np.linalg.norm(ch.h) ** 2
+
+
+def coincident_paths_channel(seed):
+    """Two paths with the same frequencies but different gains, plus one
+    other path: the Fisher matrix loses two of its twelve ranks."""
+    p, q = sample_paths(2, SeededRng(seed))
+    twin = PathParams.from_freqs(0.5 * p.gain_magnitude, p.gain_phase + 1.0,
+                                 p.omega_aod, p.omega_aoa)
+    return build_channel([p, q, twin], 16, 16)
 
 
 class TestCrlbNmseBound:
     def test_vanishing_noise_limit(self):
         ch = build_channel(sample_paths(2, SeededRng(99)), 16, 16)
-        ratio = crlb_nmse_bound(ch, 1.0, 1e-18, SeededRng(100))
+        ratio = crlb_nmse_bound(ch, 1.0, 1e-18)
         assert ratio < 1e-12
 
     def test_decreases_with_snr(self):
@@ -343,6 +373,61 @@ class TestCrlbNmseBound:
             for t in range(100):
                 rng = SeededRng(101).substream(t)
                 ch = build_channel(sample_paths(3, rng), 16, 16)
-                acc += crlb_nmse_bound(ch, 1.0, sigma_z_sq, rng)
+                acc += crlb_nmse_bound(ch, 1.0, sigma_z_sq)
             levels.append(10 * np.log10(acc / 100))
         assert levels[0] > levels[1] > levels[2]
+
+    @pytest.mark.parametrize("seed", range(110, 115))
+    def test_closed_form_equals_jacobian_trace(self, seed):
+        ch = build_channel(sample_paths(3, SeededRng(seed)), 16, 16)
+        sigma_z_sq = 0.1 / 256.0
+        got = crlb_nmse_bound(ch, 1.0, sigma_z_sq)
+        assert got == pytest.approx(crlb_trace_reference(ch, 1.0, sigma_z_sq), rel=1e-10)
+        # full rank: 2 L noise_var, the trace of F^-1 F times noise_var / 2
+        two_l_var = 6 * crlb_noise_var(ch, 1.0, sigma_z_sq) / np.linalg.norm(ch.h) ** 2
+        assert got == pytest.approx(two_l_var, rel=1e-10)
+
+    def test_closed_form_on_coincident_paths(self):
+        ch = coincident_paths_channel(115)
+        sigma_z_sq = 0.1 / 256.0
+        got = crlb_nmse_bound(ch, 1.0, sigma_z_sq)
+        # pseudo-inverse CRLB: rank 10 of 12, so 5 noise_var. The two lost
+        # eigenvalues are rounding noise near 1e-17 of the largest; each
+        # adds its ratio to the 1e-12 floor, about 1e-5, on either side
+        rank_var = 5 * crlb_noise_var(ch, 1.0, sigma_z_sq) / np.linalg.norm(ch.h) ** 2
+        assert got == pytest.approx(rank_var, rel=1e-4)
+        assert got == pytest.approx(crlb_trace_reference(ch, 1.0, sigma_z_sq), rel=1e-4)
+
+    def test_closed_form_with_zero_amplitude_path(self):
+        p, q = sample_paths(2, SeededRng(116))
+        dead = PathParams.from_freqs(0.0, 0.4, 0.9, -1.3)
+        ch = build_channel([p, q, dead], 16, 16)
+        sigma_z_sq = 0.1 / 256.0
+        got = crlb_nmse_bound(ch, 1.0, sigma_z_sq)
+        # the dead path's phase and frequencies carry no information
+        assert got == pytest.approx(crlb_trace_reference(ch, 1.0, sigma_z_sq), rel=1e-10)
+        rank_var = 4.5 * crlb_noise_var(ch, 1.0, sigma_z_sq) / np.linalg.norm(ch.h) ** 2
+        assert got == pytest.approx(rank_var, rel=1e-10)
+
+    def test_matches_full_covariance_draw_at_30db(self):
+        ch = build_channel(sample_paths(3, SeededRng(117)), 16, 16)
+        sigma_z_sq = 1e-3 / 256.0
+        model = model_from_channel(ch, crlb_noise_var(ch, 1.0, sigma_z_sq))
+        chol = np.linalg.cholesky(np.linalg.inv(fisher_matrix(model)))
+        draws = model.params + SeededRng(118).normal(1.0, size=(4000, 12)) @ chol.T
+        errors = [np.linalg.norm(channel_of_params(d, 16, 16) - ch.h) ** 2 for d in draws]
+        ratios = np.array(errors) / np.linalg.norm(ch.h) ** 2
+        # linearized, each draw is (noise_var / 2) chi^2 with 12 degrees of
+        # freedom, relative sd 1/sqrt(6); the mean of 4000 has 0.65%, so 3%
+        # is over 4 standard errors
+        assert np.mean(ratios) == pytest.approx(crlb_nmse_bound(ch, 1.0, sigma_z_sq), rel=0.03)
+
+    def test_deterministic_per_channel(self):
+        ch = build_channel(sample_paths(3, SeededRng(119)), 16, 16)
+        assert crlb_nmse_bound(ch, 1.0, 0.01) == crlb_nmse_bound(ch, 1.0, 0.01)
+
+    def test_degenerate_fisher_matrix_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratio = crlb_nmse_bound(coincident_paths_channel(120), 1.0, 0.01)
+        assert np.isfinite(ratio) and ratio > 0
