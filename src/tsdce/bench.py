@@ -3,7 +3,8 @@ driver, flat key-value config parsing and CSV emission.
 
 Determinism contract: every trial owns an RNG substream derived from
 (seed, snr index, trial index), so results are independent of evaluation
-order and of the FFT worker count (TSDCE_THREADS).
+order and of the number of threads sharing the dft_peak spectrum scan
+(TSDCE_THREADS).
 """
 
 from __future__ import annotations
@@ -59,6 +60,13 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}")
+        if "dft_peak" in self.methods and (
+            self.n_dft < max(self.p_count, self.q_count, 1) or self.n_dft & (self.n_dft - 1)
+        ):
+            raise ConfigError(
+                f"n_dft must be a power of two >= max(p_count, q_count) "
+                f"= {max(self.p_count, self.q_count)} for dft_peak, got {self.n_dft}"
+            )
         if self.l_desired == 0:
             object.__setattr__(self, "l_desired", self.paths)
 
@@ -158,13 +166,28 @@ def draw_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
     return paths, ch, obs
 
 
+def scan_threads() -> int:
+    """Threads sharing the dft_peak spectrum scan: TSDCE_THREADS, or all
+    cores when it is unset. Anything but an integer >= 1 is a ConfigError."""
+    raw = os.environ.get("TSDCE_THREADS")
+    if raw is None:
+        return os.cpu_count() or 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"TSDCE_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
+
+
 def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
     """One channel realization scored by every configured method.
 
-    TSDCE_THREADS (default: all cores) sets the threads of each dft_peak
-    FFT; it is read on every call.
+    TSDCE_THREADS (default: all cores) sets the threads sharing the
+    dft_peak spectrum scan; it is read on every call (`scan_threads`).
     """
-    fft_workers = max(1, int(os.environ.get("TSDCE_THREADS", os.cpu_count() or 1)))
+    workers = scan_threads()
     paths, ch, obs = draw_trial(cfg, snr_idx, trial)
 
     out = {}
@@ -191,7 +214,7 @@ def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
             else:  # dft_peak
                 est = analysis.dft_peak_baseline(
                     obs, cfg.l_desired, cfg.n_dft, n_t=cfg.n_t, n_r=cfg.n_r,
-                    workers=fft_workers,
+                    workers=workers,
                 )
                 h_hat = algorithm.reconstruct_channel(est, cfg.n_t, cfg.n_r)
                 errors = angle_errors_deg(paths, est, match_paths(paths, est))
@@ -212,8 +235,8 @@ def run_experiment(cfg: ExperimentConfig):
     """Full sweep: one MetricRecord per (method, SNR).
 
     Trials run serially, one ``_run_trial`` call each; the only threads
-    are those of the dft_peak FFTs (TSDCE_THREADS, default all cores),
-    which do not change any result.
+    are those sharing the dft_peak spectrum scan (TSDCE_THREADS, default
+    all cores), which do not change any result.
     """
     records = []
     for snr_idx, snr_db in enumerate(cfg.snr_db_list):

@@ -1,6 +1,6 @@
-"""Numerical kernel: seeded complex Gaussian sampling, 2D DFT/IDFT,
-dominant singular triplet (one LAPACK eigenpair) and the unbiased 2D
-sample autocorrelation.
+"""Numerical kernel: seeded complex Gaussian sampling, 2D DFT/IDFT, cached
+DFT matrices, dominant singular triplet (one LAPACK eigenpair) and the
+unbiased 2D sample autocorrelation.
 
 All matrix arguments are dense complex numpy arrays. Functions are pure;
 ``SeededRng`` is the single piece of mutable state and is not safe for
@@ -116,14 +116,25 @@ def _fix_phase(s, u, v):
 
 
 @functools.lru_cache(maxsize=None)
+def dft_columns(n_dft: int, n: int) -> np.ndarray:
+    """First n columns of the n_dft-point DFT matrix, exp(-2 pi j k i / n_dft)
+    with the exponent k i reduced mod n_dft; cached and read-only.
+
+    Multiplying by it is the n_dft-point DFT of a length-n vector
+    zero-padded to n_dft.
+    """
+    k = np.outer(np.arange(n_dft), np.arange(n)) % n_dft
+    f = np.exp(-2j * np.pi * k / n_dft)
+    f.setflags(write=False)
+    return f
+
+
+@functools.lru_cache(maxsize=None)
 def _acf_operators(nr: int, nt: int):
     """Read-only per-shape constants of `acf2d_unbiased`: the zero-padded
     DFT factors F_r (2nr x nr) and F_t (nt x 2nt), the inverse DFT
     factors cropped to non-negative lags and 1/kappa."""
-    def dft(n):  # first n columns of the 2n-point DFT; exponent reduced mod 2n
-        return np.exp(-1j * np.pi * (np.outer(np.arange(2 * n), np.arange(n)) % (2 * n)) / n)
-
-    fr, ft = dft(nr), dft(nt).T
+    fr, ft = dft_columns(2 * nr, nr), dft_columns(2 * nt, nt).T
     inv_kappa = 1.0 / np.outer(nr - np.arange(nr), nt - np.arange(nt))
     ops = (fr, ft, fr.conj().T / (2 * nr), ft.conj().T / (2 * nt), inv_kappa)
     for a in ops:

@@ -1,6 +1,7 @@
 """Baseline and bound tests: explicit LS, DFT peak picking, the analytic
 error bounds and the Fisher-information machinery."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from tsdce.analysis import (
 from tsdce.channel import PathParams, build_channel, sample_paths
 from tsdce.numkit import SeededRng, dft2d
 from tsdce.observation import (
+    Observation,
     build_codebook,
     spatial_ls_estimate,
     synthesize_observation,
@@ -43,7 +45,7 @@ def kron_ls_oracle(obs, cb, n_t, n_r):
 
 def padded_dft_peak_oracle(obs, L_d, n_dft, n_t, n_r):
     """DFT peak picking through the full zero-padded n_dft x n_dft 2D DFT
-    of the crop, the reference construction for the pruned transform."""
+    of the crop, the reference construction for the blocked scan."""
     work = to_spatial(obs, n_t, n_r).d_bar.copy()
     m = np.arange(n_r)[:, None]
     n = np.arange(n_t)[None, :]
@@ -160,7 +162,7 @@ class TestDftPeakBaseline:
         assert got[1] == pytest.approx(0.9, rel=0.1)
         assert got[0] == pytest.approx(0.5, rel=0.1)
 
-    def test_pruned_fft_matches_padded_reference(self):
+    def test_blocked_scan_matches_padded_reference(self):
         cb = build_codebook(16, 16, 16, 16)
         for t in range(5):
             stream = SeededRng(96).substream(t)
@@ -174,13 +176,59 @@ class TestDftPeakBaseline:
                 assert e.gain == pytest.approx(r.gain, rel=1e-9)
 
     def test_estimates_independent_of_workers(self):
+        # 3 and 5 do not divide the 16 blocks of 64 spectrum rows
         cb = build_codebook(16, 16, 16, 16)
         stream = SeededRng(97)
         ch = build_channel(sample_paths(3, stream), 16, 16)
         obs = synthesize_observation(ch, cb, 1.0, 0.1, stream)
         one = dft_peak_baseline(obs, 3, n_dft=1024, n_t=16, n_r=16, workers=1)
-        four = dft_peak_baseline(obs, 3, n_dft=1024, n_t=16, n_r=16, workers=4)
-        assert one == four
+        for workers in (2, 3, 5):
+            assert dft_peak_baseline(
+                obs, 3, n_dft=1024, n_t=16, n_r=16, workers=workers) == one
+
+    def test_zero_observation_picks_first_bin(self):
+        # every bin ties at zero power, so the lowest flat index, (0, 0), wins
+        obs = Observation(y=np.zeros((16, 16), dtype=complex), rho=1.0, sigma_n_sq=1.0)
+        for workers in (1, 2):
+            got = dft_peak_baseline(obs, 2, n_dft=1024, n_t=16, n_r=16, workers=workers)
+            ref = padded_dft_peak_oracle(obs, 2, 1024, 16, 16)
+            for e, r in zip(got, ref):
+                assert (e.omega_aod, e.omega_aoa) == (r.omega_aod, r.omega_aoa) == (0.0, 0.0)
+                assert e.gain == r.gain == 0
+
+    def test_small_n_dft_matches_padded_reference(self):
+        # n_dft below one block: the whole spectrum is a single block
+        cb = build_codebook(16, 16, 16, 16)
+        stream = SeededRng(98)
+        ch = build_channel(sample_paths(2, stream), 16, 16)
+        obs = synthesize_observation(ch, cb, 1.0, 0.1, stream)
+        got = dft_peak_baseline(obs, 2, n_dft=32, n_t=16, n_r=16, workers=2)
+        ref = padded_dft_peak_oracle(obs, 2, 32, 16, 16)
+        for e, r in zip(got, ref):
+            assert (e.omega_aod, e.omega_aoa) == pytest.approx(
+                (r.omega_aod, r.omega_aoa), abs=1e-12)
+            assert e.gain == pytest.approx(r.gain, rel=1e-9)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_full_spectrum_allocated(self, workers):
+        # the whole 1024 x 1024 complex spectrum alone would take 16 MB
+        cb = build_codebook(16, 16, 16, 16)
+        stream = SeededRng(99)
+        ch = build_channel(sample_paths(3, stream), 16, 16)
+        obs = synthesize_observation(ch, cb, 1.0, 0.1, stream)
+        tracemalloc.start()
+        try:
+            dft_peak_baseline(obs, 3, n_dft=1024, n_t=16, n_r=16, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("n_dft", [1000, 8])
+    def test_rejects_bad_n_dft(self, n_dft):
+        obs = Observation(y=np.zeros((16, 16), dtype=complex), rho=1.0, sigma_n_sq=1.0)
+        with pytest.raises(ValueError, match="power of two"):
+            dft_peak_baseline(obs, 1, n_dft=n_dft, n_t=16, n_r=16)
 
 
 class TestUpperBoundSinglePath:

@@ -21,7 +21,7 @@ from tsdce.bench import (
     ratio_to_db,
     run_experiment,
 )
-from tsdce import bench
+from tsdce import bench, cli
 from tsdce.channel import PathParams
 from tsdce.numkit import SeededRng
 
@@ -141,6 +141,63 @@ rho = 1.0
     def test_l_desired_defaults_to_paths(self):
         assert ExperimentConfig(paths=3).l_desired == 3
         assert ExperimentConfig(paths=3, l_desired=2).l_desired == 2
+
+    @pytest.mark.parametrize("n_dft", [1000, 8, 0])
+    def test_bad_n_dft_rejected_for_dft_peak(self, n_dft):
+        with pytest.raises(ConfigError, match="n_dft"):
+            ExperimentConfig(methods=("dft_peak",), n_dft=n_dft)
+
+    def test_n_dft_ignored_without_dft_peak(self):
+        assert ExperimentConfig(methods=("tsdce", "ls"), n_dft=1000).n_dft == 1000
+
+    def test_n_dft_down_to_codebook_size_accepted(self):
+        assert ExperimentConfig(methods=("dft_peak",), p_count=32, n_dft=32).n_dft == 32
+        with pytest.raises(ConfigError):
+            ExperimentConfig(methods=("dft_peak",), p_count=32, n_dft=16)
+
+
+class TestScanThreads:
+    def test_unset_means_all_cores(self, monkeypatch):
+        monkeypatch.delenv("TSDCE_THREADS", raising=False)
+        assert bench.scan_threads() == (os.cpu_count() or 1)
+
+    def test_reads_positive_integer(self, monkeypatch):
+        monkeypatch.setenv("TSDCE_THREADS", "3")
+        assert bench.scan_threads() == 3
+
+    @pytest.mark.parametrize("raw", ["two", "", "1.5", "0", "-2"])
+    def test_rejects_bad_value(self, monkeypatch, raw):
+        monkeypatch.setenv("TSDCE_THREADS", raw)
+        with pytest.raises(ConfigError, match="TSDCE_THREADS"):
+            bench.scan_threads()
+
+
+class TestRunExitCodes:
+    """`tsdce run` exits 2 on a configuration error before any trial runs."""
+
+    @staticmethod
+    def write_config(tmp_path, extra):
+        path = tmp_path / "sweep.cfg"
+        path.write_text("trials = 2\nsnr_db_list = 10\n" + extra, encoding="utf-8")
+        return str(path)
+
+    def test_bad_tsdce_threads(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TSDCE_THREADS", "two")
+        cfg = self.write_config(tmp_path, "methods = ls\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: TSDCE_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_n_dft(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(bench, "_run_trial", lambda *args: calls.append(args))
+        cfg = self.write_config(tmp_path, "methods = dft_peak\nn_dft = 1000\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: n_dft" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
 
 class TestCsv:

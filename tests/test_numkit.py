@@ -1,5 +1,5 @@
-"""Numeric kernel tests: seeded RNG, 2D DFT, dominant singular triplet and the
-unbiased 2D autocorrelation, each checked against an independent oracle."""
+"""Numeric kernel tests: seeded RNG, 2D DFT, cached DFT matrices, dominant
+singular triplet and the unbiased 2D autocorrelation, each checked against an independent oracle."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from tsdce.numkit import (
     SeededRng,
     acf2d_unbiased,
     dft2d,
+    dft_columns,
     dominant_singular_triplet,
     sample_complex_gaussian,
 )
@@ -89,6 +90,24 @@ class TestDft2d:
         m = random_complex(SeededRng(4), (6, 6))
         assert np.allclose(dft2d(m), np.fft.fft2(m))
         assert np.allclose(dft2d(m, inverse=True), np.fft.ifft2(m))
+
+
+class TestDftColumns:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 17, 32, 64, 100])
+    def test_equals_former_acf_factor_bitwise(self, n):
+        # the 2n-point factor acf2d_unbiased used before dft_columns existed
+        old = np.exp(-1j * np.pi * (np.outer(np.arange(2 * n), np.arange(n)) % (2 * n)) / n)
+        assert dft_columns(2 * n, n).tobytes() == old.tobytes()
+
+    def test_is_zero_padded_dft(self):
+        x = random_complex(SeededRng(5), (16,))
+        assert np.allclose(dft_columns(1024, 16) @ x, np.fft.fft(x, n=1024), atol=1e-11)
+
+    def test_cached_and_read_only(self):
+        f = dft_columns(64, 16)
+        assert f is dft_columns(64, 16)
+        assert f.shape == (64, 16)
+        assert not f.flags.writeable
 
 
 class TestDominantSingularTriplet:
