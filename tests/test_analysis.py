@@ -182,7 +182,7 @@ class TestDftPeakBaseline:
         ch = build_channel(sample_paths(3, stream), 16, 16)
         obs = synthesize_observation(ch, cb, 1.0, 0.1, stream)
         one = dft_peak_baseline(obs, 3, n_dft=1024, n_t=16, n_r=16, workers=1)
-        for workers in (2, 3, 5):
+        for workers in (2, 3, 4, 5):
             assert dft_peak_baseline(
                 obs, 3, n_dft=1024, n_t=16, n_r=16, workers=workers) == one
 
