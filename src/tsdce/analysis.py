@@ -13,7 +13,6 @@ independent Marchenko-Pastur draws, is kept as
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,33 +46,17 @@ def ls_estimate_explicit(obs: Observation, cb: Codebook) -> np.ndarray:
     return scale * (cb.w @ obs.y @ cb.f.conj().T)
 
 
-# Spectrum rows (AoD bins) per matrix product of the dft_peak scan. Fixed,
-# so that every bin's value is the same for any number of workers.
+# Spectrum rows (AoD bins) per matrix product of the dft_peak scan.
 _PEAK_BLOCK = 64
 
 
-def _strongest_bin(left, f_r_t, starts, spec, power):
-    """(power, flat index) of the strongest bin in the spectrum blocks
-    left[b:b + rows] @ f_r_t, b in ``starts`` (ascending); ties go to the
-    lowest flat index. ``spec`` and ``power`` are reused (rows, n_dft)
-    buffers."""
-    rows, n_dft = power.shape
-    parts = spec.view(float)  # re, im interleaved along each row
-    best = (-1.0, 0)
-    for b in starts:
-        np.matmul(left[b:b + rows], f_r_t, out=spec)
-        # re^2 + im^2 in place: one contiguous pass, then one strided add
-        np.square(parts, out=parts)
-        np.add(parts[:, 0::2], parts[:, 1::2], out=power)
-        i = int(np.argmax(power))
-        if power.flat[i] > best[0]:
-            best = (float(power.flat[i]), b * n_dft + i)
-    return best
+def valid_n_dft(n_dft: int, q_count: int, p_count: int) -> bool:
+    """Whether n_dft is a DFT size the dft_peak baseline accepts for a
+    Q x P observation: a power of two >= max(Q, P)."""
+    return n_dft >= max(q_count, p_count, 1) and n_dft & (n_dft - 1) == 0
 
 
-def dft_peak_baseline(
-    obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int, n_r: int, workers: int = 1
-):
+def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int, n_r: int):
     """Simplified DFT-domain peak-pick baseline with iterative cancellation.
 
     Zero-pads the informative spatial crop to n_dft x n_dft, reads the
@@ -85,57 +68,47 @@ def dft_peak_baseline(
     F_t (n_dft x n_t) and F_r (n_dft x n_r), its transpose is
     (F_t @ crop^T) @ F_r^T, rows indexed by the AoD bin; the left factor
     is formed once per path and the right product is taken in blocks of
-    `_PEAK_BLOCK` rows into reused buffers, keeping only each block's
-    strongest |bin|^2. An exact tie between two bins goes to the lowest
-    flat index in AoD-major order (the lower AoD bin, then the lower AoA
-    bin), as a single argmax over the whole spectrum would pick.
-
-    ``workers`` threads split the blocks (worker i takes blocks i,
-    i + workers, ...), each with its own buffers. The block size does not
-    depend on it, so every bin's value, and with the tie rule every
-    estimate, is the same for any ``workers``.
+    `_PEAK_BLOCK` rows into one reused buffer pair, keeping only each
+    block's strongest |bin|^2. An exact tie between two bins goes to the
+    lowest flat index in AoD-major order (the lower AoD bin, then the lower
+    AoA bin), as a single argmax over the whole spectrum would pick.
     """
     q_count, p_count = obs.y.shape
-    if n_dft < max(q_count, p_count) or (n_dft & (n_dft - 1)) != 0:
+    if not valid_n_dft(n_dft, q_count, p_count):
         raise ValueError("n_dft must be a power of two >= max(Q, P)")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     f_t = dft_columns(n_dft, n_t)
     f_r_t = dft_columns(n_dft, n_r).T
     rows = min(_PEAK_BLOCK, n_dft)
-    n_workers = min(workers, n_dft // rows)
-    shares = [range(i * rows, n_dft, n_workers * rows) for i in range(n_workers)]
-    buffers = [
-        (np.empty((rows, n_dft), dtype=complex), np.empty((rows, n_dft)))
-        for _ in range(n_workers)
-    ]
+    spec = np.empty((rows, n_dft), dtype=complex)
+    parts = spec.view(float)  # re, im interleaved along each row
+    power = np.empty((rows, n_dft))
     work = to_spatial(obs, n_t, n_r).d_bar
     estimates = []
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        for _ in range(L_d):
-            left = f_t @ work.T
-            # the calling thread scans the first share while the pool scans the rest
-            jobs = [
-                pool.submit(_strongest_bin, left, f_r_t, share, *buf)
-                for share, buf in zip(shares[1:], buffers[1:])
-            ]
-            picks = [_strongest_bin(left, f_r_t, shares[0], *buffers[0])]
-            picks += [job.result() for job in jobs]
-            _, flat = max(picks, key=lambda pick: (pick[0], -pick[1]))
-            pi_, qi = divmod(flat, n_dft)
-            omega_aoa = 2 * np.pi * qi / n_dft
-            omega_aod = 2 * np.pi * pi_ / n_dft
-            if omega_aoa > np.pi:
-                omega_aoa -= 2 * np.pi
-            if omega_aod > np.pi:
-                omega_aod -= 2 * np.pi
-            cis = cisoid_sum(1.0, omega_aoa, omega_aod, n_r, n_t)
-            a_hat = np.vdot(cis, work) / (work.size * np.sqrt(obs.rho))  # derotated mean
-            gain = np.sqrt(n_t * n_r) * a_hat
-            estimates.append(
-                PathParams.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa)
-            )
-            work = work - np.sqrt(obs.rho) * a_hat * cis
+    for _ in range(L_d):
+        left = f_t @ work.T
+        best, flat = -1.0, 0
+        for b in range(0, n_dft, rows):
+            np.matmul(left[b:b + rows], f_r_t, out=spec)
+            # re^2 + im^2 in place: one contiguous pass, then one strided add
+            np.square(parts, out=parts)
+            np.add(parts[:, 0::2], parts[:, 1::2], out=power)
+            i = int(np.argmax(power))
+            if power.flat[i] > best:  # strict: a tie keeps the earlier block
+                best, flat = float(power.flat[i]), b * n_dft + i
+        pi_, qi = divmod(flat, n_dft)
+        omega_aoa = 2 * np.pi * qi / n_dft
+        omega_aod = 2 * np.pi * pi_ / n_dft
+        if omega_aoa > np.pi:
+            omega_aoa -= 2 * np.pi
+        if omega_aod > np.pi:
+            omega_aod -= 2 * np.pi
+        cis = cisoid_sum(1.0, omega_aoa, omega_aod, n_r, n_t)
+        a_hat = np.vdot(cis, work) / (work.size * np.sqrt(obs.rho))  # derotated mean
+        gain = np.sqrt(n_t * n_r) * a_hat
+        estimates.append(
+            PathParams.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa)
+        )
+        work = work - np.sqrt(obs.rho) * a_hat * cis
     return estimates
 
 

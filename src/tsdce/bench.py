@@ -3,14 +3,12 @@ driver, flat key-value config parsing and CSV emission.
 
 Determinism contract: every trial owns an RNG substream derived from
 (seed, snr index, trial index), so results are independent of evaluation
-order and of the number of threads sharing the dft_peak spectrum scan
-(TSDCE_THREADS).
+order.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import astuple, dataclass
 
@@ -60,8 +58,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-        if "dft_peak" in self.methods and (
-            self.n_dft < max(self.p_count, self.q_count, 1) or self.n_dft & (self.n_dft - 1)
+        if "dft_peak" in self.methods and not analysis.valid_n_dft(
+            self.n_dft, self.q_count, self.p_count
         ):
             raise ConfigError(
                 f"n_dft must be a power of two >= max(p_count, q_count) "
@@ -166,28 +164,8 @@ def draw_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
     return paths, ch, obs
 
 
-def scan_threads() -> int:
-    """Threads sharing the dft_peak spectrum scan: TSDCE_THREADS, or all
-    cores when it is unset. Anything but an integer >= 1 is a ConfigError."""
-    raw = os.environ.get("TSDCE_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"TSDCE_THREADS must be an integer >= 1, got {raw!r}")
-    return threads
-
-
 def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
-    """One channel realization scored by every configured method.
-
-    TSDCE_THREADS (default: all cores) sets the threads sharing the
-    dft_peak spectrum scan; it is read on every call (`scan_threads`).
-    """
-    workers = scan_threads()
+    """One channel realization scored by every configured method."""
     paths, ch, obs = draw_trial(cfg, snr_idx, trial)
 
     out = {}
@@ -213,8 +191,7 @@ def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
                 errors = None
             else:  # dft_peak
                 est = analysis.dft_peak_baseline(
-                    obs, cfg.l_desired, cfg.n_dft, n_t=cfg.n_t, n_r=cfg.n_r,
-                    workers=workers,
+                    obs, cfg.l_desired, cfg.n_dft, n_t=cfg.n_t, n_r=cfg.n_r
                 )
                 h_hat = algorithm.reconstruct_channel(est, cfg.n_t, cfg.n_r)
                 errors = angle_errors_deg(paths, est, match_paths(paths, est))
@@ -234,9 +211,8 @@ def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
 def run_experiment(cfg: ExperimentConfig):
     """Full sweep: one MetricRecord per (method, SNR).
 
-    Trials run serially, one ``_run_trial`` call each; the only threads
-    are those sharing the dft_peak spectrum scan (TSDCE_THREADS, default
-    all cores), which do not change any result.
+    Trials run serially on the calling thread, one ``_run_trial`` call
+    each.
     """
     records = []
     for snr_idx, snr_db in enumerate(cfg.snr_db_list):

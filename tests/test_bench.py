@@ -156,24 +156,8 @@ rho = 1.0
             ExperimentConfig(methods=("dft_peak",), p_count=32, n_dft=16)
 
 
-class TestScanThreads:
-    def test_unset_means_all_cores(self, monkeypatch):
-        monkeypatch.delenv("TSDCE_THREADS", raising=False)
-        assert bench.scan_threads() == (os.cpu_count() or 1)
-
-    def test_reads_positive_integer(self, monkeypatch):
-        monkeypatch.setenv("TSDCE_THREADS", "3")
-        assert bench.scan_threads() == 3
-
-    @pytest.mark.parametrize("raw", ["two", "", "1.5", "0", "-2"])
-    def test_rejects_bad_value(self, monkeypatch, raw):
-        monkeypatch.setenv("TSDCE_THREADS", raw)
-        with pytest.raises(ConfigError, match="TSDCE_THREADS"):
-            bench.scan_threads()
-
-
 class TestRunExitCodes:
-    """`tsdce run` exits 2 on a configuration error before any trial runs."""
+    """`tsdce run` exit codes: 2 on a configuration error, before any trial runs."""
 
     @staticmethod
     def write_config(tmp_path, extra):
@@ -181,13 +165,13 @@ class TestRunExitCodes:
         path.write_text("trials = 2\nsnr_db_list = 10\n" + extra, encoding="utf-8")
         return str(path)
 
-    def test_bad_tsdce_threads(self, tmp_path, monkeypatch, capsys):
+    def test_tsdce_threads_not_read(self, tmp_path, monkeypatch):
+        # the variable selected dft_peak FFT threads once; no value may fail a run
         monkeypatch.setenv("TSDCE_THREADS", "two")
         cfg = self.write_config(tmp_path, "methods = ls\n")
         out = tmp_path / "out.csv"
-        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert "config error: TSDCE_THREADS" in capsys.readouterr().err
-        assert not out.exists()
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_bad_n_dft(self, tmp_path, monkeypatch, capsys):
         calls = []
