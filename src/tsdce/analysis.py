@@ -16,12 +16,13 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln, roots_laguerre
 
 from .channel import ChannelRealization, PathParams, cisoid_sum
 from .numkit import dft_columns
 from .observation import Codebook, Observation, to_spatial
+
+# scipy.integrate and scipy.special cost about 0.4 s to import and only the
+# eigenvalue-mean bounds use them, so those functions import them locally.
 
 
 class RankDeficiencyError(ValueError):
@@ -178,6 +179,8 @@ def mp_cdf(mp: MarchenkoPastur, x) -> np.ndarray:
 def _log_order_factor(n_r: int, l: int) -> float:
     # log of (n_r - l + 1) * C(n_r, n_r - l + 1), kept in log space so
     # n_r = 64 does not overflow.
+    from scipy.special import gammaln
+
     k = n_r - l + 1
     log_binom = gammaln(n_r + 1) - gammaln(k + 1) - gammaln(n_r - k + 1)
     return np.log(k) + log_binom
@@ -195,6 +198,8 @@ def iid_ordered_eigenvalue_mean(mp: MarchenkoPastur, l: int, n_r: int) -> float:
     """
     if not 1 <= l <= n_r:
         raise ValueError("rank index l must lie in 1..n_r")
+    from scipy import integrate
+
     log_c = _log_order_factor(n_r, l)
 
     def integrand(t):
@@ -239,6 +244,9 @@ def _laguerre_ordered_means(n_r: int, n_t: int) -> np.ndarray:
     each batch of abscissae at once. The table is cached per (n_r, n_t)
     and returned read-only.
     """
+    from scipy import integrate
+    from scipy.special import gammaln, roots_laguerre
+
     alpha = n_t - n_r
     t, w = roots_laguerre(n_r + alpha // 2)
     root_w = np.sqrt(w * np.exp(t))

@@ -55,6 +55,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.paths < 1:
             raise ConfigError("paths must be >= 1")
+        if self.n_t < 2 or self.n_r < 2:
+            raise ConfigError(f"n_t and n_r must be >= 2, got {self.n_t} and {self.n_r}")
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}")
@@ -67,6 +69,16 @@ class ExperimentConfig:
             )
         if self.l_desired == 0:
             object.__setattr__(self, "l_desired", self.paths)
+        # The codebook and the TSDCE settings own their range rules; checking
+        # them here fails a bad config before any trial runs.
+        try:
+            build_codebook(self.p_count, self.q_count, self.n_t, self.n_r)
+            algorithm.TsdceConfig(
+                l_desired=self.l_desired, rounds=self.rounds, rho=self.rho,
+                n_t=self.n_t, n_r=self.n_r,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def snr_list(self):
@@ -320,18 +332,21 @@ def load_config(path) -> ExperimentConfig:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
-                if key in _LIST_KEYS:
-                    items = [v.strip() for v in value.split(",") if v.strip()]
-                    if key == "methods":
-                        values[key] = tuple(items)
-                    else:
-                        values[key] = tuple(float(v) for v in items)
-                elif key in _INT_KEYS:
-                    values[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(value)
-                else:
+                if key not in _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                try:
+                    if key in _LIST_KEYS:
+                        items = [v.strip() for v in value.split(",") if v.strip()]
+                        if key == "methods":
+                            values[key] = tuple(items)
+                        else:
+                            values[key] = tuple(float(v) for v in items)
+                    elif key in _INT_KEYS:
+                        values[key] = int(value)
+                    else:
+                        values[key] = float(value)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:

@@ -1,6 +1,7 @@
 """Numerical kernel: seeded complex Gaussian sampling, 2D DFT/IDFT, cached
-DFT matrices, dominant singular triplet (one LAPACK eigenpair) and the
-unbiased 2D sample autocorrelation.
+DFT matrices, dominant singular triplet (one LAPACK eigenpair; it imports
+``scipy.linalg`` itself, so runs that never call it do not load scipy) and
+the unbiased 2D sample autocorrelation.
 
 All matrix arguments are dense complex numpy arrays. Functions are pure;
 ``SeededRng`` is the single piece of mutable state and is not safe for
@@ -13,7 +14,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg.lapack import zheevr
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -77,6 +77,8 @@ def dominant_singular_triplet(m):
     ``v``), making the triplet deterministic. The zero matrix returns
     s = 0 with u and v the first unit vectors.
     """
+    from scipy.linalg.lapack import zheevr
+
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         raise ValueError("matrix must be non-empty")

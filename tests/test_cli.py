@@ -1,10 +1,16 @@
 """End-to-end CLI tests through the console entry point."""
 
 import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsdce
 from tsdce import bench
 from tsdce.cli import main
 
@@ -54,6 +60,70 @@ class TestRunCommand:
         bad.write_text("nonsense = 1\n", encoding="utf-8")
         out = str(tmp_path / "metrics.csv")
         assert main(["run", "--config", str(bad), "--out", out]) == 2
+
+
+class TestConfigErrors:
+    """A bad config exits 2 with `config error:` before any trial runs."""
+
+    @pytest.mark.parametrize("line", [
+        "trials = ten",
+        "snr_db_list = 0, x",
+        "p_count = 8",
+        "l_desired = 20",
+        "rounds = 0",
+        "n_r = 1",
+    ])
+    def test_run_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys, line):
+        calls = []
+        monkeypatch.setattr(bench, "_run_trial", lambda *args: calls.append(args))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG + line + "\n", encoding="utf-8")  # later keys win
+        out = tmp_path / "metrics.csv"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    def test_bound_exits_2_on_bad_number(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG + "trials = ten\n", encoding="utf-8")
+        out = tmp_path / "crlb.csv"
+        assert main(["bound", "--config", str(bad), "--kind", "crlb", "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestImportFootprint:
+    """Each command loads only the scipy modules of the code it calls, so
+    `ls` and `dft_peak` sweeps start without scipy's import cost."""
+
+    HEAVY = ("scipy.linalg", "scipy.integrate", "scipy.special")
+
+    def run_fresh(self, tmp_path, argv, methods):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG + f"trials = 2\nmethods = {methods}\n", encoding="utf-8")
+        argv = [*argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+        script = (
+            "import json, sys\n"
+            "from tsdce.cli import main\n"
+            f"rc = main({argv!r})\n"
+            f"print(json.dumps([rc, [m for m in {self.HEAVY!r} if m in sys.modules]]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tsdce.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_ls_and_dft_peak_sweep_load_no_scipy_submodule(self, tmp_path):
+        assert self.run_fresh(tmp_path, ["run"], "ls, dft_peak") == [0, []]
+
+    def test_tsdce_sweep_loads_only_scipy_linalg(self, tmp_path):
+        assert self.run_fresh(tmp_path, ["run"], "tsdce") == [0, ["scipy.linalg"]]
+
+    def test_crlb_bound_loads_its_quadrature(self, tmp_path):
+        rc, loaded = self.run_fresh(tmp_path, ["bound", "--kind", "crlb"], "tsdce")
+        assert rc == 0
+        assert "scipy.integrate" in loaded
 
 
 class TestSingleCommand:
