@@ -21,8 +21,9 @@ from .channel import ChannelRealization, PathParams, cisoid_sum
 from .numkit import dft_columns
 from .observation import Codebook, Observation, to_spatial
 
-# scipy.integrate and scipy.special cost about 0.4 s to import and only the
-# eigenvalue-mean bounds use them, so those functions import them locally.
+# scipy.integrate and scipy.special add about 0.4 s to a numpy-only import
+# and only the eigenvalue-mean bounds use them, so those functions import
+# them locally.
 
 
 class RankDeficiencyError(ValueError):
