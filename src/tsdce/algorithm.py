@@ -20,10 +20,6 @@ from .numkit import acf2d_unbiased, dominant_singular_triplet
 from .observation import Observation, to_spatial, wrap
 
 
-class UndefinedPhaseError(ValueError):
-    """Gain-phase estimate requested for an identically-zero residual."""
-
-
 @dataclass(frozen=True)
 class TsdceConfig:
     l_desired: int
@@ -137,17 +133,13 @@ def estimate_amplitude(r: np.ndarray, rho: float, n_t: int, n_r: int) -> float:
     return float(np.sqrt(n_t * n_r) * np.sqrt(a1_sq))
 
 
-def estimate_gain_phase(
-    d_tilde, omega_aoa: float, omega_aod: float, rho: float
-) -> tuple[float, np.ndarray]:
-    """Phase of the derotated mean of the spatial observation (the
-    circular-normal maximum-likelihood mean), and the unit cisoid
-    exp(j(omega_aoa m + omega_aod n)) it derotates by."""
-    cis = cisoid_sum(1.0, omega_aoa, omega_aod, *d_tilde.shape)
-    mean = np.vdot(cis, d_tilde) / (d_tilde.size * np.sqrt(rho))  # vdot conjugates cis
-    if mean == 0:
-        raise UndefinedPhaseError("zero derotated mean, phase undefined")
-    return float(np.angle(mean)), cis
+def derotated_mean(d, omega_aoa: float, omega_aod: float, rho: float):
+    """Mean of the spatial observation d derotated by the unit cisoid
+    exp(j(omega_aoa m + omega_aod n)) and divided by sqrt(rho), and that
+    cisoid. The mean's phase is the circular-normal maximum-likelihood
+    gain phase."""
+    cis = cisoid_sum(1.0, omega_aoa, omega_aod, *d.shape)
+    return np.vdot(cis, d) / (d.size * np.sqrt(rho)), cis  # vdot conjugates cis
 
 
 def _estimate_component(d_tilde, rho, n_t, n_r) -> tuple[PathParams, np.ndarray]:
@@ -160,11 +152,9 @@ def _estimate_component(d_tilde, rho, n_t, n_r) -> tuple[PathParams, np.ndarray]
         # WLS slope of the unwrapped phases cumsum(delta)
         omegas[axis] = wrap(_slope_weights(M) @ delta, -np.pi, np.pi)
     gain_mag = estimate_amplitude(r, rho, n_t, n_r)
-    try:
-        gain_phase, cis = estimate_gain_phase(d_tilde, omegas["col0"], omegas["row0"], rho)
-    except UndefinedPhaseError:
-        gain_phase = 0.0
-        cis = cisoid_sum(1.0, omegas["col0"], omegas["row0"], n_r, n_t)
+    mean, cis = derotated_mean(d_tilde, omegas["col0"], omegas["row0"], rho)
+    # a zero mean has no phase, and np.angle(-0.0 + 0j) would give pi
+    gain_phase = float(np.angle(mean)) if mean != 0 else 0.0
     return PathParams.from_freqs(gain_mag, gain_phase, omegas["row0"], omegas["col0"]), cis
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algorithm import derotated_mean
 from .channel import ChannelRealization, PathParams, cisoid_sum
 from .numkit import dft_columns
 from .observation import Codebook, Observation, to_spatial
@@ -104,8 +105,7 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
             omega_aoa -= 2 * np.pi
         if omega_aod > np.pi:
             omega_aod -= 2 * np.pi
-        cis = cisoid_sum(1.0, omega_aoa, omega_aod, n_r, n_t)
-        a_hat = np.vdot(cis, work) / (work.size * np.sqrt(obs.rho))  # derotated mean
+        a_hat, cis = derotated_mean(work, omega_aoa, omega_aod, obs.rho)
         gain = np.sqrt(n_t * n_r) * a_hat
         estimates.append(
             PathParams.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa)

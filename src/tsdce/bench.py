@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -49,6 +49,8 @@ class ExperimentConfig:
     angle_range: tuple = (0.0, float(np.pi))
     n_dft: int = 1024
     max_failure_rate: float = 0.01
+    # the TSDCE settings, derived from the fields above
+    tsdce: algorithm.TsdceConfig = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -69,16 +71,17 @@ class ExperimentConfig:
             )
         if self.l_desired == 0:
             object.__setattr__(self, "l_desired", self.paths)
-        # The codebook and the TSDCE settings own their range rules; checking
+        # The codebook and the TSDCE settings own their range rules; building
         # them here fails a bad config before any trial runs.
         try:
             build_codebook(self.p_count, self.q_count, self.n_t, self.n_r)
-            algorithm.TsdceConfig(
+            tsdce = algorithm.TsdceConfig(
                 l_desired=self.l_desired, rounds=self.rounds, rho=self.rho,
                 n_t=self.n_t, n_r=self.n_r,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "tsdce", tsdce)
 
     @property
     def snr_list(self):
@@ -184,27 +187,16 @@ def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
     for method in cfg.methods:
         t0 = time.perf_counter()
         try:
-            if method == "tsdce":
-                est = algorithm.run(
-                    obs,
-                    algorithm.TsdceConfig(
-                        l_desired=cfg.l_desired,
-                        rounds=cfg.rounds,
-                        rho=cfg.rho,
-                        n_t=cfg.n_t,
-                        n_r=cfg.n_r,
-                    ),
-                )
-                h_hat = algorithm.reconstruct_channel(est, cfg.n_t, cfg.n_r)
-                errors = angle_errors_deg(paths, est, match_paths(paths, est))
-            elif method == "ls":
-                sp = to_spatial(obs, cfg.n_t, cfg.n_r)
-                h_hat = spatial_ls_estimate(sp, cfg.rho)
+            if method == "ls":
+                h_hat = spatial_ls_estimate(to_spatial(obs, cfg.n_t, cfg.n_r), cfg.rho)
                 errors = None
-            else:  # dft_peak
-                est = analysis.dft_peak_baseline(
-                    obs, cfg.l_desired, cfg.n_dft, n_t=cfg.n_t, n_r=cfg.n_r
-                )
+            else:
+                if method == "tsdce":
+                    est = algorithm.run(obs, cfg.tsdce)
+                else:  # dft_peak
+                    est = analysis.dft_peak_baseline(
+                        obs, cfg.l_desired, cfg.n_dft, n_t=cfg.n_t, n_r=cfg.n_r
+                    )
                 h_hat = algorithm.reconstruct_channel(est, cfg.n_t, cfg.n_r)
                 errors = angle_errors_deg(paths, est, match_paths(paths, est))
         except Exception as exc:  # noqa: BLE001 - per-trial failures are counted
@@ -284,42 +276,24 @@ def emit_csv(records, path):
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def parse_records(path):
-    """Read back a CSV produced by emit_csv."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header in {path}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            records.append(
-                MetricRecord(
-                    method=parts[0],
-                    snr_db=float(parts[1]),
-                    nmse_db=float(parts[2]),
-                    doa_rmse_deg=float(parts[3]) if parts[3] else float("nan"),
-                    p_detect=float(parts[4]),
-                    mean_sse=float(parts[5]),
-                    trials=int(parts[6]),
-                    wall_ms=float(parts[7]),
-                )
-            )
-    return records
+def _parse_value(default, text: str):
+    """Config text as the type of the field's default; a tuple holds
+    comma-separated items, each of the type of its default's first."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(v.strip()) for v in text.split(",") if v.strip())
+    return type(default)(text)
 
 
-_LIST_KEYS = {"snr_db_list", "methods", "angle_range"}
-_INT_KEYS = {
-    "n_t", "n_r", "p_count", "q_count", "paths", "l_desired", "rounds",
-    "trials", "seed", "n_dft",
-}
-_FLOAT_KEYS = {"rho", "detection_threshold_deg", "max_failure_rate"}
+# the config file's keys and the defaults whose types parse their values
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.init}
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse a flat `key = value` UTF-8 config file.
 
-    Lines starting with # are comments; list values are comma-separated.
+    The keys are the init fields of `ExperimentConfig`, each parsed as
+    the type of its default. Lines starting with # are comments; tuple
+    values are comma-separated.
     """
     values = {}
     try:
@@ -332,19 +306,10 @@ def load_config(path) -> ExperimentConfig:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
-                if key not in _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS:
+                if key not in _DEFAULTS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    if key in _LIST_KEYS:
-                        items = [v.strip() for v in value.split(",") if v.strip()]
-                        if key == "methods":
-                            values[key] = tuple(items)
-                        else:
-                            values[key] = tuple(float(v) for v in items)
-                    elif key in _INT_KEYS:
-                        values[key] = int(value)
-                    else:
-                        values[key] = float(value)
+                    values[key] = _parse_value(_DEFAULTS[key], value)
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     except OSError as exc:

@@ -59,14 +59,7 @@ def _cmd_single(args) -> int:
     _dump_matrix(os.path.join(args.dump, "D_bar.csv"), sp.d_bar)
     _dump_matrix(os.path.join(args.dump, "H_true.csv"), ch.h)
     trace = []
-    estimates = algorithm.run(
-        obs,
-        algorithm.TsdceConfig(
-            l_desired=cfg.l_desired, rounds=cfg.rounds, rho=cfg.rho,
-            n_t=cfg.n_t, n_r=cfg.n_r,
-        ),
-        trace=trace,
-    )
+    estimates = algorithm.run(obs, cfg.tsdce, trace=trace)
     for step in trace:
         name = f"residual_k{step['round']}_l{step['path']}.csv"
         _dump_matrix(os.path.join(args.dump, name), step["residual"])
@@ -85,6 +78,12 @@ def _cmd_single(args) -> int:
 
 def _cmd_bound(args) -> int:
     cfg = bench.load_config(args.config)
+    # the noise-eigenvalue means behind both bounds take n_t >= n_r >= paths
+    if args.kind != "lemma3" and not cfg.paths <= cfg.n_r <= cfg.n_t:
+        raise bench.ConfigError(
+            f"--kind {args.kind} needs paths <= n_r <= n_t, got paths = {cfg.paths}, "
+            f"n_r = {cfg.n_r}, n_t = {cfg.n_t}"
+        )
     rows = ["kind,snr_db,mean_sse,nmse_db"]
     e_h_sq = cfg.n_t * cfg.n_r  # expected ||H||_F^2 under unit path power
     for snr_db, snr in zip(cfg.snr_db_list, cfg.snr_list):

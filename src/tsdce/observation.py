@@ -57,8 +57,6 @@ class SpatialObservation:
 
     d: np.ndarray
     d_bar: np.ndarray
-    mask_rows: int
-    mask_cols: int
     sigma_z_sq_hat: Optional[float]
 
 
@@ -123,9 +121,7 @@ def to_spatial(obs: Observation, n_t: int, n_r: int) -> SpatialObservation:
         sigma_z_sq_hat = float(np.mean(np.abs(d[mask]) ** 2))
     else:
         sigma_z_sq_hat = None
-    return SpatialObservation(
-        d=d, d_bar=d_bar, mask_rows=n_r, mask_cols=n_t, sigma_z_sq_hat=sigma_z_sq_hat
-    )
+    return SpatialObservation(d=d, d_bar=d_bar, sigma_z_sq_hat=sigma_z_sq_hat)
 
 
 def spatial_ls_estimate(sp: SpatialObservation, rho: float) -> np.ndarray:
@@ -133,7 +129,7 @@ def spatial_ls_estimate(sp: SpatialObservation, rho: float) -> np.ndarray:
     solution exactly thanks to codebook column orthogonality."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    return np.sqrt(sp.mask_rows * sp.mask_cols / rho) * sp.d_bar
+    return np.sqrt(sp.d_bar.size / rho) * sp.d_bar
 
 
 def snr_in_spatial_domain(snr: float, P: int, Q: int, n_t: int, n_r: int) -> float:

@@ -17,7 +17,6 @@ from tsdce.bench import (
     load_config,
     match_paths,
     nmse_ratio,
-    parse_records,
     ratio_to_db,
     run_experiment,
 )
@@ -118,6 +117,26 @@ rho = 1.0
         assert cfg.methods == ("tsdce", "ls")
         assert cfg.seed == 7
 
+    def test_every_field_loads_as_its_default_type(self, tmp_path):
+        # integral floats are written without a point: the field's type
+        # decides how a value parses, not the shape of its text
+        def text(v):
+            if isinstance(v, tuple):
+                return ", ".join(text(x) for x in v)
+            return str(int(v)) if isinstance(v, float) and v.is_integer() else str(v)
+
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.init}
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{k} = {text(v)}\n" for k, v in defaults.items()),
+                        encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg == ExperimentConfig()
+        for name, default in defaults.items():
+            value = getattr(cfg, name)
+            assert type(value) is type(default), name
+            if isinstance(default, tuple):
+                assert {type(x) for x in value} == {type(default[0])}, name
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 3\n", encoding="utf-8")
@@ -208,11 +227,7 @@ class TestCsv:
                            mean_sse=1.23456, trials=200, wall_ms=3.25)
         path = tmp_path / "out.csv"
         emit_csv([rec], path)
-        back = parse_records(path)[0]
-        assert back.method == "tsdce"
-        assert back.snr_db == pytest.approx(10.0)
-        assert back.nmse_db == pytest.approx(-21.3456, abs=1e-3)
-        assert back.trials == 200
+        assert path.read_text().splitlines()[1] == "tsdce,10,-21.3456,0.123456,0.5,1.23456,200,3.25"
 
     def test_neg_inf_sentinel(self, tmp_path):
         rec = MetricRecord(method="tsdce", snr_db=0.0, nmse_db=-999.0,
@@ -282,6 +297,35 @@ class TestRunExperiment:
                                methods=("tsdce", "ls"), seed=10)
         run_experiment(cfg)
         assert sorted(calls) == [(s, t) for s in range(3) for t in range(4)]
+
+    # (method, snr_db): nmse_db, doa_rmse_deg (None: nothing to match), p_detect,
+    # mean_sse of a small three-method sweep; refactors must keep them
+    PINNED = {
+        ("tsdce", 0.0): (-4.916875409495583, 0.5231684176946085, 0.5416666666666666, 48.046112065880266),
+        ("ls", 0.0): (1.0273946056855656, None, 0.0, 241.4209177177852),
+        ("dft_peak", 0.0): (-17.06101599275509, 0.43665777047081317, 0.875, 3.937503580157258),
+        ("tsdce", 10.0): (-16.962974169677167, 0.26900945166527135, 0.8333333333333334, 2.3401532672385987),
+        ("ls", 10.0): (-7.091951685132269, None, 0.0, 25.92442336852046),
+        ("dft_peak", 10.0): (-21.33017728819357, 0.25062467265590843, 0.8333333333333334, 0.6906124780811523),
+        ("tsdce", 20.0): (-38.66193533312907, 0.17623351110047275, 1.0, 0.05218660556234191),
+        ("ls", 20.0): (-21.839675275588593, None, 0.0, 2.4525147365308695),
+        ("dft_peak", 20.0): (-23.139428963966747, 0.28327696061381274, 0.875, 1.8306971642020722),
+    }
+
+    def test_pinned_three_method_sweep(self):
+        cfg = ExperimentConfig(trials=4, paths=3, rounds=3, snr_db_list=(0.0, 10.0, 20.0),
+                               methods=("tsdce", "ls", "dft_peak"), seed=21)
+        recs = run_experiment(cfg)
+        assert [(r.method, r.snr_db) for r in recs] == list(self.PINNED)
+        for r in recs:
+            nmse, rmse, p_det, sse = self.PINNED[(r.method, r.snr_db)]
+            assert r.nmse_db == pytest.approx(nmse, rel=1e-9)
+            if rmse is None:
+                assert np.isnan(r.doa_rmse_deg)
+            else:
+                assert r.doa_rmse_deg == pytest.approx(rmse, rel=1e-9)
+            assert r.p_detect == pytest.approx(p_det, rel=1e-9)
+            assert r.mean_sse == pytest.approx(sse, rel=1e-9)
 
     def test_thread_count_invariance(self, monkeypatch):
         cfg = ExperimentConfig(trials=12, paths=2, rounds=2,

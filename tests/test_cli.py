@@ -47,9 +47,13 @@ def read_matrix(path):
 
 
 class TestRunCommand:
-    def test_writes_metrics_csv(self, config_path, tmp_path, capsys):
+    # a sweep, unlike the eigenvalue bounds, also takes n_r > n_t
+    @pytest.mark.parametrize("extra", ["", "n_t = 8\n"], ids=["square", "n_r_above_n_t"])
+    def test_writes_metrics_csv(self, tmp_path, extra):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(CONFIG + extra, encoding="utf-8")
         out = str(tmp_path / "metrics.csv")
-        assert main(["run", "--config", config_path, "--out", out]) == 0
+        assert main(["run", "--config", str(config_path), "--out", out]) == 0
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
@@ -165,6 +169,19 @@ class TestSingleCommand:
 
 
 class TestBoundCommand:
+    # the noise-eigenvalue bounds need paths <= n_r <= n_t; both lines keep
+    # l_desired valid, so only the bound rejects them
+    @pytest.mark.parametrize("kind", ["lemma4", "crlb"])
+    @pytest.mark.parametrize("line", ["paths = 20\nl_desired = 3", "n_t = 8"],
+                             ids=["paths_above_n_r", "n_r_above_n_t"])
+    def test_eigenvalue_bounds_exit_2_on_bad_shape(self, tmp_path, capsys, kind, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG + line + "\n", encoding="utf-8")
+        out = tmp_path / f"{kind}.csv"
+        assert main(["bound", "--config", str(bad), "--kind", kind, "--out", str(out)]) == 2
+        assert "paths <= n_r <= n_t" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["lemma3", "lemma4", "crlb"])
     def test_bound_curves(self, config_path, tmp_path, kind):
         out = str(tmp_path / f"{kind}.csv")

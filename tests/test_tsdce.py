@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from tsdce.algorithm import (
     TsdceConfig,
-    UndefinedPhaseError,
     _estimate_component,
     _slope_weights,
+    derotated_mean,
     estimate_amplitude,
-    estimate_gain_phase,
     extract_rank_one,
     phase_differences,
     reconstruct_channel,
@@ -275,32 +274,38 @@ class TestEstimateAmplitude:
         assert np.mean(errs) == pytest.approx(alpha, rel=0.03)
 
 
-class TestEstimateGainPhase:
+class TestDerotatedMean:
+    @staticmethod
+    def phase(d, w_aoa, w_aod):
+        return np.angle(derotated_mean(d, w_aoa, w_aod, 1.0)[0])
+
     def test_perfect_derotation(self):
         d = cisoid(8, 8, 0.9, -0.4, amp=0.5, phase=0.7)
-        assert estimate_gain_phase(d, 0.9, -0.4, 1.0)[0] == pytest.approx(0.7, abs=1e-12)
+        mean, _ = derotated_mean(d, 0.9, -0.4, 4.0)
+        assert mean == pytest.approx(0.25 * np.exp(0.7j), abs=1e-12)
 
     def test_zero_phase(self):
         d = cisoid(8, 8, 0.9, -0.4, amp=0.5, phase=0.0)
-        assert estimate_gain_phase(d, 0.9, -0.4, 1.0)[0] == pytest.approx(0.0, abs=1e-12)
+        assert self.phase(d, 0.9, -0.4) == pytest.approx(0.0, abs=1e-12)
 
     def test_frequency_mismatch_first_order(self):
         # small frequency error tilts the sum; phase error stays within
         # the first-order bound (n_r + n_t) * delta / 2
         delta = 1e-3
         d = cisoid(8, 8, 0.9, -0.4, phase=0.3)
-        est, _ = estimate_gain_phase(d, 0.9 + delta, -0.4 + delta, 1.0)
-        assert abs(est - 0.3) <= (8 + 8) * delta / 2 + 1e-9
+        assert abs(self.phase(d, 0.9 + delta, -0.4 + delta) - 0.3) <= (8 + 8) * delta / 2 + 1e-9
 
-    def test_zero_input_raises(self):
-        with pytest.raises(UndefinedPhaseError):
-            estimate_gain_phase(np.zeros((4, 4), dtype=complex), 0.1, 0.1, 1.0)
+    def test_zero_input_gets_zero_phase(self):
+        d = np.zeros((4, 4), dtype=complex)
+        assert derotated_mean(d, 0.1, 0.1, 1.0)[0] == 0
+        est, _ = _estimate_component(d, 1.0, 4, 4)
+        assert est.gain_phase == 0.0
 
     def test_returns_unit_cisoid(self):
         # the cisoid the SIC loop cancels with: exactly the one-cisoid
         # cisoid_sum, and the explicit formula to rounding
         d = cisoid(6, 8, -1.1, 0.5, amp=0.3, phase=0.25)
-        _, cis = estimate_gain_phase(d, -1.1, 0.5, 1.0)
+        _, cis = derotated_mean(d, -1.1, 0.5, 1.0)
         assert np.array_equal(cis, cisoid_sum(1.0, -1.1, 0.5, 6, 8))
         assert np.allclose(cis, cisoid(6, 8, -1.1, 0.5), atol=1e-12)
 
