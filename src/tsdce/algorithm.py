@@ -33,6 +33,8 @@ class TsdceConfig:
             raise ValueError("l_desired and rounds must be >= 1")
         if self.l_desired > min(self.n_t, self.n_r):
             raise ValueError("l_desired must not exceed min(n_t, n_r)")
+        if not self.rho > 0:
+            raise ValueError("rho must be positive")
 
 
 def extract_rank_one(residual: np.ndarray) -> np.ndarray:

@@ -49,14 +49,66 @@ def ls_estimate_explicit(obs: Observation, cb: Codebook) -> np.ndarray:
     return scale * (cb.w @ obs.y @ cb.f.conj().T)
 
 
-# Spectrum rows (AoD bins) per matrix product of the dft_peak scan.
-_PEAK_BLOCK = 64
+# Spectrum rows (AoD bins) per matrix product of the dft_peak scan: fine
+# blocks where a coarse grid can rule some out, coarse ones where it cannot,
+# since a 16-row product costs about 1.5x more per row than a 64-row one.
+_PEAK_BLOCK = 16
+_FULL_SCAN_BLOCK = 64
 
 
 def valid_n_dft(n_dft: int, q_count: int, p_count: int) -> bool:
     """Whether n_dft is a DFT size the dft_peak baseline accepts for a
     Q x P observation: a power of two >= max(Q, P)."""
     return n_dft >= max(q_count, p_count, 1) and n_dft & (n_dft - 1) == 0
+
+
+def _coarse_grid(n_dft: int, n_t: int, n_r: int) -> tuple[int, float]:
+    """Step c and margin factor kappa of the dft_peak scan's coarse grid.
+
+    kappa = delta (sigma_t + sigma_r), where sigma = (n - 1)/2 is the
+    spectrum's type along each axis and delta = c pi / n_dft the greatest
+    distance of a bin from its nearest coarse sample. c is the largest
+    power of two with kappa <= 1/4, or 1 when c = 2 already exceeds it.
+    """
+    kappa_per_step = np.pi / n_dft * (n_t + n_r - 2) / 2
+    c = 1
+    while 2 * c <= n_dft and 2 * c * kappa_per_step <= 0.25:
+        c *= 2
+    return c, c * kappa_per_step
+
+
+def _candidate_blocks(left, f_r_t, c: int, kappa: float, spec, power) -> np.ndarray:
+    """Start rows of the spectrum blocks that may hold its maximum.
+
+    ``left`` (n_dft x n_r) and ``f_r_t`` (n_r x n_dft) are the factors of
+    the spectrum's transpose, (c, kappa) its `_coarse_grid` and
+    ``spec``/``power`` the scan's buffers, whose row count is the block
+    size; the coarse pass runs through them in row chunks. Below c = 2
+    every block is returned. The bound is stated in `dft_peak_baseline`.
+    """
+    n_r, n_dft = f_r_t.shape
+    rows = spec.shape[0]
+    starts = np.arange(0, n_dft, rows)
+    if c < 2:
+        return starts
+    coarse = n_dft // c
+    # bins (k c, l c) of the spectrum: f_r_t[:, ::c] is the coarse DFT matrix
+    f_coarse = dft_columns(coarse, n_r).T
+    chunk = min(coarse, rows * c)
+    cspec = spec.reshape(-1)[:chunk * coarse].reshape(chunk, coarse)
+    cparts = cspec.view(float)
+    cpower = power.reshape(-1)[:chunk * coarse].reshape(chunk, coarse)
+    row_peak = np.empty(coarse)  # max |bin|^2 of each coarse AoD row
+    for k in range(0, coarse, chunk):
+        np.matmul(left[k * c:(k + chunk) * c:c], f_coarse, out=cspec)
+        np.square(cparts, out=cparts)
+        np.add(cparts[:, 0::2], cparts[:, 1::2], out=cpower)
+        np.max(cpower, axis=1, out=row_peak[k:k + chunk])
+    # every AoD row is bounded through its nearest coarse row
+    nearest = row_peak[(np.arange(n_dft) + c // 2) // c % coarse]
+    bound = np.sqrt(nearest.reshape(-1, rows).max(axis=1))
+    a = np.sqrt(row_peak.max())
+    return starts[bound + kappa / (1 - kappa) * a >= a * (1 - 1e-9)]
 
 
 def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int, n_r: int):
@@ -71,17 +123,37 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
     F_t (n_dft x n_t) and F_r (n_dft x n_r), its transpose is
     (F_t @ crop^T) @ F_r^T, rows indexed by the AoD bin; the left factor
     is formed once per path and the right product is taken in blocks of
-    `_PEAK_BLOCK` rows into one reused buffer pair, keeping only each
-    block's strongest |bin|^2. An exact tie between two bins goes to the
-    lowest flat index in AoD-major order (the lower AoD bin, then the lower
-    AoA bin), as a single argmax over the whole spectrum would pick.
+    rows into one reused buffer pair, keeping only each block's strongest
+    |bin|^2. An exact tie between two bins goes to the lowest flat index
+    in AoD-major order (the lower AoD bin, then the lower AoA bin), as a
+    single argmax over the whole spectrum would pick.
+
+    Only the blocks that a coarse grid cannot rule out are scanned
+    (`_candidate_blocks`). Centred, the spectrum g is a 2D exponential sum
+    of type sigma_t = (n_t - 1)/2 in AoD and sigma_r = (n_r - 1)/2 in AoA,
+    so by Bernstein's inequality each partial derivative is at most
+    sigma M, M = max |g|. The bins at multiples of c form the coarse grid
+    and every bin lies within delta = c pi / n_dft of one of them in each
+    frequency, so |g(bin)| <= |g(sample)| + kappa M with
+    kappa = delta (sigma_t + sigma_r) <= 1/4 (`_coarse_grid`). Applied to
+    the maximizer, M <= A / (1 - kappa), where A is the largest coarse
+    |bin|. A block is skipped when the largest coarse |bin| on its rows'
+    nearest coarse rows, plus kappa A / (1 - kappa), is below A (1 - 1e-9):
+    every bin in it is then below A by more than rounding, while the coarse
+    samples are spectrum bins themselves, so the maximum is at least A and
+    neither it nor a bin tied with it lies in a skipped block. The
+    surviving blocks are scanned in ascending order with the same product
+    and tie rule, so the pick is the exhaustive scan's. Blocks hold
+    `_PEAK_BLOCK` rows, or `_FULL_SCAN_BLOCK` when c < 2 and every block
+    is scanned.
     """
     q_count, p_count = obs.y.shape
     if not valid_n_dft(n_dft, q_count, p_count):
         raise ValueError("n_dft must be a power of two >= max(Q, P)")
     f_t = dft_columns(n_dft, n_t)
     f_r_t = dft_columns(n_dft, n_r).T
-    rows = min(_PEAK_BLOCK, n_dft)
+    c, kappa = _coarse_grid(n_dft, n_t, n_r)
+    rows = min(_PEAK_BLOCK if c > 1 else _FULL_SCAN_BLOCK, n_dft)
     spec = np.empty((rows, n_dft), dtype=complex)
     parts = spec.view(float)  # re, im interleaved along each row
     power = np.empty((rows, n_dft))
@@ -90,7 +162,7 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
     for _ in range(L_d):
         left = f_t @ work.T
         best, flat = -1.0, 0
-        for b in range(0, n_dft, rows):
+        for b in _candidate_blocks(left, f_r_t, c, kappa, spec, power).tolist():
             np.matmul(left[b:b + rows], f_r_t, out=spec)
             # re^2 + im^2 in place: one contiguous pass, then one strided add
             np.square(parts, out=parts)

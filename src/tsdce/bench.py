@@ -59,9 +59,21 @@ class ExperimentConfig:
             raise ConfigError("paths must be >= 1")
         if self.n_t < 2 or self.n_r < 2:
             raise ConfigError(f"n_t and n_r must be >= 2, got {self.n_t} and {self.n_r}")
+        if not self.snr_db_list:
+            raise ConfigError("snr_db_list must name at least one SNR")
+        if not self.methods:
+            raise ConfigError("methods must name at least one method")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods names a method twice: {', '.join(self.methods)}")
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}")
+        if len(self.angle_range) != 2 or not self.angle_range[0] < self.angle_range[1]:
+            raise ConfigError(f"angle_range must be two angles lo < hi, got {self.angle_range}")
+        if not self.detection_threshold_deg > 0:
+            raise ConfigError("detection_threshold_deg must be positive")
+        if not self.max_failure_rate >= 0:
+            raise ConfigError("max_failure_rate must be >= 0")
         if "dft_peak" in self.methods and not analysis.valid_n_dft(
             self.n_dft, self.q_count, self.p_count
         ):

@@ -6,10 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from tsdce.analysis import (
+    _PEAK_BLOCK,
     FisherModel,
+    _candidate_blocks,
+    _coarse_grid,
     MarchenkoPastur,
     crlb_nmse_bound,
     dft_peak_baseline,
@@ -23,7 +28,7 @@ from tsdce.analysis import (
     upper_bound_single_path,
 )
 from tsdce.channel import PathParams, build_channel, sample_paths
-from tsdce.numkit import SeededRng, dft2d
+from tsdce.numkit import SeededRng, dft2d, dft_columns, sample_complex_gaussian
 from tsdce.observation import (
     Observation,
     build_codebook,
@@ -176,6 +181,77 @@ class TestDftPeakBaseline:
                 assert (e.omega_aod, e.omega_aoa) == pytest.approx(
                     (r.omega_aod, r.omega_aoa), abs=1e-12)
                 assert e.gain == pytest.approx(r.gain, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(16, 16), (8, 12), (12, 8), (4, 16)]),
+        n_dft=st.sampled_from([32, 64, 256, 1024]),
+        noise_only=st.booleans(),
+        L=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pruned_scan_matches_padded_reference(self, shape, n_dft, noise_only, L, seed):
+        n_t, n_r = shape
+        stream = SeededRng(seed)
+        if noise_only:
+            obs = Observation(y=sample_complex_gaussian(stream, 1.0, (16, 16)),
+                              rho=1.0, sigma_n_sq=1.0)
+        else:
+            ch = build_channel(sample_paths(L, stream), n_t, n_r)
+            obs = synthesize_observation(ch, build_codebook(16, 16, n_t, n_r), 1.0, 1e-3, stream)
+        got = dft_peak_baseline(obs, L, n_dft=n_dft, n_t=n_t, n_r=n_r)
+        ref = padded_dft_peak_oracle(obs, L, n_dft, n_t, n_r)
+
+        def bins(e):
+            return [round(w * n_dft / (2 * np.pi)) % n_dft for w in (e.omega_aod, e.omega_aoa)]
+
+        for e, r in zip(got, ref):
+            assert bins(e) == bins(r)
+            assert e.gain == pytest.approx(r.gain, rel=1e-9)
+
+    @staticmethod
+    def on_bins(gain, p, q, n_dft=1024):
+        """A 16 x 16 path whose spectrum peaks at AoD bin p, AoA bin q."""
+        return PathParams.from_freqs(
+            abs(gain), np.angle(gain),
+            wrap(2 * np.pi * p / n_dft, -np.pi, np.pi), wrap(2 * np.pi * q / n_dft, -np.pi, np.pi),
+        )
+
+    def test_peak_between_coarse_samples_beats_one_on_them(self):
+        # The strong path peaks two bins from the coarse grid (c = 4) in both
+        # frequencies, so its coarse samples read 0.997 of its peak; the weak
+        # path sits on a coarse sample at 0.999. Only the kappa margin keeps
+        # the strong path's blocks.
+        strong, weak = self.on_bins(1.0, 162, 402), self.on_bins(0.999j, 680, 120)
+        ch = build_channel([strong, weak], 16, 16)
+        obs = synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.0)
+        padded = np.zeros((1024, 1024), dtype=complex)
+        padded[:16, :16] = to_spatial(obs, 16, 16).d_bar
+        spectrum = np.abs(dft2d(padded))  # [AoA bin, AoD bin]
+        coarse = spectrum[::4, ::4]
+        assert np.unravel_index(np.argmax(coarse), coarse.shape) == (120 // 4, 680 // 4)
+        assert np.unravel_index(np.argmax(spectrum), spectrum.shape) == (402, 162)
+        est = dft_peak_baseline(obs, 1, n_dft=1024, n_t=16, n_r=16)[0]
+        assert (est.omega_aod, est.omega_aoa) == pytest.approx(
+            (strong.omega_aod, strong.omega_aoa), abs=1e-12)
+
+    def test_on_grid_path_scans_few_blocks(self):
+        ch = build_channel([self.on_bins(0.9, 300, 700)], 16, 16)
+        obs = synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.0)
+        left = dft_columns(1024, 16) @ to_spatial(obs, 16, 16).d_bar.T
+        spec = np.empty((_PEAK_BLOCK, 1024), dtype=complex)
+        power = np.empty((_PEAK_BLOCK, 1024))
+        blocks = _candidate_blocks(left, dft_columns(1024, 16).T, *_coarse_grid(1024, 16, 16),
+                                   spec, power)
+        assert 1024 // _PEAK_BLOCK == 64
+        assert 300 // _PEAK_BLOCK * _PEAK_BLOCK in blocks
+        assert len(blocks) <= 6
+
+    # kappa <= 1/4 allows c = 4 at 16 x 16 with n_dft = 1024; 16 x 16 at
+    # n_dft = 32 and 64 x 64 at 1024 allow no c >= 2, so every block is scanned
+    @pytest.mark.parametrize("n, n_dft, c", [(16, 1024, 4), (16, 32, 1), (64, 1024, 1)])
+    def test_coarse_step(self, n, n_dft, c):
+        assert _coarse_grid(n_dft, n, n)[0] == c
 
     def test_zero_observation_picks_first_bin(self):
         # every bin ties at zero power, so the lowest flat index, (0, 0), wins

@@ -76,6 +76,15 @@ class TestConfigErrors:
         "l_desired = 20",
         "rounds = 0",
         "n_r = 1",
+        "angle_range = 1",
+        "angle_range = 2, 1",
+        "rho = 0",
+        "rho = -1",
+        "detection_threshold_deg = 0",
+        "max_failure_rate = -1",
+        "methods =",
+        "snr_db_list =",
+        "methods = dft_peak, dft_peak",
     ])
     def test_run_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys, line):
         calls = []

@@ -386,6 +386,8 @@ class TestRun:
             TsdceConfig(l_desired=0, rounds=1, rho=1.0, n_t=16, n_r=16)
         with pytest.raises(ValueError):
             TsdceConfig(l_desired=1, rounds=0, rho=1.0, n_t=16, n_r=16)
+        with pytest.raises(ValueError, match="rho"):
+            TsdceConfig(l_desired=1, rounds=1, rho=0.0, n_t=16, n_r=16)
 
 
 class TestSicCallCounts:
