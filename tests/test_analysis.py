@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from tsdce.analysis import (
-    _PEAK_BLOCK,
     FisherModel,
+    MarchenkoPastur,
+    _PEAK_BLOCK,
     _candidate_blocks,
     _coarse_grid,
-    MarchenkoPastur,
     crlb_nmse_bound,
     dft_peak_baseline,
     fisher_matrix,
