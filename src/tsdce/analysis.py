@@ -49,11 +49,9 @@ def ls_estimate_explicit(obs: Observation, cb: Codebook) -> np.ndarray:
     return scale * (cb.w @ obs.y @ cb.f.conj().T)
 
 
-# Spectrum rows (AoD bins) per matrix product of the dft_peak scan: fine
-# blocks where a coarse grid can rule some out, coarse ones where it cannot,
-# since a 16-row product costs about 1.5x more per row than a 64-row one.
-_PEAK_BLOCK = 16
-_FULL_SCAN_BLOCK = 64
+# Spectrum rows (AoD bins) per matrix product of the dft_peak scan, and the
+# grain at which the coarse grid rules blocks out.
+_PEAK_BLOCK = 64
 
 
 def valid_n_dft(n_dft: int, q_count: int, p_count: int) -> bool:
@@ -144,8 +142,7 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
     neither it nor a bin tied with it lies in a skipped block. The
     surviving blocks are scanned in ascending order with the same product
     and tie rule, so the pick is the exhaustive scan's. Blocks hold
-    `_PEAK_BLOCK` rows, or `_FULL_SCAN_BLOCK` when c < 2 and every block
-    is scanned.
+    `_PEAK_BLOCK` rows.
     """
     q_count, p_count = obs.y.shape
     if not valid_n_dft(n_dft, q_count, p_count):
@@ -153,7 +150,7 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
     f_t = dft_columns(n_dft, n_t)
     f_r_t = dft_columns(n_dft, n_r).T
     c, kappa = _coarse_grid(n_dft, n_t, n_r)
-    rows = min(_PEAK_BLOCK if c > 1 else _FULL_SCAN_BLOCK, n_dft)
+    rows = min(_PEAK_BLOCK, n_dft)
     spec = np.empty((rows, n_dft), dtype=complex)
     parts = spec.view(float)  # re, im interleaved along each row
     power = np.empty((rows, n_dft))

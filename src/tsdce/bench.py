@@ -68,8 +68,6 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-        if len(self.angle_range) != 2 or not self.angle_range[0] < self.angle_range[1]:
-            raise ConfigError(f"angle_range must be two angles lo < hi, got {self.angle_range}")
         if not self.detection_threshold_deg > 0:
             raise ConfigError("detection_threshold_deg must be positive")
         if not self.max_failure_rate >= 0:
@@ -83,10 +81,11 @@ class ExperimentConfig:
             )
         if self.l_desired == 0:
             object.__setattr__(self, "l_desired", self.paths)
-        # The codebook and the TSDCE settings own their range rules; building
-        # them here fails a bad config before any trial runs.
+        # The codebook, the path sampler and the TSDCE settings own their
+        # range rules; using them here fails a bad config before any trial runs.
         try:
             build_codebook(self.p_count, self.q_count, self.n_t, self.n_r)
+            sample_paths(1, SeededRng(0), self.angle_range)
             tsdce = algorithm.TsdceConfig(
                 l_desired=self.l_desired, rounds=self.rounds, rho=self.rho,
                 n_t=self.n_t, n_r=self.n_r,

@@ -106,9 +106,9 @@ def sample_paths(L: int, rng: SeededRng, angle_range=(0.0, np.pi)):
     """
     if L < 1:
         raise ValueError("L must be >= 1")
+    if len(angle_range) != 2 or not angle_range[0] < angle_range[1]:
+        raise ValueError(f"angle_range must be two angles lo < hi, got {angle_range}")
     lo, hi = angle_range
-    if not lo < hi:
-        raise ValueError("angle_range must satisfy lo < hi")
     paths = []
     for _ in range(L):
         gain = sample_complex_gaussian(rng, 1.0 / L)

@@ -243,9 +243,9 @@ class TestDftPeakBaseline:
         power = np.empty((_PEAK_BLOCK, 1024))
         blocks = _candidate_blocks(left, dft_columns(1024, 16).T, *_coarse_grid(1024, 16, 16),
                                    spec, power)
-        assert 1024 // _PEAK_BLOCK == 64
+        assert 1024 // _PEAK_BLOCK == 16
         assert 300 // _PEAK_BLOCK * _PEAK_BLOCK in blocks
-        assert len(blocks) <= 6
+        assert len(blocks) <= 2
 
     # kappa <= 1/4 allows c = 4 at 16 x 16 with n_dft = 1024; 16 x 16 at
     # n_dft = 32 and 64 x 64 at 1024 allow no c >= 2, so every block is scanned
