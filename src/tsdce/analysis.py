@@ -120,11 +120,11 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
     The padded spectrum is never held whole. With the cached DFT columns
     F_t (n_dft x n_t) and F_r (n_dft x n_r), its transpose is
     (F_t @ crop^T) @ F_r^T, rows indexed by the AoD bin; the left factor
-    is formed once per path and the right product is taken in blocks of
-    rows into one reused buffer pair, keeping only each block's strongest
-    |bin|^2. An exact tie between two bins goes to the lowest flat index
-    in AoD-major order (the lower AoD bin, then the lower AoA bin), as a
-    single argmax over the whole spectrum would pick.
+    is formed once per path into a reused buffer and the right product is
+    taken in blocks of rows into one reused buffer pair, keeping only each
+    block's strongest |bin|^2. An exact tie between two bins goes to the
+    lowest flat index in AoD-major order (the lower AoD bin, then the lower
+    AoA bin), as a single argmax over the whole spectrum would pick.
 
     Only the blocks that a coarse grid cannot rule out are scanned
     (`_candidate_blocks`). Centred, the spectrum g is a 2D exponential sum
@@ -154,10 +154,11 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
     spec = np.empty((rows, n_dft), dtype=complex)
     parts = spec.view(float)  # re, im interleaved along each row
     power = np.empty((rows, n_dft))
+    left = np.empty((n_dft, n_r), dtype=complex)
     work = to_spatial(obs, n_t, n_r).d_bar
     estimates = []
     for _ in range(L_d):
-        left = f_t @ work.T
+        np.matmul(f_t, work.T, out=left)
         best, flat = -1.0, 0
         for b in _candidate_blocks(left, f_r_t, c, kappa, spec, power).tolist():
             np.matmul(left[b:b + rows], f_r_t, out=spec)
