@@ -4,8 +4,9 @@ Per-path pipeline: rank-one extraction of the spatial-domain crop,
 unbiased 2D autocorrelation, phase differences with wrap-branch
 selection, cumulative unwrapping, weighted least-squares slope fits for
 the two spatial frequencies, then amplitude and phase of the complex
-gain. A successive-interference-cancellation loop repeats this for
-``l_desired`` paths over ``rounds`` refinement rounds.
+gain. The successive-interference-cancellation driver `sic` repeats a
+component function like this for ``l_desired`` paths over ``rounds``
+refinement rounds; `analysis`'s DFT peak pick is another component.
 """
 
 from __future__ import annotations
@@ -160,37 +161,42 @@ def _estimate_component(d_tilde, rho, n_t, n_r) -> tuple[PathParams, np.ndarray]
     return PathParams.from_freqs(gain_mag, gain_phase, omegas["row0"], omegas["col0"]), cis
 
 
-def run(obs: Observation, cfg: TsdceConfig, trace=None):
-    """Full TSDCE: SIC over ``l_desired`` paths, ``rounds`` rounds.
-
-    The rank-one SVD step is applied in round 1 while later paths remain
-    unestimated (and always when a single path is requested); from round
-    2 on the cancellation residual itself is used. If ``trace`` is a
-    list, per-iteration residuals and estimates are appended to it.
-    """
-    sp = to_spatial(obs, cfg.n_t, cfg.n_r)
-    d_bar = sp.d_bar
-    scale = np.sqrt(cfg.rho / (cfg.n_t * cfg.n_r))
+def sic(d_bar, component, l_desired: int, rounds: int, rho: float, trace=None):
+    """SIC of ``l_desired`` paths over ``rounds`` rounds on the n_r x n_t crop
+    ``d_bar``: ``component(residual, k, l)`` returns path l's estimate in
+    round k and its unit cisoid, and must not write into the residual, d_bar
+    minus every other path's latest cancellation sqrt(rho / (n_t n_r)) gain
+    cis. If ``trace`` is a list, each step's round, path, residual and
+    estimate are appended to it. Returns the estimates in path order."""
+    scale = np.sqrt(rho / d_bar.size)
     estimates = {}
     cancel = {}  # path -> its scaled cisoid, rebuilt only when re-estimated
-    for k in range(1, cfg.rounds + 1):
-        for l in range(1, cfg.l_desired + 1):
+    for k in range(1, rounds + 1):
+        for l in range(1, l_desired + 1):
             residual = d_bar.copy()
             for i, c in cancel.items():
                 if i != l:
                     residual -= c
-            if k == 1 and (l < cfg.l_desired or cfg.l_desired == 1):
-                d_tilde = extract_rank_one(residual)
-            else:
-                d_tilde = residual
-            estimates[l], cis = _estimate_component(d_tilde, cfg.rho, cfg.n_t, cfg.n_r)
-            # sqrt(rho) (|a|/sqrt(n_t n_r)) e^{j phase} e^{j(wm+wn)}
+            estimates[l], cis = component(residual, k, l)
             cancel[l] = (scale * estimates[l].gain) * cis
             if trace is not None:
                 trace.append(
                     {"round": k, "path": l, "residual": residual, "estimate": estimates[l]}
                 )
-    return [estimates[l] for l in range(1, cfg.l_desired + 1)]
+    return [estimates[l] for l in range(1, l_desired + 1)]
+
+
+def run(obs: Observation, cfg: TsdceConfig, trace=None):
+    """Full TSDCE: `sic` whose component takes the rank-one SVD step in round
+    1 while later paths remain unestimated (and always when a single path is
+    requested); from round 2 on it uses the cancellation residual itself."""
+    def component(residual, k, l):
+        if k == 1 and (l < cfg.l_desired or cfg.l_desired == 1):
+            residual = extract_rank_one(residual)
+        return _estimate_component(residual, cfg.rho, cfg.n_t, cfg.n_r)
+
+    d_bar = to_spatial(obs, cfg.n_t, cfg.n_r).d_bar
+    return sic(d_bar, component, cfg.l_desired, cfg.rounds, cfg.rho, trace)
 
 
 def reconstruct_channel(estimates, n_t: int, n_r: int) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Baselines and analytic bounds.
 
-Contains the explicit least-squares estimator, a simplified DFT
-peak-pick/cancel baseline, the single-path upper bound, the multi-path
-upper bound built from the exact finite-N means of the ordered noise
-eigenvalues (Laguerre unitary ensemble), and the closed-form
-Cramer-Rao bound on the channel matrix from the Fisher information of the
-path parameters. The paper's model of those means, as order statistics of
-independent Marchenko-Pastur draws, is kept as
+Contains the explicit least-squares estimator, a simplified DFT peak
+pick run as a component under `algorithm.sic`, the single-path upper
+bound, the multi-path upper bound built from the exact finite-N means
+of the ordered noise eigenvalues (Laguerre unitary ensemble), and the
+closed-form Cramer-Rao bound on the channel matrix from the Fisher
+information of the path parameters. The paper's model of those means,
+as order statistics of independent Marchenko-Pastur draws, is kept as
 `iid_ordered_eigenvalue_mean`.
 """
 
@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithm import derotated_mean
+from .algorithm import derotated_mean, sic
 from .channel import ChannelRealization, PathParams, cisoid_sum
 from .numkit import dft_columns
-from .observation import Codebook, Observation, to_spatial
+from .observation import Codebook, Observation, to_spatial, wrap
 
 # scipy.integrate and scipy.special add about 0.4 s to a numpy-only import
 # and only the eigenvalue-mean bounds use them, so those functions import
@@ -112,10 +112,10 @@ def _candidate_blocks(left, f_r_t, c: int, kappa: float, spec, power) -> np.ndar
 def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int, n_r: int):
     """Simplified DFT-domain peak-pick baseline with iterative cancellation.
 
-    Zero-pads the informative spatial crop to n_dft x n_dft, reads the
-    strongest DFT bin as the frequency pair, estimates the complex gain
-    by derotated averaging, cancels the reconstructed cisoid and repeats.
-    Frequency accuracy is limited to the bin width 2*pi/n_dft.
+    One `sic` round whose component zero-pads the residual crop to n_dft x
+    n_dft, reads the strongest DFT bin as the frequency pair and estimates
+    the complex gain by derotated averaging. Frequency accuracy is limited
+    to the bin width 2*pi/n_dft.
 
     The padded spectrum is never held whole. With the cached DFT columns
     F_t (n_dft x n_t) and F_r (n_dft x n_r), its transpose is
@@ -155,10 +155,9 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
     parts = spec.view(float)  # re, im interleaved along each row
     power = np.empty((rows, n_dft))
     left = np.empty((n_dft, n_r), dtype=complex)
-    work = to_spatial(obs, n_t, n_r).d_bar
-    estimates = []
-    for _ in range(L_d):
-        np.matmul(f_t, work.T, out=left)
+
+    def component(residual, k, l):
+        np.matmul(f_t, residual.T, out=left)
         best, flat = -1.0, 0
         for b in _candidate_blocks(left, f_r_t, c, kappa, spec, power).tolist():
             np.matmul(left[b:b + rows], f_r_t, out=spec)
@@ -168,20 +167,14 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
             i = int(np.argmax(power))
             if power.flat[i] > best:  # strict: a tie keeps the earlier block
                 best, flat = float(power.flat[i]), b * n_dft + i
-        pi_, qi = divmod(flat, n_dft)
-        omega_aoa = 2 * np.pi * qi / n_dft
-        omega_aod = 2 * np.pi * pi_ / n_dft
-        if omega_aoa > np.pi:
-            omega_aoa -= 2 * np.pi
-        if omega_aod > np.pi:
-            omega_aod -= 2 * np.pi
-        a_hat, cis = derotated_mean(work, omega_aoa, omega_aod, obs.rho)
+        # bins as frequencies in (-pi, pi], Python floats: numpy scalars slow later steps
+        omega_aod, omega_aoa = wrap(2 * np.pi * np.array(divmod(flat, n_dft)) / n_dft,
+                                    -np.pi, np.pi).tolist()
+        a_hat, cis = derotated_mean(residual, omega_aoa, omega_aod, obs.rho)
         gain = np.sqrt(n_t * n_r) * a_hat
-        estimates.append(
-            PathParams.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa)
-        )
-        work = work - np.sqrt(obs.rho) * a_hat * cis
-    return estimates
+        return PathParams.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa), cis
+
+    return sic(to_spatial(obs, n_t, n_r).d_bar, component, L_d, 1, obs.rho)
 
 
 def upper_bound_single_path(snr_c: float, n_t: int, n_r: int) -> float:

@@ -99,15 +99,15 @@ def cisoid_sum(gains, omega_aoa, omega_aod, n_r: int, n_t: int) -> np.ndarray:
 
 
 def sample_paths(L: int, rng: SeededRng, angle_range=(0.0, np.pi)):
-    """Draw L paths: gains CN(0, 1/L), angles uniform on angle_range.
+    """Draw L paths: gains CN(0, 1/L), angles uniform on angle_range within [0, pi].
 
     Total average path power is unity. Returned list is sorted by
     decreasing gain magnitude so index 0 is always the dominant path.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    if len(angle_range) != 2 or not angle_range[0] < angle_range[1]:
-        raise ValueError(f"angle_range must be two angles lo < hi, got {angle_range}")
+    if len(angle_range) != 2 or not 0.0 <= angle_range[0] < angle_range[1] <= np.pi:
+        raise ValueError(f"angle_range must be two angles 0 <= lo < hi <= pi, got {angle_range}")
     lo, hi = angle_range
     paths = []
     for _ in range(L):

@@ -78,6 +78,7 @@ class TestConfigErrors:
         "n_r = 1",
         "angle_range = 1",
         "angle_range = 2, 1",
+        "angle_range = -1, 4",
         "rho = 0",
         "rho = -1",
         "detection_threshold_deg = 0",

@@ -17,9 +17,11 @@ from tsdce.algorithm import (
     reconstruct_channel,
     run,
     select_wrap_branch,
+    sic,
     wls_slope,
     wls_weights,
 )
+from tsdce.analysis import dft_peak_baseline
 from tsdce.channel import PathParams, build_channel, cisoid_sum, sample_paths
 from tsdce.numkit import SeededRng, acf2d_unbiased
 from tsdce.observation import build_codebook, synthesize_observation, wrap
@@ -390,6 +392,39 @@ class TestRun:
             TsdceConfig(l_desired=1, rounds=1, rho=0.0, n_t=16, n_r=16)
 
 
+class TestSic:
+    """The driver alone, with a stub component whose estimates are known."""
+
+    def test_residuals_trace_and_path_order(self):
+        n_r, n_t, rho = 4, 5, 2.0
+        d_bar = cisoid_sum([1.0, 0.5j, -0.3], [0.1, 1.2, -2.0], [0.4, -0.7, 2.5], n_r, n_t)
+        cis = {l: cisoid_sum(1.0, 0.3 * l, -0.2 * l, n_r, n_t) for l in (1, 2, 3)}
+
+        def estimate(k, l):  # a new gain every round, so a stale cancellation shows
+            return PathParams.from_freqs(0.1 * k + l, 0.5 * l - k, -0.2 * l, 0.3 * l)
+
+        seen = []
+
+        def component(residual, k, l):
+            seen.append(residual.copy())
+            return estimate(k, l), cis[l]
+
+        trace = []
+        got = sic(d_bar, component, 3, 2, rho, trace)
+        assert got == [estimate(2, l) for l in (1, 2, 3)]
+        steps = [(k, l) for k in (1, 2) for l in (1, 2, 3)]
+        assert [(r["round"], r["path"]) for r in trace] == steps
+        scale = np.sqrt(rho / (n_t * n_r))
+        for (k, l), record, residual in zip(steps, trace, seen):
+            # paths before l were re-estimated this round, those after it last round
+            latest = [estimate(k if i < l else k - 1, i) for i in (1, 2, 3)]
+            others = [i for i in (1, 2, 3) if i < l or (i > l and k > 1)]
+            expected = d_bar - sum(scale * latest[i - 1].gain * cis[i] for i in others)
+            np.testing.assert_allclose(residual, expected, rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(record["residual"], residual)
+            assert record["estimate"] == estimate(k, l)
+
+
 class TestSicCallCounts:
     """Kernel calls of one 16x16 L3K3 run, counted in every module that
     binds the kernel, so that no SIC step quietly does duplicate work."""
@@ -421,6 +456,29 @@ class TestSicCallCounts:
             counts[name] += 1
             return fn(*args, **kwargs)
         return wrapper
+
+
+class TestDftPeakCallCounts:
+    """Kernel calls of one 16x16 L = 3 dft_peak_baseline call: one `sic`
+    round, one derotated mean per path and no rank-one step."""
+
+    CALLS = {"sic": 1, "cisoid_sum": 3, "derotated_mean": 3, "dominant_singular_triplet": 0}
+
+    def test_counts(self, monkeypatch):
+        import tsdce
+
+        rng = SeededRng(75)
+        ch = build_channel(sample_paths(3, rng), 16, 16)
+        obs = synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.1, rng)
+        counts = dict.fromkeys(self.CALLS, 0)
+        for module in (tsdce.numkit, tsdce.channel, tsdce.observation, tsdce.algorithm,
+                       tsdce.analysis):
+            for name in self.CALLS:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, TestSicCallCounts._counting(
+                        counts, name, getattr(module, name)))
+        dft_peak_baseline(obs, 3, n_dft=1024, n_t=16, n_r=16)
+        assert counts == self.CALLS
 
 
 class TestReconstructChannel:
