@@ -1,6 +1,7 @@
 """TSDCE: transformed spatial domain channel estimation.
 
-Per-path pipeline: rank-one extraction of the spatial-domain crop,
+Per-path pipeline, in channel units on the spatial LS estimate (the one
+place where rho and the spatial-domain scale enter): rank-one extraction,
 unbiased 2D autocorrelation, phase differences with wrap-branch
 selection, cumulative unwrapping, weighted least-squares slope fits for
 the two spatial frequencies, then amplitude and phase of the complex
@@ -18,14 +19,13 @@ import numpy as np
 
 from .channel import PathParams, cisoid_sum
 from .numkit import acf2d_unbiased, dominant_singular_triplet
-from .observation import Observation, to_spatial, wrap
+from .observation import Observation, spatial_ls_estimate, to_spatial, wrap
 
 
 @dataclass(frozen=True)
 class TsdceConfig:
     l_desired: int
     rounds: int
-    rho: float
     n_t: int
     n_r: int
 
@@ -34,8 +34,6 @@ class TsdceConfig:
             raise ValueError("l_desired and rounds must be >= 1")
         if self.l_desired > min(self.n_t, self.n_r):
             raise ValueError("l_desired must not exceed min(n_t, n_r)")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
 
 
 def extract_rank_one(residual: np.ndarray) -> np.ndarray:
@@ -44,15 +42,10 @@ def extract_rank_one(residual: np.ndarray) -> np.ndarray:
     return s * np.outer(u, v.conj())
 
 
-def phase_differences(r: np.ndarray, axis: str) -> np.ndarray:
-    """First-order phase differences along the first column or first row
-    of the autocorrelation; element 0 is defined as zero."""
-    if axis == "col0":
-        seq = r[:, 0]
-    elif axis == "row0":
-        seq = r[0, :]
-    else:
-        raise ValueError(f"axis must be 'row0' or 'col0', got {axis!r}")
+def phase_differences(seq: np.ndarray) -> np.ndarray:
+    """First-order phase differences of a 1-D lag sequence of the
+    autocorrelation (its first column or first row); element 0 is defined
+    as zero."""
     delta = np.zeros(len(seq))
     delta[1:] = np.angle(seq[1:] * np.conj(seq[:-1]))
     return delta
@@ -124,61 +117,57 @@ def _amplitude_weights(n_r: int, n_t: int) -> np.ndarray:
     return weights
 
 
-def estimate_amplitude(r: np.ndarray, rho: float, n_t: int, n_r: int) -> float:
-    """Path gain magnitude from the ACF magnitudes at nonzero lags.
+def estimate_amplitude(r: np.ndarray) -> float:
+    """Path gain magnitude from the magnitudes of the n_r x n_t ACF ``r`` of
+    a channel-unit component at nonzero lags.
 
     Lags are weighted by their sample count kappa = (n_r-m)(n_t-n); the
     normalization constant is the sum of those weights.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    a1_sq = np.vdot(_amplitude_weights(n_r, n_t), np.abs(r)) / rho
-    return float(np.sqrt(n_t * n_r) * np.sqrt(a1_sq))
+    return float(np.sqrt(np.vdot(_amplitude_weights(*r.shape), np.abs(r))))
 
 
-def derotated_mean(d, omega_aoa: float, omega_aod: float, rho: float):
-    """Mean of the spatial observation d derotated by the unit cisoid
-    exp(j(omega_aoa m + omega_aod n)) and divided by sqrt(rho), and that
+def derotated_mean(h, omega_aoa: float, omega_aod: float):
+    """Mean of the channel-unit component h derotated by the unit cisoid
+    exp(j(omega_aoa m + omega_aod n)), which is the path's LS gain, and that
     cisoid. The mean's phase is the circular-normal maximum-likelihood
     gain phase."""
-    cis = cisoid_sum(1.0, omega_aoa, omega_aod, *d.shape)
-    return np.vdot(cis, d) / (d.size * np.sqrt(rho)), cis  # vdot conjugates cis
+    cis = cisoid_sum(1.0, omega_aoa, omega_aod, *h.shape)
+    return np.vdot(cis, h) / h.size, cis  # vdot conjugates cis
 
 
-def _estimate_component(d_tilde, rho, n_t, n_r) -> tuple[PathParams, np.ndarray]:
-    """Single-path parameter estimation from a spatial-domain component:
+def _estimate_component(h) -> tuple[PathParams, np.ndarray]:
+    """Single-path parameter estimation from a channel-unit component h:
     the estimate and its unit cisoid."""
-    r = acf2d_unbiased(d_tilde)
-    omegas = {}
-    for axis, M in (("col0", n_r), ("row0", n_t)):
-        delta = select_wrap_branch(phase_differences(r, axis))
-        # WLS slope of the unwrapped phases cumsum(delta)
-        omegas[axis] = wrap(_slope_weights(M) @ delta, -np.pi, np.pi)
-    gain_mag = estimate_amplitude(r, rho, n_t, n_r)
-    mean, cis = derotated_mean(d_tilde, omegas["col0"], omegas["row0"], rho)
+    r = acf2d_unbiased(h)
+    # WLS slopes of the unwrapped phases cumsum(delta) along each lag axis
+    omega_aoa, omega_aod = (
+        wrap(_slope_weights(len(seq)) @ select_wrap_branch(phase_differences(seq)), -np.pi, np.pi)
+        for seq in (r[:, 0], r[0, :])
+    )
+    mean, cis = derotated_mean(h, omega_aoa, omega_aod)
     # a zero mean has no phase, and np.angle(-0.0 + 0j) would give pi
     gain_phase = float(np.angle(mean)) if mean != 0 else 0.0
-    return PathParams.from_freqs(gain_mag, gain_phase, omegas["row0"], omegas["col0"]), cis
+    return PathParams.from_freqs(estimate_amplitude(r), gain_phase, omega_aod, omega_aoa), cis
 
 
-def sic(d_bar, component, l_desired: int, rounds: int, rho: float, trace=None):
-    """SIC of ``l_desired`` paths over ``rounds`` rounds on the n_r x n_t crop
-    ``d_bar``: ``component(residual, k, l)`` returns path l's estimate in
-    round k and its unit cisoid, and must not write into the residual, d_bar
-    minus every other path's latest cancellation sqrt(rho / (n_t n_r)) gain
-    cis. If ``trace`` is a list, each step's round, path, residual and
-    estimate are appended to it. Returns the estimates in path order."""
-    scale = np.sqrt(rho / d_bar.size)
+def sic(h_ls, component, l_desired: int, rounds: int, trace=None):
+    """SIC of ``l_desired`` paths over ``rounds`` rounds on the n_r x n_t
+    spatial LS estimate ``h_ls``: ``component(residual, k, l)`` returns path
+    l's estimate in round k and its unit cisoid, and must not write into the
+    residual, h_ls minus every other path's latest cancellation gain cis. If
+    ``trace`` is a list, each step's round, path, residual and estimate are
+    appended to it. Returns the estimates in path order."""
     estimates = {}
-    cancel = {}  # path -> its scaled cisoid, rebuilt only when re-estimated
+    cancel = {}  # path -> its gain times cisoid, rebuilt only when re-estimated
     for k in range(1, rounds + 1):
         for l in range(1, l_desired + 1):
-            residual = d_bar.copy()
+            residual = h_ls.copy()
             for i, c in cancel.items():
                 if i != l:
                     residual -= c
             estimates[l], cis = component(residual, k, l)
-            cancel[l] = (scale * estimates[l].gain) * cis
+            cancel[l] = estimates[l].gain * cis
             if trace is not None:
                 trace.append(
                     {"round": k, "path": l, "residual": residual, "estimate": estimates[l]}
@@ -193,10 +182,10 @@ def run(obs: Observation, cfg: TsdceConfig, trace=None):
     def component(residual, k, l):
         if k == 1 and (l < cfg.l_desired or cfg.l_desired == 1):
             residual = extract_rank_one(residual)
-        return _estimate_component(residual, cfg.rho, cfg.n_t, cfg.n_r)
+        return _estimate_component(residual)
 
-    d_bar = to_spatial(obs, cfg.n_t, cfg.n_r).d_bar
-    return sic(d_bar, component, cfg.l_desired, cfg.rounds, cfg.rho, trace)
+    h_ls = spatial_ls_estimate(to_spatial(obs, cfg.n_t, cfg.n_r), obs.rho)
+    return sic(h_ls, component, cfg.l_desired, cfg.rounds, trace)
 
 
 def reconstruct_channel(estimates, n_t: int, n_r: int) -> np.ndarray:

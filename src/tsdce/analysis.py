@@ -20,7 +20,7 @@ import numpy as np
 from .algorithm import derotated_mean, sic
 from .channel import ChannelRealization, PathParams, cisoid_sum
 from .numkit import dft_columns
-from .observation import Codebook, Observation, to_spatial, wrap
+from .observation import Codebook, Observation, spatial_ls_estimate, to_spatial, wrap
 
 # scipy.integrate and scipy.special add about 0.4 s to a numpy-only import
 # and only the eigenvalue-mean bounds use them, so those functions import
@@ -112,14 +112,14 @@ def _candidate_blocks(left, f_r_t, c: int, kappa: float, spec, power) -> np.ndar
 def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int, n_r: int):
     """Simplified DFT-domain peak-pick baseline with iterative cancellation.
 
-    One `sic` round whose component zero-pads the residual crop to n_dft x
-    n_dft, reads the strongest DFT bin as the frequency pair and estimates
-    the complex gain by derotated averaging. Frequency accuracy is limited
-    to the bin width 2*pi/n_dft.
+    One `sic` round on the spatial LS estimate whose component zero-pads the
+    residual to n_dft x n_dft, reads the strongest DFT bin as the frequency
+    pair and takes the derotated mean as the complex gain. Frequency
+    accuracy is limited to the bin width 2*pi/n_dft.
 
     The padded spectrum is never held whole. With the cached DFT columns
     F_t (n_dft x n_t) and F_r (n_dft x n_r), its transpose is
-    (F_t @ crop^T) @ F_r^T, rows indexed by the AoD bin; the left factor
+    (F_t @ residual^T) @ F_r^T, rows indexed by the AoD bin; the left factor
     is formed once per path into a reused buffer and the right product is
     taken in blocks of rows into one reused buffer pair, keeping only each
     block's strongest |bin|^2. An exact tie between two bins goes to the
@@ -170,11 +170,10 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
         # bins as frequencies in (-pi, pi], Python floats: numpy scalars slow later steps
         omega_aod, omega_aoa = wrap(2 * np.pi * np.array(divmod(flat, n_dft)) / n_dft,
                                     -np.pi, np.pi).tolist()
-        a_hat, cis = derotated_mean(residual, omega_aoa, omega_aod, obs.rho)
-        gain = np.sqrt(n_t * n_r) * a_hat
+        gain, cis = derotated_mean(residual, omega_aoa, omega_aod)
         return PathParams.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa), cis
 
-    return sic(to_spatial(obs, n_t, n_r).d_bar, component, L_d, 1, obs.rho)
+    return sic(spatial_ls_estimate(to_spatial(obs, n_t, n_r), obs.rho), component, L_d, 1)
 
 
 def upper_bound_single_path(snr_c: float, n_t: int, n_r: int) -> float:

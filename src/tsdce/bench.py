@@ -9,6 +9,7 @@ order.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import astuple, dataclass, field, fields
 
@@ -21,6 +22,8 @@ from .observation import build_codebook, synthesize_observation, to_spatial, spa
 
 NEG_INF_DB = -999.0
 KNOWN_METHODS = ("tsdce", "ls", "dft_peak")
+# pairings of true and estimated paths that match_paths may try: those of L = 8
+MAX_PAIRINGS = math.factorial(8)
 
 
 class ConfigError(ValueError):
@@ -68,6 +71,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}")
+        if not self.rho > 0:
+            raise ConfigError("rho must be positive")
         if not self.detection_threshold_deg > 0:
             raise ConfigError("detection_threshold_deg must be positive")
         if not self.max_failure_rate >= 0:
@@ -81,14 +86,19 @@ class ExperimentConfig:
             )
         if self.l_desired == 0:
             object.__setattr__(self, "l_desired", self.paths)
+        pairings = math.perm(max(self.paths, self.l_desired), min(self.paths, self.l_desired))
+        if set(self.methods) - {"ls"} and pairings > MAX_PAIRINGS:
+            raise ConfigError(
+                f"paths = {self.paths} and l_desired = {self.l_desired} give {pairings} "
+                f"path pairings per trial to score, more than {MAX_PAIRINGS} (8 paths)"
+            )
         # The codebook, the path sampler and the TSDCE settings own their
         # range rules; using them here fails a bad config before any trial runs.
         try:
             build_codebook(self.p_count, self.q_count, self.n_t, self.n_r)
             sample_paths(1, SeededRng(0), self.angle_range)
             tsdce = algorithm.TsdceConfig(
-                l_desired=self.l_desired, rounds=self.rounds, rho=self.rho,
-                n_t=self.n_t, n_r=self.n_r,
+                l_desired=self.l_desired, rounds=self.rounds, n_t=self.n_t, n_r=self.n_r
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -133,23 +143,29 @@ def match_paths(true_paths, estimates):
     """Minimum-total-cost one-to-one pairing of true and estimated paths.
 
     Cost is the summed absolute (AoA, AoD) error in degrees; exhaustive
-    permutation search, fine for the L <= 8 configurations used here.
+    search over the paths of the larger list for each path of the smaller
+    one, which `ExperimentConfig` bounds to `MAX_PAIRINGS` pairings.
     Costs within 1e-9 relative of the minimum count as equal: in 1-D
     many pairings tie exactly (two estimates on the same side of two
     true angles), so among those the smallest summed squared error wins,
-    and rounding cannot flip the pairing.
+    and rounding cannot flip the pairing. Returns (true, estimate) index
+    pairs in true-path order.
     """
     if not true_paths or not estimates:
         raise ValueError("both path lists must be non-empty")
-    n = min(len(true_paths), len(estimates))
     # errors[ti, ei]: the AoA and AoD errors of pairing true ti with estimate ei
     errors = np.degrees([[(t.aoa - e.aoa, t.aod - e.aod) for e in estimates] for t in true_paths])
-    perms = np.array(list(itertools.permutations(range(len(estimates)), n)))
-    picked = errors[np.arange(n), perms]  # (pairing, true path, AoA/AoD)
+    swap = len(true_paths) > len(estimates)
+    if swap:  # rows index the smaller list
+        errors = errors.transpose(1, 0, 2)
+    n, m = errors.shape[:2]
+    perms = np.array(list(itertools.permutations(range(m), n)))
+    picked = errors[np.arange(n), perms]  # (pairing, row path, AoA/AoD)
     l1 = np.abs(picked).sum(axis=(1, 2))
     tied = np.flatnonzero(l1 <= l1.min() * (1.0 + 1e-9))
     best = tied[np.argmin((picked[tied] ** 2).sum(axis=(1, 2)))]
-    return list(zip(range(n), perms[best].tolist()))
+    pairs = zip(range(n), perms[best].tolist())
+    return sorted((t, e) for e, t in pairs) if swap else list(pairs)
 
 
 def angle_errors_deg(true_paths, estimates, pairing):
@@ -199,7 +215,7 @@ def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
         t0 = time.perf_counter()
         try:
             if method == "ls":
-                h_hat = spatial_ls_estimate(to_spatial(obs, cfg.n_t, cfg.n_r), cfg.rho)
+                h_hat = spatial_ls_estimate(to_spatial(obs, cfg.n_t, cfg.n_r), obs.rho)
                 errors = None
             else:
                 if method == "tsdce":

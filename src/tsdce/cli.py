@@ -51,6 +51,10 @@ def _cmd_single(args) -> int:
             f"--snr-index {args.snr_index} is outside snr_db_list "
             f"(0..{len(cfg.snr_db_list) - 1})"
         )
+    if not 0 <= args.trial < cfg.trials:
+        raise bench.ConfigError(
+            f"--trial {args.trial} is outside the config's trials (0..{cfg.trials - 1})"
+        )
     os.makedirs(args.dump, exist_ok=True)
     _, ch, obs = bench.draw_trial(cfg, args.snr_index, args.trial)
     sp = to_spatial(obs, cfg.n_t, cfg.n_r)

@@ -48,7 +48,7 @@ def random_channel(L, stream):
 
 
 def tsdce_estimate(obs, l_desired, rounds):
-    cfg = TsdceConfig(l_desired=l_desired, rounds=rounds, rho=1.0, n_t=N, n_r=N)
+    cfg = TsdceConfig(l_desired=l_desired, rounds=rounds, n_t=N, n_r=N)
     return reconstruct_channel(run(obs, cfg), N, N)
 
 
@@ -65,7 +65,7 @@ def ls_nmse_db(cb, snr_db, trials, seed, L=3):
 
 
 def test_criterion_01_exact_recovery():
-    cfg = TsdceConfig(l_desired=1, rounds=1, rho=1.0, n_t=N, n_r=N)
+    cfg = TsdceConfig(l_desired=1, rounds=1, n_t=N, n_r=N)
     # untimed warm-up so lazy one-time initialization (FFT plan caches
     # and friends) stays out of the runtime budget
     warm = random_channel(1, SeededRng(200))

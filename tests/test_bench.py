@@ -84,6 +84,12 @@ class TestMatchPaths:
                 moved = [make_estimate(1.0, 1.3 + d0), make_estimate(1.0 + d1, 1.5 + d1)]
                 assert match_paths(truths, moved) == [(0, 0), (1, 1)]
 
+    def test_fewer_estimates_than_true_paths(self):
+        truths = [make_path(0.5, 1.0), make_path(2.0, 2.5), make_path(1.2, 0.4)]
+        assert match_paths(truths, [make_estimate(2.0, 2.5)]) == [(1, 0)]
+        ests = [make_estimate(1.2, 0.4), make_estimate(2.0, 2.5)]
+        assert match_paths(truths, ests) == [(1, 1), (2, 0)]
+
     def test_angle_errors(self):
         truths = [make_path(0.5, 1.0)]
         ests = [make_estimate(0.5 + np.deg2rad(0.2), 1.0)]
@@ -156,6 +162,20 @@ rho = 1.0
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(methods=("tsdce", "omp"))
+
+    # match_paths tries perm(max(L, L_d), min(L, L_d)) pairings, at most 8!
+    @pytest.mark.parametrize("paths, l_desired, ok", [
+        (8, 0, True), (12, 3, True), (3, 16, True), (9, 0, False), (12, 0, False), (4, 16, False),
+    ])
+    def test_path_pairings_bounded(self, paths, l_desired, ok):
+        kwargs = dict(n_t=16, n_r=16, paths=paths, l_desired=l_desired)
+        if ok:
+            ExperimentConfig(**kwargs)
+        else:
+            with pytest.raises(ConfigError, match="pairings"):
+                ExperimentConfig(**kwargs)
+        # an ls-only sweep pairs no paths
+        ExperimentConfig(methods=("ls",), **kwargs)
 
     def test_l_desired_defaults_to_paths(self):
         assert ExperimentConfig(paths=3).l_desired == 3

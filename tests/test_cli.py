@@ -86,6 +86,7 @@ class TestConfigErrors:
         "methods =",
         "snr_db_list =",
         "methods = dft_peak, dft_peak",
+        "paths = 12",
     ])
     def test_run_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys, line):
         calls = []
@@ -151,6 +152,10 @@ class TestSingleCommand:
                 "H_hat.csv"} <= names
         header = (dump / "Y.csv").read_text().splitlines()[0]
         assert header == "m,n,re,im"
+        # residuals are in channel units: the first is the spatial LS
+        # estimate, sqrt(n_t n_r / rho) = 16 times the crop
+        assert np.array_equal(read_matrix(dump / "residual_k1_l1.csv"),
+                              16 * read_matrix(dump / "D_bar.csv"))
 
     def test_replays_sweep_trial(self, config_path, tmp_path, monkeypatch):
         # the channel and observation that the sweep scores at SNR index 1,
@@ -172,10 +177,18 @@ class TestSingleCommand:
         assert np.array_equal(read_matrix(dump / "H_true.csv"), ch.h)
         assert np.array_equal(read_matrix(dump / "Y.csv"), obs.y)
 
-    def test_snr_index_out_of_range(self, config_path, tmp_path):
-        rc = main(["single", "--config", config_path, "--snr-index", "2",
-                   "--dump", str(tmp_path / "dump")])
+    # the config has 2 SNRs and 5 trials; a negative trial would alias
+    # another SNR index's key and a trial past the end is one no sweep runs
+    @pytest.mark.parametrize("snr_index, trial", [
+        ("2", "0"), ("-1", "0"), ("1", "-1"), ("0", "5"), ("1", "99"),
+    ])
+    def test_index_out_of_range(self, config_path, tmp_path, capsys, snr_index, trial):
+        dump = tmp_path / "dump"
+        rc = main(["single", "--config", config_path, "--snr-index", snr_index,
+                   "--trial", trial, "--dump", str(dump)])
         assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not dump.exists()
 
 
 class TestBoundCommand:

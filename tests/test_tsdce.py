@@ -58,12 +58,12 @@ def select_wrap_branch_oracle(delta):
     return wrapped if np.var(wrapped) < np.var(delta) else delta
 
 
-def estimate_component_oracle(d_tilde, rho):
+def estimate_component_oracle(h):
     """Single-path estimate step by step, with every formula written out:
     FFT ACF, np.var branch test, cumsum unwrapping, normal-equation slope,
     kappa-weighted amplitude and the elementwise derotated mean."""
-    n_r, n_t = d_tilde.shape
-    r = acf2d_oracle(d_tilde)
+    n_r, n_t = h.shape
+    r = acf2d_oracle(h)
 
     def frequency(seq):
         delta = np.zeros(len(seq))
@@ -76,30 +76,29 @@ def estimate_component_oracle(d_tilde, rho):
     kappa = (n_r - np.arange(n_r))[:, None] * (n_t - np.arange(n_t))[None, :]
     norm = 0.25 * n_r * (n_r + 1) * n_t * (n_t + 1) - n_t * n_r
     acc = np.sum(kappa * np.abs(r)) - kappa[0, 0] * np.abs(r[0, 0])
-    mag = np.sqrt(n_t * n_r) * np.sqrt(acc / (rho * norm))
+    mag = np.sqrt(acc / norm)
     m = np.arange(n_r)[:, None]
     n = np.arange(n_t)[None, :]
-    mean = np.mean(d_tilde * np.exp(-1j * (w_aoa * m + w_aod * n))) / np.sqrt(rho)
+    mean = np.mean(h * np.exp(-1j * (w_aoa * m + w_aod * n)))
     return mag * np.exp(1j * np.angle(mean)), w_aod, w_aoa
 
 
 class TestEstimateComponentOracle:
     @pytest.mark.parametrize("n_r, n_t", [(16, 16), (8, 12)])
     def test_matches_oracle_on_noisy_components(self, n_r, n_t):
-        rho = 2.0
         cases = 0
         for t in range(60):
             rng = SeededRng(90).substream(t)
             w_row, w_col = rng.uniform(-np.pi, np.pi, size=2)
-            amp = rng.uniform(0.2, 1.0) / np.sqrt(n_t * n_r)
-            noise_std = 10.0 ** rng.uniform(-3.0, -0.5) / np.sqrt(n_t * n_r)
+            amp = rng.uniform(0.2, 1.0)
+            noise_std = 10.0 ** rng.uniform(-3.0, -0.5)
             noise = rng.normal(1.0, size=(n_r, n_t)) + 1j * rng.normal(1.0, size=(n_r, n_t))
-            d = np.sqrt(rho) * cisoid(n_r, n_t, w_row, w_col, amp=amp, phase=rng.uniform(-3, 3))
-            d = d + noise_std * noise
+            h = cisoid(n_r, n_t, w_row, w_col, amp=amp, phase=rng.uniform(-3, 3))
+            h = h + noise_std * noise
             if t % 2:
-                d = extract_rank_one(d)
-            gain, w_aod, w_aoa = estimate_component_oracle(d, rho)
-            est, cis = _estimate_component(d, rho, n_t, n_r)
+                h = extract_rank_one(h)
+            gain, w_aod, w_aoa = estimate_component_oracle(h)
+            est, cis = _estimate_component(h)
             assert est.omega_aoa == pytest.approx(w_aoa, abs=1e-10)
             assert est.omega_aod == pytest.approx(w_aod, abs=1e-10)
             assert abs(est.gain - gain) <= 1e-9 * abs(gain)
@@ -130,24 +129,24 @@ class TestExtractRankOne:
 class TestPhaseDifferences:
     def test_constant_slope(self):
         r = acf2d_unbiased(cisoid(6, 6, 0.5, 0.2))
-        d = phase_differences(r, "col0")
+        d = phase_differences(r[:, 0])
         assert d[0] == 0.0
         assert np.allclose(d[1:], 0.5, atol=1e-10)
 
     def test_dc(self):
         r = acf2d_unbiased(cisoid(6, 6, 0.0, 0.0))
-        assert np.allclose(phase_differences(r, "col0"), 0.0, atol=1e-12)
+        assert np.allclose(phase_differences(r[:, 0]), 0.0, atol=1e-12)
 
     def test_near_pi_principal_value(self):
         r = acf2d_unbiased(cisoid(6, 6, 3.0, 0.0))
-        d = phase_differences(r, "col0")
+        d = phase_differences(r[:, 0])
         assert np.allclose(d[1:], 3.0, atol=1e-10)
 
-    def test_axes_select_rows_and_columns(self):
+    def test_column_and_row_lags(self):
         r = acf2d_unbiased(cisoid(5, 7, 0.4, -0.7))
-        assert len(phase_differences(r, "col0")) == 5
-        assert len(phase_differences(r, "row0")) == 7
-        assert np.allclose(phase_differences(r, "row0")[1:], -0.7, atol=1e-10)
+        assert len(phase_differences(r[:, 0])) == 5
+        assert len(phase_differences(r[0, :])) == 7
+        assert np.allclose(phase_differences(r[0, :])[1:], -0.7, atol=1e-10)
 
 
 class TestSelectWrapBranch:
@@ -250,19 +249,13 @@ class TestWlsSlope:
 
 
 class TestEstimateAmplitude:
-    def test_pure_cisoid(self):
-        # ACF magnitude of a cisoid is |A|^2 at every lag, so the weighted
-        # average returns |alpha| = sqrt(n_t n_r) |A| exactly
+    @pytest.mark.parametrize("n_r, n_t", [(8, 8), (5, 9)])
+    def test_pure_cisoid(self, n_r, n_t):
+        # ACF magnitude of a cisoid is |alpha|^2 at every lag, so the
+        # weighted average returns |alpha| exactly, at any lag counts
         alpha = 0.65
-        d = cisoid(8, 8, 0.7, -0.3, amp=alpha / 8.0, phase=0.2)
-        r = acf2d_unbiased(d)
-        assert estimate_amplitude(r, 1.0, 8, 8) == pytest.approx(alpha, abs=1e-10)
-
-    def test_rho_scaling(self):
-        alpha, rho = 0.65, 4.0
-        d = np.sqrt(rho) * cisoid(8, 8, 0.7, -0.3, amp=alpha / 8.0)
-        r = acf2d_unbiased(d)
-        assert estimate_amplitude(r, rho, 8, 8) == pytest.approx(alpha, abs=1e-10)
+        h = cisoid(n_r, n_t, 0.7, -0.3, amp=alpha, phase=0.2)
+        assert estimate_amplitude(acf2d_unbiased(h)) == pytest.approx(alpha, abs=1e-10)
 
     def test_noisy_accuracy(self):
         # 3% mean accuracy at high spatial SNR
@@ -271,20 +264,20 @@ class TestEstimateAmplitude:
         for t in range(300):
             rng = SeededRng(62).substream(t)
             noise = (rng.normal(1.0, size=(16, 16)) + 1j * rng.normal(1.0, size=(16, 16)))
-            d = cisoid(16, 16, 0.9, 0.4, amp=alpha / 16.0) + np.sqrt(1e-4 / 2) * noise
-            errs.append(estimate_amplitude(acf2d_unbiased(d), 1.0, 16, 16))
+            h = cisoid(16, 16, 0.9, 0.4, amp=alpha) + np.sqrt(256 * 1e-4 / 2) * noise
+            errs.append(estimate_amplitude(acf2d_unbiased(h)))
         assert np.mean(errs) == pytest.approx(alpha, rel=0.03)
 
 
 class TestDerotatedMean:
     @staticmethod
     def phase(d, w_aoa, w_aod):
-        return np.angle(derotated_mean(d, w_aoa, w_aod, 1.0)[0])
+        return np.angle(derotated_mean(d, w_aoa, w_aod)[0])
 
     def test_perfect_derotation(self):
-        d = cisoid(8, 8, 0.9, -0.4, amp=0.5, phase=0.7)
-        mean, _ = derotated_mean(d, 0.9, -0.4, 4.0)
-        assert mean == pytest.approx(0.25 * np.exp(0.7j), abs=1e-12)
+        h = cisoid(8, 8, 0.9, -0.4, amp=0.5, phase=0.7)
+        mean, _ = derotated_mean(h, 0.9, -0.4)
+        assert mean == pytest.approx(0.5 * np.exp(0.7j), abs=1e-12)
 
     def test_zero_phase(self):
         d = cisoid(8, 8, 0.9, -0.4, amp=0.5, phase=0.0)
@@ -299,15 +292,15 @@ class TestDerotatedMean:
 
     def test_zero_input_gets_zero_phase(self):
         d = np.zeros((4, 4), dtype=complex)
-        assert derotated_mean(d, 0.1, 0.1, 1.0)[0] == 0
-        est, _ = _estimate_component(d, 1.0, 4, 4)
+        assert derotated_mean(d, 0.1, 0.1)[0] == 0
+        est, _ = _estimate_component(d)
         assert est.gain_phase == 0.0
 
     def test_returns_unit_cisoid(self):
         # the cisoid the SIC loop cancels with: exactly the one-cisoid
         # cisoid_sum, and the explicit formula to rounding
         d = cisoid(6, 8, -1.1, 0.5, amp=0.3, phase=0.25)
-        _, cis = derotated_mean(d, -1.1, 0.5, 1.0)
+        _, cis = derotated_mean(d, -1.1, 0.5)
         assert np.array_equal(cis, cisoid_sum(1.0, -1.1, 0.5, 6, 8))
         assert np.allclose(cis, cisoid(6, 8, -1.1, 0.5), atol=1e-12)
 
@@ -315,7 +308,7 @@ class TestDerotatedMean:
 class TestRun:
     def setup_method(self):
         self.cb = build_codebook(16, 16, 16, 16)
-        self.cfg = TsdceConfig(l_desired=1, rounds=1, rho=1.0, n_t=16, n_r=16)
+        self.cfg = TsdceConfig(l_desired=1, rounds=1, n_t=16, n_r=16)
 
     def test_noiseless_on_grid_recovery(self):
         path = PathParams.from_gain_angles(
@@ -330,6 +323,22 @@ class TestRun:
         assert est.gain_phase == pytest.approx(path.gain_phase, abs=1e-8)
         assert est.omega_aod == pytest.approx(path.omega_aod, abs=1e-8)
         assert est.omega_aoa == pytest.approx(path.omega_aoa, abs=1e-8)
+
+    @pytest.mark.parametrize("method", ["tsdce", "dft_peak"])
+    def test_rho_read_from_observation(self, method):
+        # no estimator takes rho: at rho = 4 the crop is twice the rho = 1
+        # one, and the estimate is the channel's gain either way
+        path = PathParams.from_gain_angles(
+            0.8 * np.exp(1j * 0.3),
+            np.arccos(self.cb.tx_cosines[5]),
+            np.arccos(self.cb.rx_cosines[11]),
+        )
+        obs = synthesize_observation(build_channel([path], 16, 16), self.cb, 4.0, 0.0)
+        if method == "tsdce":
+            est = run(obs, self.cfg)[0]
+        else:
+            est = dft_peak_baseline(obs, 1, n_dft=1024, n_t=16, n_r=16)[0]
+        assert est.gain_magnitude == pytest.approx(path.gain_magnitude, abs=1e-8)
 
     def test_zero_observation(self):
         ch = build_channel([PathParams.from_gain_angles(0.0, 1.0, 1.0)], 16, 16)
@@ -361,7 +370,7 @@ class TestRun:
         assert est.gain_magnitude == pytest.approx(base.gain_magnitude, rel=1e-8)
 
     def test_frequencies_in_principal_range(self):
-        cfg = TsdceConfig(l_desired=3, rounds=2, rho=1.0, n_t=16, n_r=16)
+        cfg = TsdceConfig(l_desired=3, rounds=2, n_t=16, n_r=16)
         for t in range(10):
             rng = SeededRng(73).substream(t)
             ch = build_channel(sample_paths(3, rng), 16, 16)
@@ -371,33 +380,31 @@ class TestRun:
                 assert -np.pi <= est.omega_aoa <= np.pi
 
     def test_sic_residual_never_grows(self):
-        from tsdce.observation import to_spatial
-        cfg = TsdceConfig(l_desired=3, rounds=2, rho=1.0, n_t=16, n_r=16)
+        from tsdce.observation import spatial_ls_estimate, to_spatial
+        cfg = TsdceConfig(l_desired=3, rounds=2, n_t=16, n_r=16)
         for t in range(10):
             rng = SeededRng(74).substream(t)
             ch = build_channel(sample_paths(3, rng), 16, 16)
             obs = synthesize_observation(ch, self.cb, 1.0, 0.1, rng)
             ests = run(obs, cfg)
             sp = to_spatial(obs, 16, 16)
-            total = reconstruct_channel(ests, 16, 16) / 16.0  # 1/sqrt(n_t n_r)
-            assert (np.linalg.norm(sp.d_bar - total)
-                    <= np.linalg.norm(sp.d_bar) + 1e-12)
+            h_ls = spatial_ls_estimate(sp, obs.rho)
+            total = reconstruct_channel(ests, 16, 16)
+            assert np.linalg.norm(h_ls - total) <= np.linalg.norm(h_ls) + 1e-12
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TsdceConfig(l_desired=0, rounds=1, rho=1.0, n_t=16, n_r=16)
+            TsdceConfig(l_desired=0, rounds=1, n_t=16, n_r=16)
         with pytest.raises(ValueError):
-            TsdceConfig(l_desired=1, rounds=0, rho=1.0, n_t=16, n_r=16)
-        with pytest.raises(ValueError, match="rho"):
-            TsdceConfig(l_desired=1, rounds=1, rho=0.0, n_t=16, n_r=16)
+            TsdceConfig(l_desired=1, rounds=0, n_t=16, n_r=16)
 
 
 class TestSic:
     """The driver alone, with a stub component whose estimates are known."""
 
     def test_residuals_trace_and_path_order(self):
-        n_r, n_t, rho = 4, 5, 2.0
-        d_bar = cisoid_sum([1.0, 0.5j, -0.3], [0.1, 1.2, -2.0], [0.4, -0.7, 2.5], n_r, n_t)
+        n_r, n_t = 4, 5
+        h_ls = cisoid_sum([1.0, 0.5j, -0.3], [0.1, 1.2, -2.0], [0.4, -0.7, 2.5], n_r, n_t)
         cis = {l: cisoid_sum(1.0, 0.3 * l, -0.2 * l, n_r, n_t) for l in (1, 2, 3)}
 
         def estimate(k, l):  # a new gain every round, so a stale cancellation shows
@@ -410,16 +417,15 @@ class TestSic:
             return estimate(k, l), cis[l]
 
         trace = []
-        got = sic(d_bar, component, 3, 2, rho, trace)
+        got = sic(h_ls, component, 3, 2, trace)
         assert got == [estimate(2, l) for l in (1, 2, 3)]
         steps = [(k, l) for k in (1, 2) for l in (1, 2, 3)]
         assert [(r["round"], r["path"]) for r in trace] == steps
-        scale = np.sqrt(rho / (n_t * n_r))
         for (k, l), record, residual in zip(steps, trace, seen):
             # paths before l were re-estimated this round, those after it last round
             latest = [estimate(k if i < l else k - 1, i) for i in (1, 2, 3)]
             others = [i for i in (1, 2, 3) if i < l or (i > l and k > 1)]
-            expected = d_bar - sum(scale * latest[i - 1].gain * cis[i] for i in others)
+            expected = h_ls - sum(latest[i - 1].gain * cis[i] for i in others)
             np.testing.assert_allclose(residual, expected, rtol=0, atol=1e-14)
             np.testing.assert_array_equal(record["residual"], residual)
             assert record["estimate"] == estimate(k, l)
@@ -447,7 +453,7 @@ class TestSicCallCounts:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, self._counting(counts, name,
                                                                       getattr(module, name)))
-        run(obs, TsdceConfig(l_desired=3, rounds=3, rho=1.0, n_t=16, n_r=16))
+        run(obs, TsdceConfig(l_desired=3, rounds=3, n_t=16, n_r=16))
         assert counts == self.KERNELS
 
     @staticmethod
@@ -503,7 +509,7 @@ class TestReconstructChannel:
                                          np.arccos(cb.rx_cosines[1]))
         ch = build_channel([g1, g2], 16, 16)
         obs = synthesize_observation(ch, cb, 1.0, 0.0)
-        cfg = TsdceConfig(l_desired=2, rounds=2, rho=1.0, n_t=16, n_r=16)
+        cfg = TsdceConfig(l_desired=2, rounds=2, n_t=16, n_r=16)
         h_hat = reconstruct_channel(run(obs, cfg), 16, 16)
         err = np.linalg.norm(h_hat - ch.h) ** 2 / np.linalg.norm(ch.h) ** 2
         assert 10 * np.log10(err) < -160.0
