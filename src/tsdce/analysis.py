@@ -49,8 +49,9 @@ def ls_estimate_explicit(obs: Observation, cb: Codebook) -> np.ndarray:
     return scale * (cb.w @ obs.y @ cb.f.conj().T)
 
 
-# Spectrum rows (AoD bins) per matrix product of the dft_peak scan, and the
-# grain at which the coarse grid rules blocks out.
+# Spectrum rows (AoD bins) and columns (AoA bins) of one tile of the dft_peak
+# scan, the grain at which the coarse grid rules bins out; the scan multiplies
+# one row of tiles at a time.
 _PEAK_BLOCK = 64
 
 
@@ -75,38 +76,69 @@ def _coarse_grid(n_dft: int, n_t: int, n_r: int) -> tuple[int, float]:
     return c, c * kappa_per_step
 
 
-def _candidate_blocks(left, f_r_t, c: int, kappa: float, spec, power) -> np.ndarray:
-    """Start rows of the spectrum blocks that may hold its maximum.
+def _tile_peaks(a: np.ndarray, c: int, tile: int) -> np.ndarray:
+    """Largest entry of ``a`` over each tile's coarse samples along axis 0.
+
+    Row k of ``a`` holds the coarse sample at bin k c of an axis cut into
+    tiles of ``tile`` bins. A tile's samples run from the one at or below
+    its first bin through the one nearest its last bin, which past the end
+    of the axis wraps to sample 0 (bin n_dft is bin 0). They hold the
+    nearest sample of every bin in the tile: exactly those when c <= tile,
+    one more when c > tile.
+    """
+    coarse = a.shape[0]
+    first = np.arange(0, coarse * c, tile)
+    block = max(tile // c, 1)
+    peaks = a.reshape(coarse // block, block, -1).max(axis=1)[first // (c * block)]
+    return np.maximum(peaks, a[(first + tile - 1 + c // 2) // c % coarse], out=peaks)
+
+
+def _candidate_tiles(left, f_r_t, c: int, kappa: float, spec, power) -> np.ndarray:
+    """Mask of the spectrum tiles that may hold its maximum, indexed
+    [AoD tile, AoA tile].
 
     ``left`` (n_dft x n_r) and ``f_r_t`` (n_r x n_dft) are the factors of
     the spectrum's transpose, (c, kappa) its `_coarse_grid` and
-    ``spec``/``power`` the scan's buffers, whose row count is the block
-    size; the coarse pass runs through them in row chunks. Below c = 2
-    every block is returned. The bound is stated in `dft_peak_baseline`.
+    ``spec``/``power`` the scan's buffers, whose row count is the tile
+    side. The coarse spectrum is never held whole: it is formed transposed,
+    a chunk of AoD samples at a time, in those buffers, and each chunk is
+    reduced to its maxima per AoA tile before the next. A tile is kept when
+    the largest |bin| on the coarse samples nearest its bins in both
+    frequencies (`_tile_peaks`, wrapping at either edge), plus
+    kappa A / (1 - kappa), reaches A (1 - 1e-9), A the largest coarse
+    |bin|. Needs c >= 2; the bound is stated in `dft_peak_baseline`.
     """
     n_r, n_dft = f_r_t.shape
-    rows = spec.shape[0]
-    starts = np.arange(0, n_dft, rows)
-    if c < 2:
-        return starts
+    tile = spec.shape[0]
     coarse = n_dft // c
-    # bins (k c, l c) of the spectrum: f_r_t[:, ::c] is the coarse DFT matrix
-    f_coarse = dft_columns(coarse, n_r).T
-    chunk = min(coarse, rows * c)
-    cspec = spec.reshape(-1)[:chunk * coarse].reshape(chunk, coarse)
+    # bins (k c, l c): f_r_t[:, ::c] is the transposed coarse DFT matrix
+    f_coarse = dft_columns(coarse, n_r)
+    chunk = min(coarse, tile * c)
+    cspec = spec.reshape(-1)[:coarse * chunk].reshape(coarse, chunk)  # [AoA, AoD] sample
     cparts = cspec.view(float)
-    cpower = power.reshape(-1)[:chunk * coarse].reshape(chunk, coarse)
-    row_peak = np.empty(coarse)  # max |bin|^2 of each coarse AoD row
+    cpower = power.reshape(-1)[:coarse * chunk].reshape(coarse, chunk)
+    aoa_peaks = np.empty((coarse, n_dft // tile))  # [AoD sample, AoA tile]
     for k in range(0, coarse, chunk):
-        np.matmul(left[k * c:(k + chunk) * c:c], f_coarse, out=cspec)
+        np.matmul(f_coarse, left[k * c:(k + chunk) * c:c].T, out=cspec)
         np.square(cparts, out=cparts)
         np.add(cparts[:, 0::2], cparts[:, 1::2], out=cpower)
-        np.max(cpower, axis=1, out=row_peak[k:k + chunk])
-    # every AoD row is bounded through its nearest coarse row
-    nearest = row_peak[(np.arange(n_dft) + c // 2) // c % coarse]
-    bound = np.sqrt(nearest.reshape(-1, rows).max(axis=1))
-    a = np.sqrt(row_peak.max())
-    return starts[bound + kappa / (1 - kappa) * a >= a * (1 - 1e-9)]
+        aoa_peaks[k:k + chunk] = _tile_peaks(cpower, c, tile).T
+    peaks = np.sqrt(_tile_peaks(aoa_peaks, c, tile))
+    a = peaks.max()
+    return peaks + kappa / (1 - kappa) * a >= a * (1 - 1e-9)
+
+
+def _scan_runs(keep: np.ndarray, tile: int) -> list[tuple[int, int, int]]:
+    """(row, lo, hi) of each maximal run of kept tiles in ``keep``, in
+    row-major order: AoD rows row..row + tile and AoA columns lo..hi."""
+    runs = []
+    for i in np.flatnonzero(keep).tolist():
+        row, col = divmod(i, keep.shape[1])
+        if runs and runs[-1][0] == row * tile and runs[-1][2] == col * tile:
+            runs[-1] = (row * tile, runs[-1][1], (col + 1) * tile)
+        else:
+            runs.append((row * tile, col * tile, (col + 1) * tile))
+    return runs
 
 
 def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int, n_r: int):
@@ -119,30 +151,37 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
 
     The padded spectrum is never held whole. With the cached DFT columns
     F_t (n_dft x n_t) and F_r (n_dft x n_r), its transpose is
-    (F_t @ residual^T) @ F_r^T, rows indexed by the AoD bin; the left factor
-    is formed once per path into a reused buffer and the right product is
-    taken in blocks of rows into one reused buffer pair, keeping only each
-    block's strongest |bin|^2. An exact tie between two bins goes to the
-    lowest flat index in AoD-major order (the lower AoD bin, then the lower
-    AoA bin), as a single argmax over the whole spectrum would pick.
+    (F_t @ residual^T) @ F_r^T, rows indexed by the AoD bin and columns by
+    the AoA bin; the left factor is formed once per path into a reused
+    buffer. The spectrum is cut into tiles of `_PEAK_BLOCK` x `_PEAK_BLOCK`
+    bins, and only the tiles that a coarse grid cannot rule out are scanned
+    (`_candidate_tiles`): each row of tiles that keeps any is scanned with
+    one product of its rows of the left factor and the columns of F_r^T per
+    maximal run of kept tiles (`_scan_runs`), into one reused buffer pair,
+    keeping only each run's strongest |bin|^2. A peak near AoA bin 0 keeps
+    tiles at both ends of the row, which are two short runs.
 
-    Only the blocks that a coarse grid cannot rule out are scanned
-    (`_candidate_blocks`). Centred, the spectrum g is a 2D exponential sum
-    of type sigma_t = (n_t - 1)/2 in AoD and sigma_r = (n_r - 1)/2 in AoA,
-    so by Bernstein's inequality each partial derivative is at most
-    sigma M, M = max |g|. The bins at multiples of c form the coarse grid
-    and every bin lies within delta = c pi / n_dft of one of them in each
-    frequency, so |g(bin)| <= |g(sample)| + kappa M with
-    kappa = delta (sigma_t + sigma_r) <= 1/4 (`_coarse_grid`). Applied to
-    the maximizer, M <= A / (1 - kappa), where A is the largest coarse
-    |bin|. A block is skipped when the largest coarse |bin| on its rows'
-    nearest coarse rows, plus kappa A / (1 - kappa), is below A (1 - 1e-9):
+    Tile bound. Centred, the spectrum g is a 2D exponential sum of type
+    sigma_t = (n_t - 1)/2 in AoD and sigma_r = (n_r - 1)/2 in AoA, so by
+    Bernstein's inequality each partial derivative is at most sigma M,
+    M = max |g|. The bins at multiples of c form the coarse grid and every
+    bin lies within delta = c pi / n_dft of its nearest coarse sample in
+    each frequency (the frequencies are periodic, so bins past the last
+    sample are nearest to sample 0), hence |g(bin)| <= |g(sample)| + kappa M
+    with kappa = delta (sigma_t + sigma_r) <= 1/4 (`_coarse_grid`). Applied
+    to the maximizer, M <= A / (1 - kappa), where A is the largest coarse
+    |bin|. A tile is skipped when the largest coarse |bin| over the nearest
+    samples of its bins, plus kappa A / (1 - kappa), is below A (1 - 1e-9):
     every bin in it is then below A by more than rounding, while the coarse
     samples are spectrum bins themselves, so the maximum is at least A and
-    neither it nor a bin tied with it lies in a skipped block. The
-    surviving blocks are scanned in ascending order with the same product
-    and tie rule, so the pick is the exhaustive scan's. Blocks hold
-    `_PEAK_BLOCK` rows.
+    neither it nor a bin tied with it lies in a skipped tile. Below c = 2
+    every tile is kept, and each row of tiles is one run of full width.
+
+    Tie rule. An exact tie between two bins goes to the lowest flat index
+    in AoD-major order (the lower AoD bin, then the lower AoA bin), as a
+    single argmax over the whole spectrum would pick: within a run the
+    argmax returns the first such bin, and across runs the lower flat index
+    wins a tie, so the pick is the exhaustive scan's.
     """
     q_count, p_count = obs.y.shape
     if not valid_n_dft(n_dft, q_count, p_count):
@@ -152,21 +191,36 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
     c, kappa = _coarse_grid(n_dft, n_t, n_r)
     rows = min(_PEAK_BLOCK, n_dft)
     spec = np.empty((rows, n_dft), dtype=complex)
-    parts = spec.view(float)  # re, im interleaved along each row
     power = np.empty((rows, n_dft))
     left = np.empty((n_dft, n_r), dtype=complex)
 
+    @functools.cache
+    def run_buffers(width):
+        # the scan buffers as one run's spectrum, its re, im interleaved along
+        # each row, and its |bin|^2
+        run = spec.reshape(-1)[:rows * width].reshape(rows, width)
+        return run, run.view(float), power.reshape(-1)[:rows * width].reshape(rows, width)
+
+    # without a coarse step nothing is ruled out: each row of tiles is one run
+    every_tile = [(b, 0, n_dft) for b in range(0, n_dft, rows)]
+
     def component(residual, k, l):
         np.matmul(f_t, residual.T, out=left)
+        runs = every_tile if c < 2 else _scan_runs(
+            _candidate_tiles(left, f_r_t, c, kappa, spec, power), rows)
         best, flat = -1.0, 0
-        for b in _candidate_blocks(left, f_r_t, c, kappa, spec, power).tolist():
-            np.matmul(left[b:b + rows], f_r_t, out=spec)
+        for b, lo, hi in runs:
+            run, parts, run_power = run_buffers(hi - lo)
+            np.matmul(left[b:b + rows], f_r_t[:, lo:hi], out=run)
             # re^2 + im^2 in place: one contiguous pass, then one strided add
             np.square(parts, out=parts)
-            np.add(parts[:, 0::2], parts[:, 1::2], out=power)
-            i = int(np.argmax(power))
-            if power.flat[i] > best:  # strict: a tie keeps the earlier block
-                best, flat = float(power.flat[i]), b * n_dft + i
+            np.add(parts[:, 0::2], parts[:, 1::2], out=run_power)
+            i = int(np.argmax(run_power))
+            p = float(run_power.flat[i])
+            r, q = divmod(i, hi - lo)
+            f = (b + r) * n_dft + lo + q
+            if p > best or p == best and f < flat:
+                best, flat = p, f
         # bins as frequencies in (-pi, pi], Python floats: numpy scalars slow later steps
         omega_aod, omega_aoa = wrap(2 * np.pi * np.array(divmod(flat, n_dft)) / n_dft,
                                     -np.pi, np.pi).tolist()

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -14,8 +14,9 @@ from tsdce.analysis import (
     FisherModel,
     MarchenkoPastur,
     _PEAK_BLOCK,
-    _candidate_blocks,
+    _candidate_tiles,
     _coarse_grid,
+    _scan_runs,
     crlb_nmse_bound,
     dft_peak_baseline,
     fisher_matrix,
@@ -182,9 +183,12 @@ class TestDftPeakBaseline:
                     (r.omega_aod, r.omega_aoa), abs=1e-12)
                 assert e.gain == pytest.approx(r.gain, rel=1e-9)
 
+    # at 2 x 2 with n_dft = 1024 the coarse step c = 64 equals the tile side
     @settings(max_examples=40, deadline=None)
+    @example(shape=(2, 2), n_dft=1024, noise_only=False, L=2, seed=7)
+    @example(shape=(2, 2), n_dft=1024, noise_only=True, L=1, seed=7)
     @given(
-        shape=st.sampled_from([(16, 16), (8, 12), (12, 8), (4, 16)]),
+        shape=st.sampled_from([(16, 16), (8, 12), (12, 8), (4, 16), (2, 2)]),
         n_dft=st.sampled_from([32, 64, 256, 1024]),
         noise_only=st.booleans(),
         L=st.integers(1, 4),
@@ -235,17 +239,56 @@ class TestDftPeakBaseline:
         assert (est.omega_aod, est.omega_aoa) == pytest.approx(
             (strong.omega_aod, strong.omega_aoa), abs=1e-12)
 
-    def test_on_grid_path_scans_few_blocks(self):
+    @staticmethod
+    def scan_runs(obs, n_dft=1024, n_t=16, n_r=16):
+        """The (row, lo, hi) runs that the first path's scan multiplies."""
+        f_r_t = dft_columns(n_dft, n_r).T
+        left = dft_columns(n_dft, n_t) @ to_spatial(obs, n_t, n_r).d_bar.T
+        spec = np.empty((_PEAK_BLOCK, n_dft), dtype=complex)
+        power = np.empty((_PEAK_BLOCK, n_dft))
+        keep = _candidate_tiles(left, f_r_t, *_coarse_grid(n_dft, n_t, n_r), spec, power)
+        return keep, _scan_runs(keep, _PEAK_BLOCK)
+
+    def test_on_grid_path_scans_few_tiles(self):
         ch = build_channel([self.on_bins(0.9, 300, 700)], 16, 16)
         obs = synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.0)
-        left = dft_columns(1024, 16) @ to_spatial(obs, 16, 16).d_bar.T
-        spec = np.empty((_PEAK_BLOCK, 1024), dtype=complex)
-        power = np.empty((_PEAK_BLOCK, 1024))
-        blocks = _candidate_blocks(left, dft_columns(1024, 16).T, *_coarse_grid(1024, 16, 16),
-                                   spec, power)
-        assert 1024 // _PEAK_BLOCK == 16
-        assert 300 // _PEAK_BLOCK * _PEAK_BLOCK in blocks
-        assert len(blocks) <= 2
+        keep, runs = self.scan_runs(obs)
+        assert keep.shape == (1024 // _PEAK_BLOCK,) * 2 == (16, 16)
+        assert keep[300 // _PEAK_BLOCK, 700 // _PEAK_BLOCK]
+        assert keep.sum() <= 4
+        # 16 384 bins at most, against 131 072 for two full-width row blocks
+        assert sum(_PEAK_BLOCK * (hi - lo) for _, lo, hi in runs) <= 4 * _PEAK_BLOCK**2
+
+    # AoA bins 1 and 1022 lie nearest the coarse sample at bin 0, so tiles at
+    # both ends of AoD row block 4 are kept: two short runs, not one of 1024
+    @pytest.mark.parametrize("q", [1, 1022])
+    def test_peak_at_aoa_wrap_scans_two_short_runs(self, q):
+        ch = build_channel([self.on_bins(0.9, 300, q)], 16, 16)
+        obs = synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.0)
+        keep, runs = self.scan_runs(obs)
+        row = 300 // _PEAK_BLOCK * _PEAK_BLOCK
+        assert (row, 0, _PEAK_BLOCK) in runs
+        assert (row, 1024 - _PEAK_BLOCK, 1024) in runs
+        assert all(hi - lo < 1024 for _, lo, hi in runs)
+        est = dft_peak_baseline(obs, 1, n_dft=1024, n_t=16, n_r=16)[0]
+        ref = padded_dft_peak_oracle(obs, 1, 1024, 16, 16)[0]
+        assert (est.omega_aod, est.omega_aoa) == (ref.omega_aod, ref.omega_aoa)
+        assert [round(w * 1024 / (2 * np.pi)) % 1024 for w in (est.omega_aod, est.omega_aoa)] \
+            == [300, q]
+
+    def test_coarse_step_above_tile_side(self):
+        # 2 x 2 at n_dft = 2048: c = 128 exceeds the 64-bin tile, so a tile
+        # lies within one coarse cell and its nearest sample may be the next one
+        assert _coarse_grid(2048, 2, 2)[0] == 2 * _PEAK_BLOCK
+        cb = build_codebook(16, 16, 2, 2)
+        for t in range(3):
+            stream = SeededRng(97).substream(t)
+            ch = build_channel(sample_paths(2, stream), 2, 2)
+            obs = synthesize_observation(ch, cb, 1.0, 1e-3, stream)
+            got = dft_peak_baseline(obs, 1, n_dft=2048, n_t=2, n_r=2)[0]
+            ref = padded_dft_peak_oracle(obs, 1, 2048, 2, 2)[0]
+            assert (got.omega_aod, got.omega_aoa) == (ref.omega_aod, ref.omega_aoa)
+            assert got.gain == pytest.approx(ref.gain, rel=1e-9)
 
     # kappa <= 1/4 allows c = 4 at 16 x 16 with n_dft = 1024; 16 x 16 at
     # n_dft = 32 and 64 x 64 at 1024 allow no c >= 2, so every block is scanned
@@ -274,7 +317,7 @@ class TestDftPeakBaseline:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2.25 * 2**20
 
     @pytest.mark.parametrize("n_dft", [1000, 8])
     def test_rejects_bad_n_dft(self, n_dft):
