@@ -16,6 +16,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .algorithm import derotated_mean, sic
 from .channel import ChannelRealization, PathParams, cisoid_sum
@@ -49,9 +50,8 @@ def ls_estimate_explicit(obs: Observation, cb: Codebook) -> np.ndarray:
     return scale * (cb.w @ obs.y @ cb.f.conj().T)
 
 
-# Spectrum rows (AoD bins) and columns (AoA bins) of one tile of the dft_peak
-# scan, the grain at which the coarse grid rules bins out; the scan multiplies
-# one row of tiles at a time.
+# Side, in bins, of the square tiles (AoD rows x AoA columns) of the dft_peak
+# scan: the grain at which the coarse grid rules bins out.
 _PEAK_BLOCK = 64
 
 
@@ -76,21 +76,29 @@ def _coarse_grid(n_dft: int, n_t: int, n_r: int) -> tuple[int, float]:
     return c, c * kappa_per_step
 
 
-def _tile_peaks(a: np.ndarray, c: int, tile: int) -> np.ndarray:
-    """Largest entry of ``a`` over each tile's coarse samples along axis 0.
+def _tile_peaks(a: np.ndarray, c: int, tile: int, out: np.ndarray) -> None:
+    """Write to ``out`` the largest entry of ``a`` over each tile's nearest
+    coarse samples along axis 0.
 
     Row k of ``a`` holds the coarse sample at bin k c of an axis cut into
-    tiles of ``tile`` bins. A tile's samples run from the one at or below
-    its first bin through the one nearest its last bin, which past the end
-    of the axis wraps to sample 0 (bin n_dft is bin 0). They hold the
-    nearest sample of every bin in the tile: exactly those when c <= tile,
-    one more when c > tile.
+    tiles of ``tile`` bins, and row j of ``out`` receives tile j's peak.
+    Bins past the last sample are nearest to sample 0 (bin n_dft is bin 0).
+    Only views of ``a`` are read, so nothing of its size is allocated.
     """
-    coarse = a.shape[0]
-    first = np.arange(0, coarse * c, tile)
-    block = max(tile // c, 1)
-    peaks = a.reshape(coarse // block, block, -1).max(axis=1)[first // (c * block)]
-    return np.maximum(peaks, a[(first + tile - 1 + c // 2) // c % coarse], out=peaks)
+    n = out.shape[0]
+    if c > tile:
+        # each tile lies within one coarse cell, whose sample is nearest all its bins
+        r = c // tile
+        np.take(a, (np.arange(n) + r // 2) // r, axis=0, out=out, mode="wrap")
+        return
+    # the g samples at a tile's bins and the next tile's first, nearest its
+    # last c/2 bins: rows j g .. (j + 1) g, overlapping windows of a
+    g = tile // c
+    windows = as_strided(a, (n - 1, g + 1, a.shape[1]), (g * a.strides[0],) + a.strides,
+                         writeable=False)
+    np.max(windows, axis=1, out=out[:-1])
+    np.max(a[-g:], axis=0, out=out[-1])
+    np.maximum(out[-1], a[0], out=out[-1])  # the last tile's next sample wraps to row 0
 
 
 def _candidate_tiles(left, f_r_t, c: int, kappa: float, spec, power) -> np.ndarray:
@@ -117,13 +125,15 @@ def _candidate_tiles(left, f_r_t, c: int, kappa: float, spec, power) -> np.ndarr
     cspec = spec.reshape(-1)[:coarse * chunk].reshape(coarse, chunk)  # [AoA, AoD] sample
     cparts = cspec.view(float)
     cpower = power.reshape(-1)[:coarse * chunk].reshape(coarse, chunk)
-    aoa_peaks = np.empty((coarse, n_dft // tile))  # [AoD sample, AoA tile]
+    aoa_peaks = np.empty((n_dft // tile, coarse))  # [AoA tile, AoD sample]
     for k in range(0, coarse, chunk):
         np.matmul(f_coarse, left[k * c:(k + chunk) * c:c].T, out=cspec)
         np.square(cparts, out=cparts)
         np.add(cparts[:, 0::2], cparts[:, 1::2], out=cpower)
-        aoa_peaks[k:k + chunk] = _tile_peaks(cpower, c, tile).T
-    peaks = np.sqrt(_tile_peaks(aoa_peaks, c, tile))
+        _tile_peaks(cpower, c, tile, out=aoa_peaks[:, k:k + chunk])
+    peaks = np.empty((n_dft // tile,) * 2)  # [AoD tile, AoA tile]
+    _tile_peaks(aoa_peaks.T, c, tile, out=peaks)
+    np.sqrt(peaks, out=peaks)
     a = peaks.max()
     return peaks + kappa / (1 - kappa) * a >= a * (1 - 1e-9)
 
