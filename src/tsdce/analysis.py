@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .algorithm import derotated_mean, sic
 from .channel import ChannelRealization, PathParams, cisoid_sum
@@ -76,64 +75,45 @@ def _coarse_grid(n_dft: int, n_t: int, n_r: int) -> tuple[int, float]:
     return c, c * kappa_per_step
 
 
-def _tile_peaks(a: np.ndarray, c: int, tile: int, out: np.ndarray) -> None:
-    """Write to ``out`` the largest entry of ``a`` over each tile's nearest
-    coarse samples along axis 0.
-
-    Row k of ``a`` holds the coarse sample at bin k c of an axis cut into
-    tiles of ``tile`` bins, and row j of ``out`` receives tile j's peak.
-    Bins past the last sample are nearest to sample 0 (bin n_dft is bin 0).
-    Only views of ``a`` are read, so nothing of its size is allocated.
-    """
-    n = out.shape[0]
-    if c > tile:
-        # each tile lies within one coarse cell, whose sample is nearest all its bins
-        r = c // tile
-        np.take(a, (np.arange(n) + r // 2) // r, axis=0, out=out, mode="wrap")
-        return
-    # the g samples at a tile's bins and the next tile's first, nearest its
-    # last c/2 bins: rows j g .. (j + 1) g, overlapping windows of a
-    g = tile // c
-    windows = as_strided(a, (n - 1, g + 1, a.shape[1]), (g * a.strides[0],) + a.strides,
-                         writeable=False)
-    np.max(windows, axis=1, out=out[:-1])
-    np.max(a[-g:], axis=0, out=out[-1])
-    np.maximum(out[-1], a[0], out=out[-1])  # the last tile's next sample wraps to row 0
-
-
 def _candidate_tiles(left, f_r_t, c: int, kappa: float, spec, power) -> np.ndarray:
     """Mask of the spectrum tiles that may hold its maximum, indexed
     [AoD tile, AoA tile].
 
     ``left`` (n_dft x n_r) and ``f_r_t`` (n_r x n_dft) are the factors of
-    the spectrum's transpose, (c, kappa) its `_coarse_grid` and
+    the spectrum's transpose, (c, kappa) its `_coarse_grid` with c >= 2 and
     ``spec``/``power`` the scan's buffers, whose row count is the tile
-    side. The coarse spectrum is never held whole: it is formed transposed,
-    a chunk of AoD samples at a time, in those buffers, and each chunk is
-    reduced to its maxima per AoA tile before the next. A tile is kept when
-    the largest |bin| on the coarse samples nearest its bins in both
-    frequencies (`_tile_peaks`, wrapping at either edge), plus
-    kappa A / (1 - kappa), reaches A (1 - 1e-9), A the largest coarse
-    |bin|. Needs c >= 2; the bound is stated in `dft_peak_baseline`.
+    side. The coarse samples are the bins at k c + c/2 in each frequency,
+    the centres of the cells of c bins, so the sample nearest a bin is that
+    of its own cell and a tile's nearest samples are those of its cells
+    (one cell holds c / tile whole tiles when c exceeds the tile side): no
+    bin's nearest sample lies across the spectrum's edge. A tile is kept
+    when the largest |bin| among them, plus kappa A / (1 - kappa), reaches
+    A (1 - 1e-9), A the largest coarse |bin|; the bound is stated in
+    `dft_peak_baseline`.
+
+    The coarse spectrum is never held whole: it is formed transposed, a
+    chunk of AoD samples at a time, in the scan's buffers, and each chunk is
+    reduced to its tile maxima before the next.
     """
     n_r, n_dft = f_r_t.shape
     tile = spec.shape[0]
-    coarse = n_dft // c
-    # bins (k c, l c): f_r_t[:, ::c] is the transposed coarse DFT matrix
-    f_coarse = dft_columns(coarse, n_r)
+    n_tiles, coarse = n_dft // tile, n_dft // c
+    g, r = max(tile // c, 1), max(c // tile, 1)  # coarse samples per tile, tiles per sample
     chunk = min(coarse, tile * c)
     cspec = spec.reshape(-1)[:coarse * chunk].reshape(coarse, chunk)  # [AoA, AoD] sample
     cparts = cspec.view(float)
     cpower = power.reshape(-1)[:coarse * chunk].reshape(coarse, chunk)
-    aoa_peaks = np.empty((n_dft // tile, coarse))  # [AoA tile, AoD sample]
+    # each chunk's maxima per AoA tile go to spec once its products are spent
+    aoa_peaks = spec.view(float).reshape(-1)[:coarse // g * chunk].reshape(-1, chunk)
+    peaks = np.empty((n_tiles, n_tiles))  # [AoA tile, AoD tile]
     for k in range(0, coarse, chunk):
-        np.matmul(f_coarse, left[k * c:(k + chunk) * c:c].T, out=cspec)
+        np.matmul(f_r_t[:, c // 2::c].T, left[k * c + c // 2:(k + chunk) * c:c].T, out=cspec)
         np.square(cparts, out=cparts)
         np.add(cparts[:, 0::2], cparts[:, 1::2], out=cpower)
-        _tile_peaks(cpower, c, tile, out=aoa_peaks[:, k:k + chunk])
-    peaks = np.empty((n_dft // tile,) * 2)  # [AoD tile, AoA tile]
-    _tile_peaks(aoa_peaks.T, c, tile, out=peaks)
-    np.sqrt(peaks, out=peaks)
+        np.max(cpower.reshape(-1, g, chunk), axis=1, out=aoa_peaks)
+        block = aoa_peaks.reshape(len(aoa_peaks), -1, g).max(axis=2)
+        peaks[:, k // g * r:(k + chunk) // g * r] = block.repeat(r, axis=0).repeat(r, axis=1)
+    peaks = np.sqrt(peaks.T)
     a = peaks.max()
     return peaks + kappa / (1 - kappa) * a >= a * (1 - 1e-9)
 
@@ -168,20 +148,21 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
     (`_candidate_tiles`): each row of tiles that keeps any is scanned with
     one product of its rows of the left factor and the columns of F_r^T per
     maximal run of kept tiles (`_scan_runs`), into one reused buffer pair,
-    keeping only each run's strongest |bin|^2. A peak near AoA bin 0 keeps
-    tiles at both ends of the row, which are two short runs.
+    keeping only each run's strongest |bin|^2. The spectrum is periodic, so
+    a peak near AoA bin 0 keeps tiles at both ends of its row of tiles,
+    which are two short runs.
 
     Tile bound. Centred, the spectrum g is a 2D exponential sum of type
     sigma_t = (n_t - 1)/2 in AoD and sigma_r = (n_r - 1)/2 in AoA, so by
     Bernstein's inequality each partial derivative is at most sigma M,
-    M = max |g|. The bins at multiples of c form the coarse grid and every
-    bin lies within delta = c pi / n_dft of its nearest coarse sample in
-    each frequency (the frequencies are periodic, so bins past the last
-    sample are nearest to sample 0), hence |g(bin)| <= |g(sample)| + kappa M
-    with kappa = delta (sigma_t + sigma_r) <= 1/4 (`_coarse_grid`). Applied
-    to the maximizer, M <= A / (1 - kappa), where A is the largest coarse
-    |bin|. A tile is skipped when the largest coarse |bin| over the nearest
-    samples of its bins, plus kappa A / (1 - kappa), is below A (1 - 1e-9):
+    M = max |g|. The bins at k c + c/2, the centres of the cells of c bins,
+    form the coarse grid, and every bin lies within delta = c pi / n_dft of
+    the sample of its own cell in each frequency, hence
+    |g(bin)| <= |g(sample)| + kappa M with kappa = delta (sigma_t + sigma_r)
+    <= 1/4 (`_coarse_grid`). Applied to the maximizer, M <= A / (1 - kappa),
+    where A is the largest coarse |bin|. A tile is skipped when the largest
+    coarse |bin| over the samples nearest its bins, plus kappa A / (1 - kappa),
+    is below A (1 - 1e-9):
     every bin in it is then below A by more than rounding, while the coarse
     samples are spectrum bins themselves, so the maximum is at least A and
     neither it nor a bin tied with it lies in a skipped tile. Below c = 2

@@ -222,19 +222,19 @@ class TestDftPeakBaseline:
         )
 
     def test_peak_between_coarse_samples_beats_one_on_them(self):
-        # The strong path peaks two bins from the coarse grid (c = 4) in both
-        # frequencies, so its coarse samples read 0.997 of its peak; the weak
-        # path sits on a coarse sample at 0.999. Only the kappa margin keeps
-        # the strong path's blocks.
-        strong, weak = self.on_bins(1.0, 162, 402), self.on_bins(0.999j, 680, 120)
+        # The coarse grid (c = 4) holds the bins 4k + 2. The strong path peaks
+        # two bins from it in both frequencies, so its coarse samples read
+        # 0.997 of its peak; the weak path sits on a coarse sample at 0.999.
+        # Only the kappa margin keeps the strong path's tiles.
+        strong, weak = self.on_bins(1.0, 160, 400), self.on_bins(0.999j, 682, 122)
         ch = build_channel([strong, weak], 16, 16)
         obs = synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.0)
         padded = np.zeros((1024, 1024), dtype=complex)
         padded[:16, :16] = to_spatial(obs, 16, 16).d_bar
         spectrum = np.abs(dft2d(padded))  # [AoA bin, AoD bin]
-        coarse = spectrum[::4, ::4]
-        assert np.unravel_index(np.argmax(coarse), coarse.shape) == (120 // 4, 680 // 4)
-        assert np.unravel_index(np.argmax(spectrum), spectrum.shape) == (402, 162)
+        coarse = spectrum[2::4, 2::4]
+        assert np.unravel_index(np.argmax(coarse), coarse.shape) == (122 // 4, 682 // 4)
+        assert np.unravel_index(np.argmax(spectrum), spectrum.shape) == (400, 160)
         est = dft_peak_baseline(obs, 1, n_dft=1024, n_t=16, n_r=16)[0]
         assert (est.omega_aod, est.omega_aoa) == pytest.approx(
             (strong.omega_aod, strong.omega_aoa), abs=1e-12)
@@ -259,8 +259,9 @@ class TestDftPeakBaseline:
         # 16 384 bins at most, against 131 072 for two full-width row blocks
         assert sum(_PEAK_BLOCK * (hi - lo) for _, lo, hi in runs) <= 4 * _PEAK_BLOCK**2
 
-    # AoA bins 1 and 1022 lie nearest the coarse sample at bin 0, so tiles at
-    # both ends of AoD row block 4 are kept: two short runs, not one of 1024
+    # the spectrum is periodic: a peak at AoA bin 1 or 1022 is within a few
+    # bins of coarse samples at both ends of AoD row block 4 (bins 2 and 1022),
+    # so tiles at both ends are kept: two short runs, not one of 1024
     @pytest.mark.parametrize("q", [1, 1022])
     def test_peak_at_aoa_wrap_scans_two_short_runs(self, q):
         ch = build_channel([self.on_bins(0.9, 300, q)], 16, 16)
@@ -277,8 +278,8 @@ class TestDftPeakBaseline:
             == [300, q]
 
     def test_coarse_step_above_tile_side(self):
-        # 2 x 2 at n_dft = 2048: c = 128 exceeds the 64-bin tile, so a tile
-        # lies within one coarse cell and its nearest sample may be the next one
+        # 2 x 2 at n_dft = 2048: c = 128 exceeds the 64-bin tile, so each
+        # coarse cell holds two tiles, both bounded through its one sample
         assert _coarse_grid(2048, 2, 2)[0] == 2 * _PEAK_BLOCK
         cb = build_codebook(16, 16, 2, 2)
         for t in range(3):
