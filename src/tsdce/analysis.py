@@ -162,11 +162,11 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
     <= 1/4 (`_coarse_grid`). Applied to the maximizer, M <= A / (1 - kappa),
     where A is the largest coarse |bin|. A tile is skipped when the largest
     coarse |bin| over the samples nearest its bins, plus kappa A / (1 - kappa),
-    is below A (1 - 1e-9):
-    every bin in it is then below A by more than rounding, while the coarse
-    samples are spectrum bins themselves, so the maximum is at least A and
-    neither it nor a bin tied with it lies in a skipped tile. Below c = 2
-    every tile is kept, and each row of tiles is one run of full width.
+    is below A (1 - 1e-9): every bin in it is then below A by more than
+    rounding, while the coarse samples are spectrum bins themselves, so the
+    maximum is at least A and neither it nor a bin tied with it lies in a
+    skipped tile. Below c = 2 every tile is kept, and each row of tiles is
+    one run of full width.
 
     Tie rule. An exact tie between two bins goes to the lowest flat index
     in AoD-major order (the lower AoD bin, then the lower AoA bin), as a

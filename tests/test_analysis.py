@@ -258,6 +258,8 @@ class TestDftPeakBaseline:
         assert keep.sum() <= 4
         # 16 384 bins at most, against 131 072 for two full-width row blocks
         assert sum(_PEAK_BLOCK * (hi - lo) for _, lo, hi in runs) <= 4 * _PEAK_BLOCK**2
+        # adjacent kept tiles of a row are one product
+        assert runs == [(256, 640, 768), (320, 640, 768)]
 
     # the spectrum is periodic: a peak at AoA bin 1 or 1022 is within a few
     # bins of coarse samples at both ends of AoD row block 4 (bins 2 and 1022),
@@ -268,8 +270,8 @@ class TestDftPeakBaseline:
         obs = synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.0)
         keep, runs = self.scan_runs(obs)
         row = 300 // _PEAK_BLOCK * _PEAK_BLOCK
-        assert (row, 0, _PEAK_BLOCK) in runs
-        assert (row, 1024 - _PEAK_BLOCK, 1024) in runs
+        assert [run for run in runs if run[0] == row] == [
+            (row, 0, _PEAK_BLOCK), (row, 1024 - _PEAK_BLOCK, 1024)]
         assert all(hi - lo < 1024 for _, lo, hi in runs)
         est = dft_peak_baseline(obs, 1, n_dft=1024, n_t=16, n_r=16)[0]
         ref = padded_dft_peak_oracle(obs, 1, 1024, 16, 16)[0]
