@@ -2,7 +2,7 @@
 systems: channel/codebook simulation, the TSDCE estimator, baseline
 estimators, analytic bounds and a Monte Carlo bench."""
 
-from .algorithm import TsdceConfig, reconstruct_channel, run
+from .algorithm import reconstruct_channel, run
 from .channel import ChannelRealization, PathParams, build_channel, sample_paths
 from .numkit import SeededRng
 from .observation import (
@@ -22,7 +22,6 @@ __all__ = [
     "PathParams",
     "SeededRng",
     "SpatialObservation",
-    "TsdceConfig",
     "build_channel",
     "build_codebook",
     "reconstruct_channel",

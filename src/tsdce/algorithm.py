@@ -13,27 +13,20 @@ refinement rounds; `analysis`'s DFT peak pick is another component.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import PathParams, cisoid_sum
 from .numkit import acf2d_unbiased, dominant_singular_triplet
-from .observation import Observation, spatial_ls_estimate, to_spatial, wrap
+from .observation import wrap
 
 
-@dataclass(frozen=True)
-class TsdceConfig:
-    l_desired: int
-    rounds: int
-    n_t: int
-    n_r: int
-
-    def __post_init__(self):
-        if self.l_desired < 1 or self.rounds < 1:
-            raise ValueError("l_desired and rounds must be >= 1")
-        if self.l_desired > min(self.n_t, self.n_r):
-            raise ValueError("l_desired must not exceed min(n_t, n_r)")
+def check_counts(l_desired: int, rounds: int, n_r: int, n_t: int) -> None:
+    """TSDCE's range rule on an n_r x n_t array: 1 <= l_desired <= min(n_t, n_r)
+    and rounds >= 1."""
+    if not 1 <= l_desired <= min(n_t, n_r) or rounds < 1:
+        raise ValueError(f"need 1 <= l_desired <= min(n_t, n_r) = {min(n_t, n_r)} and "
+                         f"rounds >= 1, got {l_desired} and {rounds}")
 
 
 def extract_rank_one(residual: np.ndarray) -> np.ndarray:
@@ -158,6 +151,8 @@ def sic(h_ls, component, l_desired: int, rounds: int, trace=None):
     residual, h_ls minus every other path's latest cancellation gain cis. If
     ``trace`` is a list, each step's round, path, residual and estimate are
     appended to it. Returns the estimates in path order."""
+    if l_desired < 1 or rounds < 1:
+        raise ValueError("l_desired and rounds must be >= 1")
     estimates = {}
     cancel = {}  # path -> its gain times cisoid, rebuilt only when re-estimated
     for k in range(1, rounds + 1):
@@ -175,17 +170,19 @@ def sic(h_ls, component, l_desired: int, rounds: int, trace=None):
     return [estimates[l] for l in range(1, l_desired + 1)]
 
 
-def run(obs: Observation, cfg: TsdceConfig, trace=None):
-    """Full TSDCE: `sic` whose component takes the rank-one SVD step in round
+def run(h_ls, l_desired: int, rounds: int, trace=None):
+    """Full TSDCE on the n_r x n_t spatial LS estimate ``h_ls``, within
+    `check_counts`: `sic` whose component takes the rank-one SVD step in round
     1 while later paths remain unestimated (and always when a single path is
     requested); from round 2 on it uses the cancellation residual itself."""
+    check_counts(l_desired, rounds, *h_ls.shape)
+
     def component(residual, k, l):
-        if k == 1 and (l < cfg.l_desired or cfg.l_desired == 1):
+        if k == 1 and (l < l_desired or l_desired == 1):
             residual = extract_rank_one(residual)
         return _estimate_component(residual)
 
-    h_ls = spatial_ls_estimate(to_spatial(obs, cfg.n_t, cfg.n_r), obs.rho)
-    return sic(h_ls, component, cfg.l_desired, cfg.rounds, trace)
+    return sic(h_ls, component, l_desired, rounds, trace)
 
 
 def reconstruct_channel(estimates, n_t: int, n_r: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .algorithm import derotated_mean, sic
 from .channel import ChannelRealization, PathParams, cisoid_sum
 from .numkit import dft_columns
-from .observation import Codebook, Observation, spatial_ls_estimate, to_spatial, wrap
+from .observation import Codebook, Observation, wrap
 
 # scipy.integrate and scipy.special add about 0.4 s to a numpy-only import
 # and only the eigenvalue-mean bounds use them, so those functions import
@@ -54,10 +54,10 @@ def ls_estimate_explicit(obs: Observation, cb: Codebook) -> np.ndarray:
 _PEAK_BLOCK = 64
 
 
-def valid_n_dft(n_dft: int, q_count: int, p_count: int) -> bool:
-    """Whether n_dft is a DFT size the dft_peak baseline accepts for a
-    Q x P observation: a power of two >= max(Q, P)."""
-    return n_dft >= max(q_count, p_count, 1) and n_dft & (n_dft - 1) == 0
+def valid_n_dft(n_dft: int, rows: int, cols: int) -> bool:
+    """Whether n_dft is a power of two >= max(rows, cols): the DFT sizes of
+    dft_peak for an n_r x n_t estimate, and of a sweep for a Q x P one."""
+    return n_dft >= max(rows, cols, 1) and n_dft & (n_dft - 1) == 0
 
 
 def _coarse_grid(n_dft: int, n_t: int, n_r: int) -> tuple[int, float]:
@@ -131,13 +131,13 @@ def _scan_runs(keep: np.ndarray, tile: int) -> list[tuple[int, int, int]]:
     return runs
 
 
-def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int, n_r: int):
+def dft_peak_baseline(h_ls, L_d: int, n_dft: int = 1024):
     """Simplified DFT-domain peak-pick baseline with iterative cancellation.
 
-    One `sic` round on the spatial LS estimate whose component zero-pads the
-    residual to n_dft x n_dft, reads the strongest DFT bin as the frequency
-    pair and takes the derotated mean as the complex gain. Frequency
-    accuracy is limited to the bin width 2*pi/n_dft.
+    One `sic` round on the n_r x n_t spatial LS estimate ``h_ls`` whose
+    component zero-pads the residual to n_dft x n_dft, reads the strongest DFT
+    bin as the frequency pair and takes the derotated mean as the complex
+    gain. Frequency accuracy is limited to the bin width 2*pi/n_dft.
 
     The padded spectrum is never held whole. With the cached DFT columns
     F_t (n_dft x n_t) and F_r (n_dft x n_r), its transpose is
@@ -174,9 +174,9 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
     argmax returns the first such bin, and across runs the lower flat index
     wins a tie, so the pick is the exhaustive scan's.
     """
-    q_count, p_count = obs.y.shape
-    if not valid_n_dft(n_dft, q_count, p_count):
-        raise ValueError("n_dft must be a power of two >= max(Q, P)")
+    n_r, n_t = h_ls.shape
+    if not valid_n_dft(n_dft, n_r, n_t):
+        raise ValueError("n_dft must be a power of two >= max(n_r, n_t)")
     f_t = dft_columns(n_dft, n_t)
     f_r_t = dft_columns(n_dft, n_r).T
     c, kappa = _coarse_grid(n_dft, n_t, n_r)
@@ -218,7 +218,7 @@ def dft_peak_baseline(obs: Observation, L_d: int, n_dft: int = 1024, *, n_t: int
         gain, cis = derotated_mean(residual, omega_aoa, omega_aod)
         return PathParams.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa), cis
 
-    return sic(spatial_ls_estimate(to_spatial(obs, n_t, n_r), obs.rho), component, L_d, 1)
+    return sic(h_ls, component, L_d, 1)
 
 
 def upper_bound_single_path(snr_c: float, n_t: int, n_r: int) -> float:

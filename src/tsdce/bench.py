@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -52,8 +52,6 @@ class ExperimentConfig:
     angle_range: tuple = (0.0, float(np.pi))
     n_dft: int = 1024
     max_failure_rate: float = 0.01
-    # the TSDCE settings, derived from the fields above
-    tsdce: algorithm.TsdceConfig = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -92,17 +90,14 @@ class ExperimentConfig:
                 f"paths = {self.paths} and l_desired = {self.l_desired} give {pairings} "
                 f"path pairings per trial to score, more than {MAX_PAIRINGS} (8 paths)"
             )
-        # The codebook, the path sampler and the TSDCE settings own their
-        # range rules; using them here fails a bad config before any trial runs.
+        # The codebook, the path sampler and TSDCE own their range rules;
+        # using them here fails a bad config before any trial runs.
         try:
             build_codebook(self.p_count, self.q_count, self.n_t, self.n_r)
             sample_paths(1, SeededRng(0), self.angle_range)
-            tsdce = algorithm.TsdceConfig(
-                l_desired=self.l_desired, rounds=self.rounds, n_t=self.n_t, n_r=self.n_r
-            )
+            algorithm.check_counts(self.l_desired, self.rounds, self.n_r, self.n_t)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        object.__setattr__(self, "tsdce", tsdce)
 
     @property
     def snr_list(self):
@@ -207,23 +202,30 @@ def draw_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
 
 
 def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
-    """One channel realization scored by every configured method."""
+    """One channel realization scored by every configured method, each on
+    the trial's one spatial LS estimate, which ``ls`` scores itself. Each
+    method's wall_ms includes the time of that shared estimate; if it fails,
+    every method of the trial fails."""
     paths, ch, obs = draw_trial(cfg, snr_idx, trial)
+    t0 = time.perf_counter()
+    try:
+        h_ls = spatial_ls_estimate(to_spatial(obs, cfg.n_t, cfg.n_r), obs.rho)
+    except Exception as exc:  # noqa: BLE001 - per-trial failures are counted
+        return {method: {"failed": repr(exc), "wall_ms": 0.0} for method in cfg.methods}
+    h_ls.setflags(write=False)  # shared by every method
+    shared_s = time.perf_counter() - t0
 
     out = {}
     for method in cfg.methods:
-        t0 = time.perf_counter()
+        t0 = time.perf_counter() - shared_s  # the clock starts with the shared estimate
         try:
             if method == "ls":
-                h_hat = spatial_ls_estimate(to_spatial(obs, cfg.n_t, cfg.n_r), obs.rho)
-                errors = None
+                h_hat, errors = h_ls, None
             else:
                 if method == "tsdce":
-                    est = algorithm.run(obs, cfg.tsdce)
+                    est = algorithm.run(h_ls, cfg.l_desired, cfg.rounds)
                 else:  # dft_peak
-                    est = analysis.dft_peak_baseline(
-                        obs, cfg.l_desired, cfg.n_dft, n_t=cfg.n_t, n_r=cfg.n_r
-                    )
+                    est = analysis.dft_peak_baseline(h_ls, cfg.l_desired, cfg.n_dft)
                 h_hat = algorithm.reconstruct_channel(est, cfg.n_t, cfg.n_r)
                 errors = angle_errors_deg(paths, est, match_paths(paths, est))
         except Exception as exc:  # noqa: BLE001 - per-trial failures are counted
@@ -312,13 +314,13 @@ def _parse_value(default, text: str):
 
 
 # the config file's keys and the defaults whose types parse their values
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.init}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse a flat `key = value` UTF-8 config file.
 
-    The keys are the init fields of `ExperimentConfig`, each parsed as
+    The keys are the fields of `ExperimentConfig`, each parsed as
     the type of its default. Lines starting with # are comments; tuple
     values are comma-separated.
     """

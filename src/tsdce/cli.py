@@ -19,7 +19,7 @@ import numpy as np
 from . import algorithm, analysis, bench
 from .channel import build_channel, sample_paths
 from .numkit import SeededRng
-from .observation import snr_in_spatial_domain, to_spatial
+from .observation import snr_in_spatial_domain, spatial_ls_estimate, to_spatial
 
 
 def _dump_matrix(path, m):
@@ -63,7 +63,7 @@ def _cmd_single(args) -> int:
     _dump_matrix(os.path.join(args.dump, "D_bar.csv"), sp.d_bar)
     _dump_matrix(os.path.join(args.dump, "H_true.csv"), ch.h)
     trace = []
-    estimates = algorithm.run(obs, cfg.tsdce, trace=trace)
+    estimates = algorithm.run(spatial_ls_estimate(sp, obs.rho), cfg.l_desired, cfg.rounds, trace)
     for step in trace:
         name = f"residual_k{step['round']}_l{step['path']}.csv"
         _dump_matrix(os.path.join(args.dump, name), step["residual"])

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from tsdce.algorithm import TsdceConfig, reconstruct_channel, run
+from tsdce.algorithm import reconstruct_channel, run
 from tsdce.analysis import (
     FisherModel,
     MarchenkoPastur,
@@ -47,9 +47,12 @@ def random_channel(L, stream):
     return build_channel(sample_paths(L, stream), N, N)
 
 
+def spatial_ls(obs):
+    return spatial_ls_estimate(to_spatial(obs, N, N), obs.rho)
+
+
 def tsdce_estimate(obs, l_desired, rounds):
-    cfg = TsdceConfig(l_desired=l_desired, rounds=rounds, n_t=N, n_r=N)
-    return reconstruct_channel(run(obs, cfg), N, N)
+    return reconstruct_channel(run(spatial_ls(obs), l_desired, rounds), N, N)
 
 
 def ls_nmse_db(cb, snr_db, trials, seed, L=3):
@@ -65,18 +68,17 @@ def ls_nmse_db(cb, snr_db, trials, seed, L=3):
 
 
 def test_criterion_01_exact_recovery():
-    cfg = TsdceConfig(l_desired=1, rounds=1, n_t=N, n_r=N)
     # untimed warm-up so lazy one-time initialization (FFT plan caches
     # and friends) stays out of the runtime budget
     warm = random_channel(1, SeededRng(200))
-    run(synthesize_observation(warm, CB16, 1.0, 0.0), cfg)
+    run(spatial_ls(synthesize_observation(warm, CB16, 1.0, 0.0)), 1, 1)
     start = time.perf_counter()
     worst_param, worst_nmse = 0.0, 0.0
     for t in range(50):
         stream = SeededRng(201).substream(t)
         ch = random_channel(1, stream)
         obs = synthesize_observation(ch, CB16, 1.0, 0.0)
-        est = run(obs, cfg)[0]
+        est = run(spatial_ls(obs), 1, 1)[0]
         truth = ch.paths[0]
         worst_param = max(
             worst_param,

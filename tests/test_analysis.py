@@ -40,6 +40,11 @@ from tsdce.observation import (
 )
 
 
+def spatial_ls(obs, n_t=16, n_r=16):
+    """The n_r x n_t spatial LS estimate every estimator takes."""
+    return spatial_ls_estimate(to_spatial(obs, n_t, n_r), obs.rho)
+
+
 def kron_ls_oracle(obs, cb, n_t, n_r):
     """Explicit normal-equations LS through the materialized Kronecker
     system, the reference construction for the fast path."""
@@ -140,7 +145,7 @@ class TestDftPeakBaseline:
         aoa = np.arccos(cb.rx_cosines[5])
         ch = build_channel([PathParams.from_gain_angles(0.9, aod, aoa)], 16, 16)
         obs = synthesize_observation(ch, cb, 1.0, 0.0)
-        est = dft_peak_baseline(obs, 1, n_dft=1024, n_t=16, n_r=16)[0]
+        est = dft_peak_baseline(spatial_ls(obs), 1, n_dft=1024)[0]
         assert abs(est.omega_aod - ch.paths[0].omega_aod) < 2 * np.pi / 1024
         assert abs(est.omega_aoa - ch.paths[0].omega_aoa) < 2 * np.pi / 1024
 
@@ -150,7 +155,7 @@ class TestDftPeakBaseline:
         for t in range(20):
             ch = build_channel(sample_paths(1, SeededRng(94).substream(t)), 16, 16)
             obs = synthesize_observation(ch, cb, 1.0, 0.0)
-            est = dft_peak_baseline(obs, 1, n_dft=1024, n_t=16, n_r=16)[0]
+            est = dft_peak_baseline(spatial_ls(obs), 1, n_dft=1024)[0]
             # frequencies live on the circle: compare modulo 2*pi
             d1 = wrap(est.omega_aod - ch.paths[0].omega_aod, -np.pi, np.pi)
             d2 = wrap(est.omega_aoa - ch.paths[0].omega_aoa, -np.pi, np.pi)
@@ -163,7 +168,7 @@ class TestDftPeakBaseline:
         p2 = PathParams.from_gain_angles(0.5 * np.exp(1j * 0.8), 2.2, 1.0)
         ch = build_channel([p1, p2], 16, 16)
         obs = synthesize_observation(ch, cb, 1.0, 1e-4, SeededRng(95))
-        ests = dft_peak_baseline(obs, 2, n_dft=1024, n_t=16, n_r=16)
+        ests = dft_peak_baseline(spatial_ls(obs), 2, n_dft=1024)
         got = sorted(e.gain_magnitude for e in ests)
         assert got[1] == pytest.approx(0.9, rel=0.1)
         assert got[0] == pytest.approx(0.5, rel=0.1)
@@ -176,7 +181,7 @@ class TestDftPeakBaseline:
             stream = SeededRng(96).substream(t)
             ch = build_channel(sample_paths(3, stream), 16, 16)
             obs = synthesize_observation(ch, cb, 1.0, 0.1, stream)
-            got = dft_peak_baseline(obs, 3, n_dft=n_dft, n_t=16, n_r=16)
+            got = dft_peak_baseline(spatial_ls(obs), 3, n_dft=n_dft)
             ref = padded_dft_peak_oracle(obs, 3, n_dft, 16, 16)
             for e, r in zip(got, ref):
                 assert (e.omega_aod, e.omega_aoa) == pytest.approx(
@@ -203,7 +208,7 @@ class TestDftPeakBaseline:
         else:
             ch = build_channel(sample_paths(L, stream), n_t, n_r)
             obs = synthesize_observation(ch, build_codebook(16, 16, n_t, n_r), 1.0, 1e-3, stream)
-        got = dft_peak_baseline(obs, L, n_dft=n_dft, n_t=n_t, n_r=n_r)
+        got = dft_peak_baseline(spatial_ls(obs, n_t, n_r), L, n_dft=n_dft)
         ref = padded_dft_peak_oracle(obs, L, n_dft, n_t, n_r)
 
         def bins(e):
@@ -235,7 +240,7 @@ class TestDftPeakBaseline:
         coarse = spectrum[2::4, 2::4]
         assert np.unravel_index(np.argmax(coarse), coarse.shape) == (122 // 4, 682 // 4)
         assert np.unravel_index(np.argmax(spectrum), spectrum.shape) == (400, 160)
-        est = dft_peak_baseline(obs, 1, n_dft=1024, n_t=16, n_r=16)[0]
+        est = dft_peak_baseline(spatial_ls(obs), 1, n_dft=1024)[0]
         assert (est.omega_aod, est.omega_aoa) == pytest.approx(
             (strong.omega_aod, strong.omega_aoa), abs=1e-12)
 
@@ -273,7 +278,7 @@ class TestDftPeakBaseline:
         assert [run for run in runs if run[0] == row] == [
             (row, 0, _PEAK_BLOCK), (row, 1024 - _PEAK_BLOCK, 1024)]
         assert all(hi - lo < 1024 for _, lo, hi in runs)
-        est = dft_peak_baseline(obs, 1, n_dft=1024, n_t=16, n_r=16)[0]
+        est = dft_peak_baseline(spatial_ls(obs), 1, n_dft=1024)[0]
         ref = padded_dft_peak_oracle(obs, 1, 1024, 16, 16)[0]
         assert (est.omega_aod, est.omega_aoa) == (ref.omega_aod, ref.omega_aoa)
         assert [round(w * 1024 / (2 * np.pi)) % 1024 for w in (est.omega_aod, est.omega_aoa)] \
@@ -288,7 +293,7 @@ class TestDftPeakBaseline:
             stream = SeededRng(97).substream(t)
             ch = build_channel(sample_paths(2, stream), 2, 2)
             obs = synthesize_observation(ch, cb, 1.0, 1e-3, stream)
-            got = dft_peak_baseline(obs, 1, n_dft=2048, n_t=2, n_r=2)[0]
+            got = dft_peak_baseline(spatial_ls(obs, 2, 2), 1, n_dft=2048)[0]
             ref = padded_dft_peak_oracle(obs, 1, 2048, 2, 2)[0]
             assert (got.omega_aod, got.omega_aoa) == (ref.omega_aod, ref.omega_aoa)
             assert got.gain == pytest.approx(ref.gain, rel=1e-9)
@@ -302,7 +307,7 @@ class TestDftPeakBaseline:
     def test_zero_observation_picks_first_bin(self):
         # every bin ties at zero power, so the lowest flat index, (0, 0), wins
         obs = Observation(y=np.zeros((16, 16), dtype=complex), rho=1.0, sigma_n_sq=1.0)
-        got = dft_peak_baseline(obs, 2, n_dft=1024, n_t=16, n_r=16)
+        got = dft_peak_baseline(spatial_ls(obs), 2, n_dft=1024)
         ref = padded_dft_peak_oracle(obs, 2, 1024, 16, 16)
         for e, r in zip(got, ref):
             assert (e.omega_aod, e.omega_aoa) == (r.omega_aod, r.omega_aoa) == (0.0, 0.0)
@@ -313,10 +318,10 @@ class TestDftPeakBaseline:
         cb = build_codebook(16, 16, 16, 16)
         stream = SeededRng(99)
         ch = build_channel(sample_paths(3, stream), 16, 16)
-        obs = synthesize_observation(ch, cb, 1.0, 0.1, stream)
+        h_ls = spatial_ls(synthesize_observation(ch, cb, 1.0, 0.1, stream))
         tracemalloc.start()
         try:
-            dft_peak_baseline(obs, 3, n_dft=1024, n_t=16, n_r=16)
+            dft_peak_baseline(h_ls, 3, n_dft=1024)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -326,7 +331,7 @@ class TestDftPeakBaseline:
     def test_rejects_bad_n_dft(self, n_dft):
         obs = Observation(y=np.zeros((16, 16), dtype=complex), rho=1.0, sigma_n_sq=1.0)
         with pytest.raises(ValueError, match="power of two"):
-            dft_peak_baseline(obs, 1, n_dft=n_dft, n_t=16, n_r=16)
+            dft_peak_baseline(spatial_ls(obs), 1, n_dft=n_dft)
 
 
 class TestUpperBoundSinglePath:

@@ -20,7 +20,7 @@ from tsdce.bench import (
     ratio_to_db,
     run_experiment,
 )
-from tsdce import bench, cli
+from tsdce import algorithm, analysis, bench, cli, observation
 from tsdce.channel import PathParams
 from tsdce.numkit import SeededRng
 
@@ -359,6 +359,37 @@ class TestRunExperiment:
             for method in cfg.methods:
                 a, b = forward[p][method], backward[p][method]
                 assert (a["ratio"], a["errors"]) == (b["ratio"], b["errors"])
+
+    def test_one_spatial_ls_estimate_per_trial(self, monkeypatch):
+        # counted in every module that binds to_spatial, so that no method
+        # quietly builds its own estimate
+        calls = []
+        original = bench.to_spatial
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (observation, algorithm, analysis, bench, cli):
+            if hasattr(module, "to_spatial"):
+                monkeypatch.setattr(module, "to_spatial", counting)
+        cfg = ExperimentConfig(trials=3, paths=2, snr_db_list=(0.0, 20.0),
+                               methods=("tsdce", "ls", "dft_peak"), seed=12)
+        run_experiment(cfg)
+        assert len(calls) == 2 * 3
+
+    def test_shared_estimate_same_as_alone(self):
+        # every method reads the trial's one read-only estimate; none of them
+        # may see another's work in it
+        both = ExperimentConfig(trials=3, paths=2, rounds=2, snr_db_list=(0.0, 20.0),
+                                methods=("tsdce", "ls", "dft_peak"), seed=13)
+        for s in range(len(both.snr_db_list)):
+            for t in range(both.trials):
+                together = bench._run_trial(both, s, t)
+                for method in both.methods:
+                    alone = bench._run_trial(dataclasses.replace(both, methods=(method,)), s, t)
+                    a, b = together[method], alone[method]
+                    assert (a["ratio"], a["errors"]) == (b["ratio"], b["errors"])
 
     def test_k_sweep_improves(self):
         # second cancellation round never hurts on the reduced sweep

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsdce.algorithm import (
-    TsdceConfig,
     _estimate_component,
     _slope_weights,
     derotated_mean,
@@ -24,12 +23,23 @@ from tsdce.algorithm import (
 from tsdce.analysis import dft_peak_baseline
 from tsdce.channel import PathParams, build_channel, cisoid_sum, sample_paths
 from tsdce.numkit import SeededRng, acf2d_unbiased
-from tsdce.observation import build_codebook, synthesize_observation, wrap
+from tsdce.observation import (
+    build_codebook,
+    spatial_ls_estimate,
+    synthesize_observation,
+    to_spatial,
+    wrap,
+)
 
 
 def cisoid(n_r, n_t, w_row, w_col, amp=1.0, phase=0.0):
     mm, nn = np.meshgrid(np.arange(n_r), np.arange(n_t), indexing="ij")
     return amp * np.exp(1j * (phase + w_row * mm + w_col * nn))
+
+
+def spatial_ls(obs, n_t=16, n_r=16):
+    """The n_r x n_t spatial LS estimate every estimator takes."""
+    return spatial_ls_estimate(to_spatial(obs, n_t, n_r), obs.rho)
 
 
 def wls_slope_oracle(phases, weights):
@@ -308,7 +318,6 @@ class TestDerotatedMean:
 class TestRun:
     def setup_method(self):
         self.cb = build_codebook(16, 16, 16, 16)
-        self.cfg = TsdceConfig(l_desired=1, rounds=1, n_t=16, n_r=16)
 
     def test_noiseless_on_grid_recovery(self):
         path = PathParams.from_gain_angles(
@@ -318,7 +327,7 @@ class TestRun:
         )
         ch = build_channel([path], 16, 16)
         obs = synthesize_observation(ch, self.cb, 1.0, 0.0)
-        est = run(obs, self.cfg)[0]
+        est = run(spatial_ls(obs), 1, 1)[0]
         assert est.gain_magnitude == pytest.approx(path.gain_magnitude, abs=1e-8)
         assert est.gain_phase == pytest.approx(path.gain_phase, abs=1e-8)
         assert est.omega_aod == pytest.approx(path.omega_aod, abs=1e-8)
@@ -335,15 +344,15 @@ class TestRun:
         )
         obs = synthesize_observation(build_channel([path], 16, 16), self.cb, 4.0, 0.0)
         if method == "tsdce":
-            est = run(obs, self.cfg)[0]
+            est = run(spatial_ls(obs), 1, 1)[0]
         else:
-            est = dft_peak_baseline(obs, 1, n_dft=1024, n_t=16, n_r=16)[0]
+            est = dft_peak_baseline(spatial_ls(obs), 1, n_dft=1024)[0]
         assert est.gain_magnitude == pytest.approx(path.gain_magnitude, abs=1e-8)
 
     def test_zero_observation(self):
         ch = build_channel([PathParams.from_gain_angles(0.0, 1.0, 1.0)], 16, 16)
         obs = synthesize_observation(ch, self.cb, 1.0, 0.0)
-        ests = run(obs, self.cfg)
+        ests = run(spatial_ls(obs), 1, 1)
         assert len(ests) == 1
         assert ests[0].gain_magnitude == 0.0
 
@@ -351,8 +360,8 @@ class TestRun:
         ch = build_channel(sample_paths(1, SeededRng(71)), 16, 16)
         obs = synthesize_observation(ch, self.cb, 1.0, 0.0)
         scaled = type(obs)(y=3.0 * obs.y, rho=obs.rho, sigma_n_sq=obs.sigma_n_sq)
-        base = run(obs, self.cfg)[0]
-        est = run(scaled, self.cfg)[0]
+        base = run(spatial_ls(obs), 1, 1)[0]
+        est = run(spatial_ls(scaled), 1, 1)[0]
         assert est.gain_magnitude == pytest.approx(3.0 * base.gain_magnitude, rel=1e-8)
         assert est.omega_aod == pytest.approx(base.omega_aod, abs=1e-10)
         assert est.gain_phase == pytest.approx(base.gain_phase, abs=1e-8)
@@ -363,40 +372,53 @@ class TestRun:
         beta = 1.1
         rotated = type(obs)(y=np.exp(1j * beta) * obs.y, rho=obs.rho,
                             sigma_n_sq=obs.sigma_n_sq)
-        base = run(obs, self.cfg)[0]
-        est = run(rotated, self.cfg)[0]
+        base = run(spatial_ls(obs), 1, 1)[0]
+        est = run(spatial_ls(rotated), 1, 1)[0]
         shift = wrap(est.gain_phase - base.gain_phase, -np.pi, np.pi)
         assert shift == pytest.approx(beta, abs=1e-8)
         assert est.gain_magnitude == pytest.approx(base.gain_magnitude, rel=1e-8)
 
     def test_frequencies_in_principal_range(self):
-        cfg = TsdceConfig(l_desired=3, rounds=2, n_t=16, n_r=16)
         for t in range(10):
             rng = SeededRng(73).substream(t)
             ch = build_channel(sample_paths(3, rng), 16, 16)
             obs = synthesize_observation(ch, self.cb, 1.0, 0.1, rng)
-            for est in run(obs, cfg):
+            for est in run(spatial_ls(obs), 3, 2):
                 assert -np.pi <= est.omega_aod <= np.pi
                 assert -np.pi <= est.omega_aoa <= np.pi
 
     def test_sic_residual_never_grows(self):
-        from tsdce.observation import spatial_ls_estimate, to_spatial
-        cfg = TsdceConfig(l_desired=3, rounds=2, n_t=16, n_r=16)
         for t in range(10):
             rng = SeededRng(74).substream(t)
             ch = build_channel(sample_paths(3, rng), 16, 16)
             obs = synthesize_observation(ch, self.cb, 1.0, 0.1, rng)
-            ests = run(obs, cfg)
-            sp = to_spatial(obs, 16, 16)
-            h_ls = spatial_ls_estimate(sp, obs.rho)
+            h_ls = spatial_ls(obs)
+            ests = run(h_ls, 3, 2)
             total = reconstruct_channel(ests, 16, 16)
             assert np.linalg.norm(h_ls - total) <= np.linalg.norm(h_ls) + 1e-12
 
-    def test_config_validation(self):
+    # run's range rule, 1 <= l_desired <= min(n_r, n_t) and rounds >= 1, reads
+    # the sizes off the estimate's shape
+    @pytest.mark.parametrize("l_desired, rounds", [(0, 1), (1, 0), (5, 1)])
+    def test_config_validation(self, l_desired, rounds):
         with pytest.raises(ValueError):
-            TsdceConfig(l_desired=0, rounds=1, n_t=16, n_r=16)
-        with pytest.raises(ValueError):
-            TsdceConfig(l_desired=1, rounds=0, n_t=16, n_r=16)
+            run(np.ones((4, 6), dtype=complex), l_desired, rounds)
+
+    # paths are recovered to criterion 1's tolerance only when run reads n_r
+    # and n_t from the estimate's shape in the right order
+    @pytest.mark.parametrize("n_r, n_t", [(8, 12), (12, 8)])
+    def test_noiseless_non_square_recovery(self, n_r, n_t):
+        cb = build_codebook(16, 16, n_t, n_r)
+        for t in range(10):
+            ch = build_channel(sample_paths(1, SeededRng(76).substream(t)), n_t, n_r)
+            obs = synthesize_observation(ch, cb, 1.0, 0.0)
+            est, truth = run(spatial_ls(obs, n_t, n_r), 1, 1)[0], ch.paths[0]
+            assert abs(est.gain_magnitude - truth.gain_magnitude) < 1e-8
+            assert abs(wrap(est.gain_phase - truth.gain_phase, -np.pi, np.pi)) < 1e-8
+            assert abs(est.omega_aod - truth.omega_aod) < 1e-8
+            assert abs(est.omega_aoa - truth.omega_aoa) < 1e-8
+            err = np.linalg.norm(reconstruct_channel([est], n_t, n_r) - ch.h) ** 2
+            assert err / np.linalg.norm(ch.h) ** 2 < 1e-15
 
 
 class TestSic:
@@ -430,6 +452,20 @@ class TestSic:
             np.testing.assert_array_equal(record["residual"], residual)
             assert record["estimate"] == estimate(k, l)
 
+    # both estimators get the lower bounds from sic; dft_peak may still ask
+    # for more paths than min(n_r, n_t)
+    def test_rejects_bad_counts(self):
+        h = np.ones((4, 5), dtype=complex)
+
+        def component(residual, k, l):
+            raise AssertionError("no step may run")
+
+        for l_desired, rounds in [(0, 1), (1, 0)]:
+            with pytest.raises(ValueError, match=">= 1"):
+                sic(h, component, l_desired, rounds)
+        with pytest.raises(ValueError, match=">= 1"):
+            dft_peak_baseline(h, 0, n_dft=64)
+
 
 class TestSicCallCounts:
     """Kernel calls of one 16x16 L3K3 run, counted in every module that
@@ -446,14 +482,14 @@ class TestSicCallCounts:
 
         rng = SeededRng(75)
         ch = build_channel(sample_paths(3, rng), 16, 16)
-        obs = synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.1, rng)
+        h_ls = spatial_ls(synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.1, rng))
         counts = dict.fromkeys(self.KERNELS, 0)
         for module in (tsdce.numkit, tsdce.channel, tsdce.observation, tsdce.algorithm):
             for name in self.KERNELS:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, self._counting(counts, name,
                                                                       getattr(module, name)))
-        run(obs, TsdceConfig(l_desired=3, rounds=3, n_t=16, n_r=16))
+        run(h_ls, 3, 3)
         assert counts == self.KERNELS
 
     @staticmethod
@@ -475,7 +511,7 @@ class TestDftPeakCallCounts:
 
         rng = SeededRng(75)
         ch = build_channel(sample_paths(3, rng), 16, 16)
-        obs = synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.1, rng)
+        h_ls = spatial_ls(synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.1, rng))
         counts = dict.fromkeys(self.CALLS, 0)
         for module in (tsdce.numkit, tsdce.channel, tsdce.observation, tsdce.algorithm,
                        tsdce.analysis):
@@ -483,7 +519,7 @@ class TestDftPeakCallCounts:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, TestSicCallCounts._counting(
                         counts, name, getattr(module, name)))
-        dft_peak_baseline(obs, 3, n_dft=1024, n_t=16, n_r=16)
+        dft_peak_baseline(h_ls, 3, n_dft=1024)
         assert counts == self.CALLS
 
 
@@ -509,7 +545,6 @@ class TestReconstructChannel:
                                          np.arccos(cb.rx_cosines[1]))
         ch = build_channel([g1, g2], 16, 16)
         obs = synthesize_observation(ch, cb, 1.0, 0.0)
-        cfg = TsdceConfig(l_desired=2, rounds=2, n_t=16, n_r=16)
-        h_hat = reconstruct_channel(run(obs, cfg), 16, 16)
+        h_hat = reconstruct_channel(run(spatial_ls(obs), 2, 2), 16, 16)
         err = np.linalg.norm(h_hat - ch.h) ** 2 / np.linalg.norm(ch.h) ** 2
         assert 10 * np.log10(err) < -160.0
