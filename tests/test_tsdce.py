@@ -404,8 +404,8 @@ class TestRun:
         with pytest.raises(ValueError):
             run(np.ones((4, 6), dtype=complex), l_desired, rounds)
 
-    # paths are recovered to criterion 1's tolerance only when run reads n_r
-    # and n_t from the estimate's shape in the right order
+    # run takes no sizes: on a non-square estimate it recovers the path to
+    # criterion 1's tolerance from the estimate's shape alone
     @pytest.mark.parametrize("n_r, n_t", [(8, 12), (12, 8)])
     def test_noiseless_non_square_recovery(self, n_r, n_t):
         cb = build_codebook(16, 16, n_t, n_r)
