@@ -1,13 +1,11 @@
 """Baselines and analytic bounds.
 
-Contains the explicit least-squares estimator, a simplified DFT peak
-pick run as a component under `algorithm.sic`, the single-path upper
-bound, the multi-path upper bound built from the exact finite-N means
-of the ordered noise eigenvalues (Laguerre unitary ensemble), and the
-closed-form Cramer-Rao bound on the channel matrix from the Fisher
-information of the path parameters. The paper's model of those means,
-as order statistics of independent Marchenko-Pastur draws, is kept as
-`iid_ordered_eigenvalue_mean`.
+Contains a simplified DFT peak pick run as a component under
+`algorithm.sic`, the single-path upper bound, the multi-path upper bound
+built from the exact finite-N means of the ordered noise eigenvalues
+(Laguerre unitary ensemble), and the closed-form Cramer-Rao bound on the
+channel matrix from the Fisher information of the path parameters, with
+the noise that the spatial LS estimate itself carries.
 """
 
 from __future__ import annotations
@@ -20,33 +18,11 @@ import numpy as np
 from .algorithm import derotated_mean, sic
 from .channel import ChannelRealization, PathParams, cisoid_sum
 from .numkit import dft_columns
-from .observation import Codebook, Observation, wrap
+from .observation import wrap
 
 # scipy.integrate and scipy.special add about 0.4 s to a numpy-only import
-# and only the eigenvalue-mean bounds use them, so those functions import
-# them locally.
-
-
-class RankDeficiencyError(ValueError):
-    """LS system does not have full column rank (QP < n_t * n_r)."""
-
-
-def ls_estimate_explicit(obs: Observation, cb: Codebook) -> np.ndarray:
-    """Least-squares channel estimate from the vectorized observation.
-
-    The normal equations collapse to a scaled matrix product because the
-    Kronecker system matrix has orthogonal columns with squared norm
-    QP/(n_t n_r); the Kronecker matrix itself is never formed.
-    """
-    n_t = cb.f.shape[0]
-    n_r = cb.w.shape[0]
-    q_count, p_count = obs.y.shape
-    if q_count * p_count < n_t * n_r:
-        raise RankDeficiencyError(
-            f"LS needs QP >= n_t*n_r, got {q_count * p_count} < {n_t * n_r}"
-        )
-    scale = n_t * n_r / (q_count * p_count * np.sqrt(obs.rho))
-    return scale * (cb.w @ obs.y @ cb.f.conj().T)
+# and only the eigenvalue means of the multi-path bound use them, so
+# `_laguerre_ordered_means` imports them locally.
 
 
 # Side, in bins, of the square tiles (AoD rows x AoA columns) of the dft_peak
@@ -248,90 +224,6 @@ class MarchenkoPastur:
         object.__setattr__(self, "b", self.sigma_z_sq * (1 + sq) ** 2)
 
 
-def mp_density(mp: MarchenkoPastur, x) -> np.ndarray:
-    """Density sqrt((x-a)(b-x)) / (2 pi s2 c x) on (a, b), zero outside."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = (x > mp.a) & (x < mp.b)
-    xi = x[inside]
-    out[inside] = np.sqrt((xi - mp.a) * (mp.b - xi)) / (
-        2 * np.pi * mp.sigma_z_sq * mp.c * xi
-    )
-    return float(out) if out.ndim == 0 else out
-
-
-def _mp_primitive(mp: MarchenkoPastur, x) -> np.ndarray:
-    """Closed-form antiderivative of the (unnormalized) density."""
-    a, b = mp.a, mp.b
-    x = np.clip(np.asarray(x, dtype=float), a, b)
-    root = np.sqrt(np.maximum((x - a) * (b - x), 0.0))
-    t1 = np.clip((2 * x - a - b) / (b - a), -1.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t2 = np.where(x > 0, ((a + b) * x - 2 * a * b) / (x * (b - a)), -1.0)
-    t2 = np.clip(t2, -1.0, 1.0)
-    return root + 0.5 * (a + b) * np.arcsin(t1) - np.sqrt(a * b) * np.arcsin(t2)
-
-
-def mp_cdf(mp: MarchenkoPastur, x) -> np.ndarray:
-    """CDF via the antiderivative, normalized so F(a)=0 and F(b)=1.
-
-    Endpoint normalization makes the result independent of the constant
-    factor the raw antiderivative carries.
-    """
-    fa = _mp_primitive(mp, mp.a)
-    fb = _mp_primitive(mp, mp.b)
-    val = (_mp_primitive(mp, x) - fa) / (fb - fa)
-    return np.clip(val, 0.0, 1.0)
-
-
-def _log_order_factor(n_r: int, l: int) -> float:
-    # log of (n_r - l + 1) * C(n_r, n_r - l + 1), kept in log space so
-    # n_r = 64 does not overflow.
-    from scipy.special import gammaln
-
-    k = n_r - l + 1
-    log_binom = gammaln(n_r + 1) - gammaln(k + 1) - gammaln(n_r - k + 1)
-    return np.log(k) + log_binom
-
-
-def iid_ordered_eigenvalue_mean(mp: MarchenkoPastur, l: int, n_r: int) -> float:
-    """Mean of the l-th largest of n_r independent draws from the MP law.
-
-    This is the paper's model behind Lemma 4, kept so that the bound as
-    published can be reproduced. It ignores the repulsion between the
-    eigenvalues of one Wishart matrix; `ordered_eigenvalue_mean` is the
-    exact finite-N mean. Integrates x * f_order(x) over (a, b) with the
-    substitution x = a + (b-a) sin^2(t), which removes the square-root
-    endpoint singularities of the density.
-    """
-    if not 1 <= l <= n_r:
-        raise ValueError("rank index l must lie in 1..n_r")
-    from scipy import integrate
-
-    log_c = _log_order_factor(n_r, l)
-
-    def integrand(t):
-        x = mp.a + (mp.b - mp.a) * np.sin(t) ** 2
-        dx = (mp.b - mp.a) * 2.0 * np.sin(t) * np.cos(t)
-        f = float(mp_density(mp, x))
-        cdf = float(mp_cdf(mp, x))
-        if (n_r - l) > 0 and cdf <= 0.0:
-            return 0.0
-        if (l - 1) > 0 and cdf >= 1.0:
-            return 0.0
-        log_w = 0.0
-        if n_r - l > 0:
-            log_w += (n_r - l) * np.log(cdf)
-        if l - 1 > 0:
-            log_w += (l - 1) * np.log(1.0 - cdf)
-        return x * f * np.exp(log_c + log_w) * dx
-
-    val, err = integrate.quad(integrand, 0.0, np.pi / 2, epsabs=1e-10, limit=200)
-    if not np.isfinite(val):
-        raise ArithmeticError(f"order-statistic quadrature failed (err={err})")
-    return float(val)
-
-
 @functools.lru_cache(maxsize=None)
 def _laguerre_ordered_means(n_r: int, n_t: int) -> np.ndarray:
     """Means of the eigenvalues of Z^H Z, largest first, for an n_t x n_r
@@ -409,30 +301,24 @@ def ordered_eigenvalue_mean(mp: MarchenkoPastur, l: int, n_r: int) -> float:
     return float(mp.sigma_z_sq / n_t * _laguerre_ordered_means(n_r, n_t)[l - 1])
 
 
-def _top_noise_eigenvalue_sum(L: int, n_t: int, n_r: int, sigma_z_sq: float) -> float:
-    """Sum of the means of the L largest eigenvalues of (1/n_t) Z^H Z, Z
-    n_t x n_r with CN(0, sigma_z_sq) entries."""
-    if not 1 <= L <= n_r:
-        raise ValueError("L must lie in 1..n_r")
-    mp = MarchenkoPastur(sigma_z_sq=sigma_z_sq, c=n_r / n_t)
-    return sum(ordered_eigenvalue_mean(mp, l, n_r) for l in range(1, L + 1))
-
-
 def upper_bound_multi_path(L: int, rho: float, n_t: int, n_r: int, sigma_z_sq: float) -> float:
     """Mean-SSE upper bound (n_t n_r / rho) * sum_l n_t * lambda_l_mean.
 
-    lambda_l_mean is the exact finite-N mean of the l-th largest noise
-    eigenvalue, `ordered_eigenvalue_mean`; the paper's i.i.d. model of it
-    is `iid_ordered_eigenvalue_mean`.
+    lambda_l_mean is the exact finite-N mean of the l-th largest
+    eigenvalue of (1/n_t) Z^H Z, Z n_t x n_r with CN(0, sigma_z_sq)
+    entries (`ordered_eigenvalue_mean`); the sum runs over l = 1..L.
     """
-    total = _top_noise_eigenvalue_sum(L, n_t, n_r, sigma_z_sq)
+    if not 1 <= L <= n_r:
+        raise ValueError("L must lie in 1..n_r")
+    mp = MarchenkoPastur(sigma_z_sq=sigma_z_sq, c=n_r / n_t)
+    total = sum(ordered_eigenvalue_mean(mp, l, n_r) for l in range(1, L + 1))
     return n_t * n_r / rho * n_t * total
 
 
 @dataclass(frozen=True)
 class FisherModel:
     """Real parameter vector (|a_l|, phase_l, omega_aod_l, omega_aoa_l)
-    per path, plus the white residual noise variance."""
+    per path, plus the variance of the white noise on each entry of H."""
 
     params: np.ndarray
     noise_var: float
@@ -480,15 +366,13 @@ def fisher_matrix(model: FisherModel) -> np.ndarray:
 def crlb_nmse_bound(channel: ChannelRealization, rho: float, sigma_z_sq: float) -> float:
     """Cramer-Rao bound on ||H_hat - H||^2 / ||H||^2 for one channel.
 
-    Residual variance. The spatial crop is d_bar = sqrt(rho/(n_t n_r)) H + Z
-    with Z white, CN(0, sigma_z_sq) entries. Rank-L denoising keeps, on
-    average, the noise energy of Z's L largest squared singular values,
-    sum_l n_t lambda_l_mean, where lambda_l_mean is the mean of the l-th
-    largest eigenvalue of (1/n_t) Z^H Z (`ordered_eigenvalue_mean`). In
-    channel units that is (n_t n_r / rho) sum_l n_t lambda_l_mean, the
-    multi-path bound. Spread evenly over the n_t n_r entries of H as a
-    white residual, as the bound's derivation assumes, it gives
-    noise_var = (n_t / rho) sum_l lambda_l_mean per entry.
+    Noise. The spatial crop is d_bar = sqrt(rho/(n_t n_r)) H + Z with Z
+    white, CN(0, sigma_z_sq) entries, so the spatial LS estimate
+    sqrt(n_t n_r / rho) d_bar = H + sqrt(n_t n_r / rho) Z observes every
+    entry of H in white noise of variance
+    noise_var = n_t n_r sigma_z_sq / rho. That rescaling is one-to-one, so
+    this is the CRLB of H from d_bar, and no processing of d_bar (rank-L
+    denoising included) can lower it.
 
     Bound. With the Jacobian J of vec(H) in the 4L real path parameters,
     F = (2 / noise_var) Re[J^H J] and the CRLB of H = f(theta) is
@@ -500,13 +384,11 @@ def crlb_nmse_bound(channel: ChannelRealization, rho: float, sigma_z_sq: float) 
     lambda_i of F as 1 / max(lambda_i, 1e-12 lambda_max): an eigenvalue
     above that floor adds noise_var / 2, one below it adds less, so the
     value stays finite and continuous as two paths merge. Averaging
-    across realizations is left to the caller.
+    across realizations is left to the caller. At L = 1, ||H||^2 is
+    n_t n_r |a|^2 with |a|^2 exponential, so E[1/||H||^2] diverges and
+    the mean over realizations grows with their number.
     """
-    noise_var = (
-        channel.n_t
-        / rho
-        * _top_noise_eigenvalue_sum(len(channel.paths), channel.n_t, channel.n_r, sigma_z_sq)
-    )
+    noise_var = channel.n_t * channel.n_r * sigma_z_sq / rho
     params = np.ravel(
         [(p.gain_magnitude, p.gain_phase, p.omega_aod, p.omega_aoa) for p in channel.paths]
     )

@@ -82,8 +82,8 @@ def _cmd_single(args) -> int:
 
 def _cmd_bound(args) -> int:
     cfg = bench.load_config(args.config)
-    # the noise-eigenvalue means behind both bounds take n_t >= n_r >= paths
-    if args.kind != "lemma3" and not cfg.paths <= cfg.n_r <= cfg.n_t:
+    # the noise-eigenvalue means behind lemma4 take n_t >= n_r >= paths
+    if args.kind == "lemma4" and not cfg.paths <= cfg.n_r <= cfg.n_t:
         raise bench.ConfigError(
             f"--kind {args.kind} needs paths <= n_r <= n_t, got paths = {cfg.paths}, "
             f"n_r = {cfg.n_r}, n_t = {cfg.n_t}"

@@ -1,0 +1,119 @@
+"""Reference models that only the tests use.
+
+`ls_estimate_explicit` is the explicit least-squares solve, the oracle for
+`observation.spatial_ls_estimate`. The Marchenko-Pastur density and CDF
+and `iid_ordered_eigenvalue_mean` are the paper's model behind Lemma 4:
+the ordered noise eigenvalues as order statistics of independent
+Marchenko-Pastur draws. `analysis.ordered_eigenvalue_mean` is the exact
+finite-N mean that the program uses; this model is kept as the record of
+the bound as published.
+"""
+
+import numpy as np
+from scipy import integrate
+from scipy.special import gammaln
+
+from tsdce.analysis import MarchenkoPastur
+from tsdce.observation import Codebook, Observation
+
+
+class RankDeficiencyError(ValueError):
+    """LS system does not have full column rank (QP < n_t * n_r)."""
+
+
+def ls_estimate_explicit(obs: Observation, cb: Codebook) -> np.ndarray:
+    """Least-squares channel estimate from the vectorized observation.
+
+    The normal equations collapse to a scaled matrix product because the
+    Kronecker system matrix has orthogonal columns with squared norm
+    QP/(n_t n_r); the Kronecker matrix itself is never formed.
+    """
+    n_t = cb.f.shape[0]
+    n_r = cb.w.shape[0]
+    q_count, p_count = obs.y.shape
+    if q_count * p_count < n_t * n_r:
+        raise RankDeficiencyError(
+            f"LS needs QP >= n_t*n_r, got {q_count * p_count} < {n_t * n_r}"
+        )
+    scale = n_t * n_r / (q_count * p_count * np.sqrt(obs.rho))
+    return scale * (cb.w @ obs.y @ cb.f.conj().T)
+
+
+def mp_density(mp: MarchenkoPastur, x) -> np.ndarray:
+    """Density sqrt((x-a)(b-x)) / (2 pi s2 c x) on (a, b), zero outside."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    inside = (x > mp.a) & (x < mp.b)
+    xi = x[inside]
+    out[inside] = np.sqrt((xi - mp.a) * (mp.b - xi)) / (
+        2 * np.pi * mp.sigma_z_sq * mp.c * xi
+    )
+    return float(out) if out.ndim == 0 else out
+
+
+def _mp_primitive(mp: MarchenkoPastur, x) -> np.ndarray:
+    """Closed-form antiderivative of the (unnormalized) density."""
+    a, b = mp.a, mp.b
+    x = np.clip(np.asarray(x, dtype=float), a, b)
+    root = np.sqrt(np.maximum((x - a) * (b - x), 0.0))
+    t1 = np.clip((2 * x - a - b) / (b - a), -1.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t2 = np.where(x > 0, ((a + b) * x - 2 * a * b) / (x * (b - a)), -1.0)
+    t2 = np.clip(t2, -1.0, 1.0)
+    return root + 0.5 * (a + b) * np.arcsin(t1) - np.sqrt(a * b) * np.arcsin(t2)
+
+
+def mp_cdf(mp: MarchenkoPastur, x) -> np.ndarray:
+    """CDF via the antiderivative, normalized so F(a)=0 and F(b)=1.
+
+    Endpoint normalization makes the result independent of the constant
+    factor the raw antiderivative carries.
+    """
+    fa = _mp_primitive(mp, mp.a)
+    fb = _mp_primitive(mp, mp.b)
+    val = (_mp_primitive(mp, x) - fa) / (fb - fa)
+    return np.clip(val, 0.0, 1.0)
+
+
+def _log_order_factor(n_r: int, l: int) -> float:
+    # log of (n_r - l + 1) * C(n_r, n_r - l + 1), kept in log space so
+    # n_r = 64 does not overflow.
+    k = n_r - l + 1
+    log_binom = gammaln(n_r + 1) - gammaln(k + 1) - gammaln(n_r - k + 1)
+    return np.log(k) + log_binom
+
+
+def iid_ordered_eigenvalue_mean(mp: MarchenkoPastur, l: int, n_r: int) -> float:
+    """Mean of the l-th largest of n_r independent draws from the MP law.
+
+    This is the paper's model behind Lemma 4, kept so that the bound as
+    published can be reproduced. It ignores the repulsion between the
+    eigenvalues of one Wishart matrix; `analysis.ordered_eigenvalue_mean`
+    is the exact finite-N mean. Integrates x * f_order(x) over (a, b) with the
+    substitution x = a + (b-a) sin^2(t), which removes the square-root
+    endpoint singularities of the density.
+    """
+    if not 1 <= l <= n_r:
+        raise ValueError("rank index l must lie in 1..n_r")
+    log_c = _log_order_factor(n_r, l)
+
+    def integrand(t):
+        x = mp.a + (mp.b - mp.a) * np.sin(t) ** 2
+        dx = (mp.b - mp.a) * 2.0 * np.sin(t) * np.cos(t)
+        f = float(mp_density(mp, x))
+        cdf = float(mp_cdf(mp, x))
+        if (n_r - l) > 0 and cdf <= 0.0:
+            return 0.0
+        if (l - 1) > 0 and cdf >= 1.0:
+            return 0.0
+        log_w = 0.0
+        if n_r - l > 0:
+            log_w += (n_r - l) * np.log(cdf)
+        if l - 1 > 0:
+            log_w += (l - 1) * np.log(1.0 - cdf)
+        return x * f * np.exp(log_c + log_w) * dx
+
+    val, err = integrate.quad(integrand, 0.0, np.pi / 2, epsabs=1e-10, limit=200)
+    if not np.isfinite(val):
+        raise ArithmeticError(f"order-statistic quadrature failed (err={err})")
+    return float(val)

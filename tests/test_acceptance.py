@@ -17,9 +17,7 @@ from tsdce.analysis import (
     MarchenkoPastur,
     _channel_jacobian,
     crlb_nmse_bound,
-    ls_estimate_explicit,
     ordered_eigenvalue_mean,
-    mp_density,
     upper_bound_single_path,
 )
 from tsdce.bench import ExperimentConfig, emit_csv, nmse_ratio, run_experiment
@@ -33,6 +31,7 @@ from tsdce.observation import (
     to_spatial,
     wrap,
 )
+from oracles import ls_estimate_explicit, mp_density
 
 N = 16
 CB16 = build_codebook(16, 16, N, N)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from tsdce import analysis
 from tsdce.analysis import (
     FisherModel,
     MarchenkoPastur,
@@ -20,10 +21,6 @@ from tsdce.analysis import (
     crlb_nmse_bound,
     dft_peak_baseline,
     fisher_matrix,
-    iid_ordered_eigenvalue_mean,
-    ls_estimate_explicit,
-    mp_cdf,
-    mp_density,
     ordered_eigenvalue_mean,
     upper_bound_multi_path,
     upper_bound_single_path,
@@ -38,6 +35,7 @@ from tsdce.observation import (
     to_spatial,
     wrap,
 )
+from oracles import iid_ordered_eigenvalue_mean, ls_estimate_explicit, mp_cdf, mp_density
 
 
 def spatial_ls(obs, n_t=16, n_r=16):
@@ -483,10 +481,8 @@ class TestFisherMatrix:
 
 
 def crlb_noise_var(ch, rho, sigma_z_sq):
-    """n_t / rho times the sum of the L largest noise-eigenvalue means."""
-    mp = MarchenkoPastur(sigma_z_sq=sigma_z_sq, c=ch.n_r / ch.n_t)
-    means = [ordered_eigenvalue_mean(mp, l, ch.n_r) for l in range(1, len(ch.paths) + 1)]
-    return ch.n_t / rho * sum(means)
+    """Per-entry noise variance of the spatial LS estimate of H."""
+    return ch.n_t * ch.n_r * sigma_z_sq / rho
 
 
 def crlb_trace_reference(ch, rho, sigma_z_sq):
@@ -572,6 +568,22 @@ class TestCrlbNmseBound:
         # freedom, relative sd 1/sqrt(6); the mean of 4000 has 0.65%, so 3%
         # is over 4 standard errors
         assert np.mean(ratios) == pytest.approx(crlb_nmse_bound(ch, 1.0, sigma_z_sq), rel=0.03)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_full_rank_closed_form(self, L):
+        # 2 L n_t n_r sigma_z^2 / (rho ||H||^2), here on n_r > n_t
+        ch = build_channel(sample_paths(L, SeededRng(121).substream(L)), 8, 12)
+        rho, sigma_z_sq = 2.0, 0.03
+        expected = 2 * L * 8 * 12 * sigma_z_sq / (rho * np.linalg.norm(ch.h) ** 2)
+        assert crlb_nmse_bound(ch, rho, sigma_z_sq) == pytest.approx(expected, rel=1e-12)
+
+    def test_needs_no_eigenvalue_means(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the CRLB called ordered_eigenvalue_mean")
+
+        monkeypatch.setattr(analysis, "ordered_eigenvalue_mean", refuse)
+        ch = build_channel(sample_paths(3, SeededRng(122)), 16, 16)
+        assert np.isfinite(crlb_nmse_bound(ch, 1.0, 0.01))
 
     def test_deterministic_per_channel(self):
         ch = build_channel(sample_paths(3, SeededRng(119)), 16, 16)

@@ -135,8 +135,11 @@ class TestImportFootprint:
     def test_tsdce_sweep_loads_only_scipy_linalg(self, tmp_path):
         assert self.run_fresh(tmp_path, ["run"], "tsdce") == [0, ["scipy.linalg"]]
 
-    def test_crlb_bound_loads_its_quadrature(self, tmp_path):
-        rc, loaded = self.run_fresh(tmp_path, ["bound", "--kind", "crlb"], "tsdce")
+    def test_crlb_bound_loads_no_scipy_submodule(self, tmp_path):
+        assert self.run_fresh(tmp_path, ["bound", "--kind", "crlb"], "tsdce") == [0, []]
+
+    def test_lemma4_bound_loads_its_quadrature(self, tmp_path):
+        rc, loaded = self.run_fresh(tmp_path, ["bound", "--kind", "lemma4"], "tsdce")
         assert rc == 0
         assert "scipy.integrate" in loaded
 
@@ -192,9 +195,9 @@ class TestSingleCommand:
 
 
 class TestBoundCommand:
-    # the noise-eigenvalue bounds need paths <= n_r <= n_t; both lines keep
-    # l_desired valid, so only the bound rejects them
-    @pytest.mark.parametrize("kind", ["lemma4", "crlb"])
+    # the noise-eigenvalue means of lemma4 need paths <= n_r <= n_t; both
+    # lines keep l_desired valid, so only the bound rejects them
+    @pytest.mark.parametrize("kind", ["lemma4"])
     @pytest.mark.parametrize("line", ["paths = 20\nl_desired = 3", "n_t = 8"],
                              ids=["paths_above_n_r", "n_r_above_n_t"])
     def test_eigenvalue_bounds_exit_2_on_bad_shape(self, tmp_path, capsys, kind, line):
@@ -204,6 +207,15 @@ class TestBoundCommand:
         assert main(["bound", "--config", str(bad), "--kind", kind, "--out", str(out)]) == 2
         assert "paths <= n_r <= n_t" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_crlb_runs_with_n_r_above_n_t(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG + "n_t = 8\n", encoding="utf-8")
+        out = tmp_path / "crlb.csv"
+        assert main(["bound", "--config", str(cfg), "--kind", "crlb", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["kind"] for r in rows] == ["crlb", "crlb"]
 
     @pytest.mark.parametrize("kind", ["lemma3", "lemma4", "crlb"])
     def test_bound_curves(self, config_path, tmp_path, kind):
