@@ -57,45 +57,32 @@ def select_wrap_branch(delta: np.ndarray) -> np.ndarray:
     if len(delta) < 2:
         raise ValueError("need at least two phase differences")
     neg = delta < 0
-    share = np.count_nonzero(neg) / len(delta)
+    count = np.count_nonzero(neg)
+    if count == 0:
+        return delta
+    share = count / len(delta)
     cov = (delta[neg].sum() - delta.sum() * share) / len(delta)
-    if share > 0 and np.pi * share * (1.0 - share) + cov < 0:
+    if np.pi * share * (1.0 - share) + cov < 0:
         # [0, 2pi) wrap so the fixed leading zero stays zero instead of
         # turning into a 2pi outlier
         return np.mod(delta, 2.0 * np.pi)
     return delta
 
 
-def wls_weights(M: int) -> np.ndarray:
-    """Inverse-variance weights w_i = (M+1)(M-i)/(i+1) for the unwrapped
-    phases of an unbiased-ACF slope fit; strictly decreasing in i."""
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    i = np.arange(M, dtype=float)
-    return (M + 1) * (M - i) / (i + 1)
-
-
-def wls_slope(phases: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted least-squares slope of ``phases`` against index 0..M-1."""
-    phases = np.asarray(phases, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if phases.shape != weights.shape or len(phases) < 2:
-        raise ValueError("phases and weights must be equal-length, >= 2")
-    i = np.arange(len(phases), dtype=float)
-    wsum = weights.sum()
-    x_bar = (weights * i).sum() / wsum
-    y_bar = (weights * phases).sum() / wsum
-    denom = (weights * (i - x_bar) ** 2).sum()
-    return float((weights * (i - x_bar) * (phases - y_bar)).sum() / denom)
-
-
 @functools.lru_cache(maxsize=None)
 def _slope_weights(M: int) -> np.ndarray:
-    """Read-only g_M with g_M @ delta == wls_slope(cumsum(delta), wls_weights(M)):
-    the slope is linear in the phases, so g_M[k] is the slope of the k-th
-    unit step, the cumsum of the k-th unit vector."""
-    w = wls_weights(M)
-    g = np.array([wls_slope(step, w) for step in np.tri(M).T])
+    """Read-only g_M with g_M @ delta the weighted least-squares slope of the
+    unwrapped phases cumsum(delta) against index 0..M-1, with the
+    inverse-variance weights w_i = (M+1)(M-i)/(i+1) of an unbiased-ACF lag.
+
+    The slope is sum_i c_i y_i with c_i = w_i (i - x_bar) / sum_j w_j (j - x_bar)^2,
+    and y_i = sum_{k<=i} delta_k, so g_M is the reverse cumulative sum of c.
+    """
+    i = np.arange(M, dtype=float)
+    w = (M + 1) * (M - i) / (i + 1)
+    x_bar = (w * i).sum() / w.sum()
+    c = w * (i - x_bar) / (w * (i - x_bar) ** 2).sum()
+    g = np.ascontiguousarray(np.cumsum(c[::-1])[::-1])
     g.setflags(write=False)
     return g
 

@@ -1,7 +1,7 @@
 """Numerical kernel: seeded complex Gaussian sampling, 2D DFT/IDFT, cached
-DFT matrices, dominant singular triplet (one LAPACK eigenpair; it imports
-``scipy.linalg`` itself, so runs that never call it do not load scipy) and
-the unbiased 2D sample autocorrelation.
+DFT matrices, dominant singular triplet (the top eigenpair of a Gram
+matrix from numpy's LAPACK, so the module needs numpy only) and the
+unbiased 2D sample autocorrelation.
 
 All matrix arguments are dense complex numpy arrays. Functions are pure;
 ``SeededRng`` is the single piece of mutable state and is not safe for
@@ -12,6 +12,7 @@ each on its own substream.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -66,9 +67,9 @@ def dft2d(m: np.ndarray, inverse: bool = False) -> np.ndarray:
 def dominant_singular_triplet(m):
     """Leading singular triplet (s, u, v) of ``m``.
 
-    Only the top eigenpair of the Gram matrix of the smaller side is
-    computed (LAPACK ``zheevr``, one eigenvalue by index); the other
-    vector follows as u = m v / s or v = m^H u / s. ``m`` is scaled by
+    The top eigenpair of the Gram matrix of the smaller side (numpy's
+    ``eigh``, LAPACK ``zheevd``) gives s and one vector; the other follows
+    as u = m v / s or v = m^H u / s. ``m`` is scaled by
     max|m| first, so tiny or huge entries neither underflow nor overflow
     in the Gram matrix.
 
@@ -77,8 +78,6 @@ def dominant_singular_triplet(m):
     ``v``), making the triplet deterministic. The zero matrix returns
     s = 0 with u and v the first unit vectors.
     """
-    from scipy.linalg.lapack import zheevr
-
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         raise ValueError("matrix must be non-empty")
@@ -90,17 +89,14 @@ def dominant_singular_triplet(m):
         u[0] = 1.0
         v[0] = 1.0
         return 0.0, u, v
-    if not np.isfinite(scale):
+    if not math.isfinite(scale):
         raise np.linalg.LinAlgError("matrix has non-finite entries")
     a = m / scale
     tall = nr >= nt
     gram = a.conj().T @ a if tall else a @ a.conj().T
-    n = gram.shape[0]
-    w, z, _, _, info = zheevr(gram, range="I", lower=1, il=n, iu=n)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zheevr failed with info = {info}")
-    s_a = np.sqrt(w[0])  # >= 1: some entry of the scaled matrix has modulus 1
-    x = z[:, 0]
+    w, z = np.linalg.eigh(gram)  # ascending eigenvalues
+    s_a = np.sqrt(w[-1])  # >= 1: some entry of the scaled matrix has modulus 1
+    x = z[:, -1]
     if tall:
         u, v = (a @ x) / s_a, x
     else:
@@ -109,12 +105,10 @@ def dominant_singular_triplet(m):
 
 
 def _fix_phase(s, u, v):
-    idx = np.flatnonzero(np.abs(u) > 0)
-    if idx.size:
-        phase = u[idx[0]] / np.abs(u[idx[0]])
-        u = u / phase
-        v = v / phase  # u v^H is invariant: conj(phase) cancels in v^H
-    return float(s), u, v
+    first = u[np.flatnonzero(u)[0]]  # u has unit norm, so some entry is nonzero
+    phase = first / np.abs(first)
+    # u v^H is invariant: conj(phase) cancels in v^H
+    return float(s), u / phase, v / phase
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ variance estimate, spatial LS channel estimate)."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,11 +18,19 @@ from .numkit import SeededRng, dft2d, sample_complex_gaussian
 def wrap(x, lo: float, hi: float):
     """Wrap x into (lo, hi] via x - (hi-lo)*ceil((x-hi)/(hi-lo)).
 
-    Works elementwise on arrays. Periodic with period hi-lo.
+    Works elementwise on arrays. Periodic with period hi-lo. A nonzero
+    float (``np.float64`` too) with a finite quotient takes a scalar path
+    with the same IEEE steps, so it returns the array path's value as a
+    Python float; zeros stay on the array path, whose np.ceil keeps the
+    sign of a zero quotient (wrap(-0.0, -pi, pi) is +0.0).
     """
     if not lo < hi:
         raise ValueError("wrap requires lo < hi")
     span = hi - lo
+    if isinstance(x, float) and x:
+        q = (x - hi) / span
+        if math.isfinite(q):
+            return float(x - span * math.ceil(q))
     x = np.asarray(x, dtype=float)
     out = x - span * np.ceil((x - hi) / span)
     return float(out) if out.ndim == 0 else out

@@ -1,7 +1,9 @@
 """Reference models that only the tests use.
 
 `ls_estimate_explicit` is the explicit least-squares solve, the oracle for
-`observation.spatial_ls_estimate`. The Marchenko-Pastur density and CDF
+`observation.spatial_ls_estimate`. `wls_weights` and `wls_slope` are the
+weighted least-squares line fit that `algorithm._slope_weights` folds into
+one closed-form vector. The Marchenko-Pastur density and CDF
 and `iid_ordered_eigenvalue_mean` are the paper's model behind Lemma 4:
 the ordered noise eigenvalues as order statistics of independent
 Marchenko-Pastur draws. `analysis.ordered_eigenvalue_mean` is the exact
@@ -37,6 +39,29 @@ def ls_estimate_explicit(obs: Observation, cb: Codebook) -> np.ndarray:
         )
     scale = n_t * n_r / (q_count * p_count * np.sqrt(obs.rho))
     return scale * (cb.w @ obs.y @ cb.f.conj().T)
+
+
+def wls_weights(M: int) -> np.ndarray:
+    """Inverse-variance weights w_i = (M+1)(M-i)/(i+1) for the unwrapped
+    phases of an unbiased-ACF slope fit; strictly decreasing in i."""
+    if M < 2:
+        raise ValueError("M must be >= 2")
+    i = np.arange(M, dtype=float)
+    return (M + 1) * (M - i) / (i + 1)
+
+
+def wls_slope(phases: np.ndarray, weights: np.ndarray) -> float:
+    """Weighted least-squares slope of ``phases`` against index 0..M-1."""
+    phases = np.asarray(phases, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if phases.shape != weights.shape or len(phases) < 2:
+        raise ValueError("phases and weights must be equal-length, >= 2")
+    i = np.arange(len(phases), dtype=float)
+    wsum = weights.sum()
+    x_bar = (weights * i).sum() / wsum
+    y_bar = (weights * phases).sum() / wsum
+    denom = (weights * (i - x_bar) ** 2).sum()
+    return float((weights * (i - x_bar) * (phases - y_bar)).sum() / denom)
 
 
 def mp_density(mp: MarchenkoPastur, x) -> np.ndarray:

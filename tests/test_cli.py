@@ -110,14 +110,16 @@ class TestConfigErrors:
 
 class TestImportFootprint:
     """Each command loads only the scipy modules of the code it calls, so
-    `ls` and `dft_peak` sweeps start without scipy's import cost."""
+    sweeps, `single` and the CRLB start without scipy's import cost; only
+    `bound --kind lemma4` loads scipy. The config has one path, so every
+    tsdce step takes the rank-one step."""
 
     HEAVY = ("scipy.linalg", "scipy.integrate", "scipy.special")
 
-    def run_fresh(self, tmp_path, argv, methods):
+    def run_fresh(self, tmp_path, argv, methods, out="--out"):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(CONFIG + f"trials = 2\nmethods = {methods}\n", encoding="utf-8")
-        argv = [*argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+        argv = [*argv, "--config", str(cfg), out, str(tmp_path / "out")]
         script = (
             "import json, sys\n"
             "from tsdce.cli import main\n"
@@ -132,8 +134,12 @@ class TestImportFootprint:
     def test_ls_and_dft_peak_sweep_load_no_scipy_submodule(self, tmp_path):
         assert self.run_fresh(tmp_path, ["run"], "ls, dft_peak") == [0, []]
 
-    def test_tsdce_sweep_loads_only_scipy_linalg(self, tmp_path):
-        assert self.run_fresh(tmp_path, ["run"], "tsdce") == [0, ["scipy.linalg"]]
+    def test_tsdce_sweep_loads_no_scipy_submodule(self, tmp_path):
+        assert self.run_fresh(tmp_path, ["run"], "tsdce, ls") == [0, []]
+
+    def test_tsdce_single_loads_no_scipy_submodule(self, tmp_path):
+        argv = ["single", "--snr-index", "1", "--trial", "1"]
+        assert self.run_fresh(tmp_path, argv, "tsdce", out="--dump") == [0, []]
 
     def test_crlb_bound_loads_no_scipy_submodule(self, tmp_path):
         assert self.run_fresh(tmp_path, ["bound", "--kind", "crlb"], "tsdce") == [0, []]

@@ -143,6 +143,30 @@ class TestDominantSingularTriplet:
             first = u[np.flatnonzero(np.abs(u) > 0)[0]]
             assert abs(first.imag) <= 1e-15 * abs(first) and first.real > 0.0
 
+    @pytest.mark.parametrize("shape", [(12, 8), (8, 12)], ids=["tall", "wide"])
+    def test_exact_tie(self, shape):
+        # sigma_1 = sigma_2 = 2: every unit vector of the tied pair's span is
+        # a valid answer, and LAPACK routines may pick different ones, so
+        # only the invariants of a top singular triplet are checked
+        n_r, n_t = shape
+        k = min(shape)
+        sigma = np.ones(k)
+        sigma[:2] = 2.0
+        for seed in range(5):
+            rng = SeededRng(300 + seed)
+            u_all, _ = np.linalg.qr(random_complex(rng, (n_r, k)))
+            v_all, _ = np.linalg.qr(random_complex(rng, (n_t, k)))
+            m = (u_all * sigma) @ v_all.conj().T
+            s, u, v = dominant_singular_triplet(m)
+            assert abs(s - 2.0) <= 1e-12 * 2.0
+            m_sq = np.linalg.norm(m) ** 2
+            rest = np.linalg.norm(m - s * np.outer(u, v.conj())) ** 2
+            assert abs(rest - (m_sq - s**2)) <= 1e-10 * m_sq
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            first = u[np.flatnonzero(np.abs(u) > 0)[0]]
+            assert abs(first.imag) <= 1e-15 * abs(first) and first.real > 0.0
+
     def test_zero_matrix(self):
         s, u, v = dominant_singular_triplet(np.zeros((4, 4), dtype=complex))
         assert s == 0.0

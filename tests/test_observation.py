@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsdce import observation
 from tsdce.channel import PathParams, build_channel, sample_paths, steering_vector
 from tsdce.numkit import SeededRng
 from tsdce.observation import (
@@ -52,6 +53,37 @@ class TestWrap:
         # the ceiling form maps onto (lo, hi]: hi is fixed, lo maps to hi
         assert wrap(1.0, -1.0, 1.0) == pytest.approx(1.0)
         assert wrap(-1.0, -1.0, 1.0) == pytest.approx(1.0)
+
+    @staticmethod
+    def assert_scalar_path_exact(x, lo, hi):
+        # a float and its np.float64 give the array path's value bit for bit
+        for arg in (float(x), np.float64(x)):
+            out = wrap(arg, lo, hi)
+            assert type(out) is float
+            assert np.float64(out).tobytes() == wrap(np.array([arg]), lo, hi)[0].tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [(-np.pi, np.pi), (-1.0, 1.0), (0.0, 1.0), (-2.0, -0.5)])
+    def test_scalar_path_boundaries(self, lo, hi):
+        span = hi - lo
+        values = [lo, hi, -0.0, 0.0, 1e6, -1e6, 5e-324, -5e-324, np.nextafter(hi, np.inf),
+                  np.nextafter(lo, -np.inf)]
+        values += [hi + k * span for k in (-7, -2, -1, 1, 2, 7)]
+        for x in values:
+            self.assert_scalar_path_exact(x, lo, hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_scalar_path_matches_array_path(self, x):
+        self.assert_scalar_path_exact(x, -np.pi, np.pi)
+
+    def test_ints_and_zeros_take_array_path(self, monkeypatch):
+        monkeypatch.setattr(observation, "math", None)  # the scalar path would fail
+        for x in (3, -5, np.int64(7), 0.0, -0.0):
+            out = wrap(x, -1.0, 1.0)
+            assert type(out) is float
+            assert np.float64(out).tobytes() == wrap(np.array([x], dtype=float), -1.0, 1.0)[0].tobytes()
+        with pytest.raises(AttributeError):
+            wrap(0.5, -1.0, 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=-50, max_value=50))

@@ -17,8 +17,6 @@ from tsdce.algorithm import (
     run,
     select_wrap_branch,
     sic,
-    wls_slope,
-    wls_weights,
 )
 from tsdce.analysis import dft_peak_baseline
 from tsdce.channel import PathParams, build_channel, cisoid_sum, sample_paths
@@ -30,6 +28,7 @@ from tsdce.observation import (
     to_spatial,
     wrap,
 )
+from oracles import wls_slope, wls_weights
 
 
 def cisoid(n_r, n_t, w_row, w_col, amp=1.0, phase=0.0):
@@ -214,6 +213,15 @@ class TestUnwrapCumsum:
         ref = [sum(vals[: i + 1]) for i in range(len(vals))]
         expected = wls_slope_oracle(np.array(ref), wls_weights(len(vals)))
         assert _slope_weights(len(vals)) @ d == pytest.approx(expected, abs=1e-9)
+
+    def test_matches_slope_of_each_unit_step(self):
+        # g_M[k] is the oracle slope of the k-th unit step, cumsum(e_k); the
+        # closed form rounds differently, within a few ulp of max|g_M|
+        for m in range(2, 65):
+            w = wls_weights(m)
+            table = np.array([wls_slope(step, w) for step in np.tri(m).T])
+            g = _slope_weights(m)
+            assert np.abs(g - table).max() <= 4e-15 * np.abs(table).max()
 
     def test_cached_read_only(self):
         g = _slope_weights(16)
