@@ -71,6 +71,12 @@ class TestWrap:
         for x in values:
             self.assert_scalar_path_exact(x, lo, hi)
 
+    def test_non_finite_scalars_give_nan_as_arrays_do(self):
+        with np.errstate(invalid="ignore"):  # inf - inf in the array path
+            for x in (np.inf, -np.inf, np.nan):
+                self.assert_scalar_path_exact(x, -1.0, 1.0)
+                assert np.isnan(wrap(x, -1.0, 1.0))
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_scalar_path_matches_array_path(self, x):
