@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithm import derotated_mean, sic
-from .channel import ChannelRealization, PathParams, cisoid_sum
+from .channel import PathParams, _index, _steering_factors
 from .numkit import dft_columns
 from .observation import wrap
 
@@ -336,35 +336,35 @@ class FisherModel:
         return len(self.params) // 4
 
 
-def _channel_jacobian(model: FisherModel) -> np.ndarray:
-    """Jacobian of vec(H) w.r.t. the 4L real parameters.
+def fisher_matrix(model: FisherModel) -> np.ndarray:
+    """Fisher information (2/noise_var) * Re[J^H J]; symmetric PSD.
 
-    H[m, n] = sum_l |a_l| exp(j(phase_l + w_aoa_l m + w_aod_l n)); each
-    column below is the derivative of the vectorized channel w.r.t. one
-    parameter, verified against central finite differences in the tests.
+    J is the Jacobian of vec(H), H[m, n] = sum_l |a_l| r_l[m] t_l[n] with
+    r_l[m] = exp(j(phase_l + w_aoa_l m)) and t_l[n] = exp(j w_aod_l n), in
+    the 4L real parameters. Each column is separable: for |a|, phase,
+    omega_aod and omega_aoa it is the outer product of r_l, j|a_l| r_l,
+    j|a_l| r_l, j|a_l| m r_l with t_l, t_l, n t_l, t_l. Stacking these
+    factors as the columns of A (n_r x 4L) and B (n_t x 4L) gives
+    J^H J = (A^H A) o (B^H B), entries sum_m m^p conj(r_l) r_k times
+    sum_n n^q conj(t_l) t_k with p, q <= 2: neither J nor H is formed.
+    The finite-difference-checked J is the tests' oracle.
     """
     mag, phase, w_aod, w_aoa = model.params.reshape(-1, 4).T
-    # one unit-magnitude n_r x n_t cisoid per path
-    cis = np.array([
-        cisoid_sum(np.exp(1j * p), wa, wd, model.n_r, model.n_t)
-        for p, wa, wd in zip(phase, w_aoa, w_aod)
-    ])
-    m, n = np.indices((model.n_r, model.n_t))
-    scaled = 1j * mag[:, None, None] * cis
-    # per path: d/d|a|, d/d phase, d/d omega_aod, d/d omega_aoa
-    cols = np.stack([cis, scaled, n * scaled, m * scaled], axis=1)
-    return cols.reshape(4 * model.n_paths, -1).T
+    r, t = _steering_factors(w_aoa, w_aod, model.n_r, model.n_t)
+    r, t = r * np.exp(1j * phase), t.T
+    scaled = 1j * mag * r
+    # columns grouped by parameter, then by path
+    a = np.concatenate((r, scaled, scaled, _index(model.n_r)[:, None] * scaled), axis=1)
+    b = np.concatenate((t, t, _index(model.n_t)[:, None] * t, t), axis=1)
+    f = ((a.conj().T @ a) * (b.conj().T @ b)).real
+    n = model.n_paths
+    f = f.reshape(4, n, 4, n).transpose(1, 0, 3, 2).reshape(4 * n, 4 * n)  # per path
+    return (f + f.T) / model.noise_var
 
 
-def fisher_matrix(model: FisherModel) -> np.ndarray:
-    """Fisher information (2/noise_var) * Re[J^H J]; symmetric PSD."""
-    j = _channel_jacobian(model)
-    f = (2.0 / model.noise_var) * np.real(j.conj().T @ j)
-    return 0.5 * (f + f.T)
-
-
-def crlb_nmse_bound(channel: ChannelRealization, rho: float, sigma_z_sq: float) -> float:
-    """Cramer-Rao bound on ||H_hat - H||^2 / ||H||^2 for one channel.
+def crlb_nmse_bound(paths, n_t: int, n_r: int, rho: float, sigma_z_sq: float) -> float:
+    """Cramer-Rao bound on ||H_hat - H||^2 / ||H||^2 for the n_r x n_t
+    channel of ``paths``.
 
     Noise. The spatial crop is d_bar = sqrt(rho/(n_t n_r)) H + Z with Z
     white, CN(0, sigma_z_sq) entries, so the spatial LS estimate
@@ -383,18 +383,22 @@ def crlb_nmse_bound(channel: ChannelRealization, rho: float, sigma_z_sq: float) 
     pseudo-inverse CRLB tr(J F+ J^H), with F+ inverting each eigenvalue
     lambda_i of F as 1 / max(lambda_i, 1e-12 lambda_max): an eigenvalue
     above that floor adds noise_var / 2, one below it adds less, so the
-    value stays finite and continuous as two paths merge. Averaging
+    value stays finite and continuous as two paths merge. ||H||^2 is
+    |a|^T Re[J^H J]_{|a||a|} |a|, read off F, so neither H nor J is ever
+    formed; a zero-norm channel raises ValueError. Averaging
     across realizations is left to the caller. At L = 1, ||H||^2 is
     n_t n_r |a|^2 with |a|^2 exponential, so E[1/||H||^2] diverges and
     the mean over realizations grows with their number.
     """
-    noise_var = channel.n_t * channel.n_r * sigma_z_sq / rho
+    noise_var = n_t * n_r * sigma_z_sq / rho
     params = np.ravel(
-        [(p.gain_magnitude, p.gain_phase, p.omega_aod, p.omega_aoa) for p in channel.paths]
+        [(p.gain_magnitude, p.gain_phase, p.omega_aod, p.omega_aoa) for p in paths]
     )
-    model = FisherModel(params=params, noise_var=noise_var, n_t=channel.n_t, n_r=channel.n_r)
-    vals = np.linalg.eigvalsh(fisher_matrix(model))
-    if vals[-1] <= 0:
-        raise ArithmeticError("Fisher matrix is identically zero")
+    f = fisher_matrix(FisherModel(params=params, noise_var=noise_var, n_t=n_t, n_r=n_r))
+    mag = params[0::4]
+    h_sq = noise_var / 2 * (mag @ f[0::4, 0::4] @ mag)
+    if not h_sq > 0:
+        raise ValueError("true channel has zero norm")
+    vals = np.linalg.eigvalsh(f)  # vals[-1] > 0: F's |a| block holds ||H||^2
     rank = np.sum(vals / np.maximum(vals, 1e-12 * vals[-1]))
-    return float(noise_var / 2 * rank / np.linalg.norm(channel.h) ** 2)
+    return float(noise_var / 2 * rank / h_sq)

@@ -93,9 +93,16 @@ def cisoid_sum(gains, omega_aoa, omega_aod, n_r: int, n_t: int) -> np.ndarray:
     if isinstance(omega_aoa, float):  # np.float64 too
         e_r = gains * np.exp(1j * omega_aoa * _index(n_r))
         return e_r[:, None] * np.exp(1j * omega_aod * _index(n_t))
+    e_r, e_t = _steering_factors(omega_aoa, omega_aod, n_r, n_t)
+    return (e_r * np.ravel(gains)) @ e_t
+
+
+def _steering_factors(omega_aoa, omega_aod, n_r: int, n_t: int):
+    """The factors of `cisoid_sum` for length-L frequencies: e_r[m, l] =
+    exp(j omega_aoa_l m), n_r x L, and e_t[l, n] = exp(j omega_aod_l n), L x n_t."""
     e_r = np.exp(1j * (_index(n_r)[:, None] * np.reshape(omega_aoa, (1, -1))))
     e_t = np.exp(1j * (np.reshape(omega_aod, (-1, 1)) * _index(n_t)))
-    return (e_r * np.ravel(gains)) @ e_t
+    return e_r, e_t
 
 
 def sample_paths(L: int, rng: SeededRng, angle_range=(0.0, np.pi)):

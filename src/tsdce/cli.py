@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import algorithm, analysis, bench
-from .channel import build_channel, sample_paths
+from .channel import sample_paths
 from .numkit import SeededRng
 from .observation import snr_in_spatial_domain, spatial_ls_estimate, to_spatial
 
@@ -105,8 +105,9 @@ def _cmd_bound(args) -> int:
             ratios = []
             for t in range(cfg.trials):
                 paths = sample_paths(cfg.paths, base.substream(t), cfg.angle_range)
-                ch = build_channel(paths, cfg.n_t, cfg.n_r)
-                ratios.append(analysis.crlb_nmse_bound(ch, cfg.rho, sigma_z_sq))
+                ratios.append(
+                    analysis.crlb_nmse_bound(paths, cfg.n_t, cfg.n_r, cfg.rho, sigma_z_sq)
+                )
             ratio = float(np.mean(ratios))
             sse = ratio * e_h_sq
         rows.append(

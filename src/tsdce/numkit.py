@@ -29,7 +29,11 @@ class SeededRng:
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
-        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
+        # built on the first draw, so a stream used only for its substreams builds none
+        return np.random.Generator(np.random.Philox(key=self.seed))
 
     def substream(self, index: int) -> "SeededRng":
         return SeededRng(self.seed ^ (int(index) & _MASK64))

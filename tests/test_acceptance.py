@@ -15,7 +15,6 @@ from tsdce.algorithm import reconstruct_channel, run
 from tsdce.analysis import (
     FisherModel,
     MarchenkoPastur,
-    _channel_jacobian,
     crlb_nmse_bound,
     ordered_eigenvalue_mean,
     upper_bound_single_path,
@@ -31,7 +30,7 @@ from tsdce.observation import (
     to_spatial,
     wrap,
 )
-from oracles import ls_estimate_explicit, mp_density
+from oracles import _channel_jacobian, ls_estimate_explicit, mp_density
 
 N = 16
 CB16 = build_codebook(16, 16, N, N)
@@ -209,7 +208,7 @@ def test_criterion_06_crlb_curve():
             ch = random_channel(3, stream)
             obs = synthesize_observation(ch, CB16, 1.0, sigma_n_sq, stream)
             t_ratio.append(nmse_ratio(tsdce_estimate(obs, 3, 3), ch.h))
-            c_ratio.append(crlb_nmse_bound(ch, 1.0, sigma_z_sq))
+            c_ratio.append(crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, sigma_z_sq))
         tsdce_db[snr_db] = 10.0 * np.log10(np.mean(t_ratio))
         crlb_db[snr_db] = 10.0 * np.log10(np.mean(c_ratio))
 

@@ -35,7 +35,13 @@ from tsdce.observation import (
     to_spatial,
     wrap,
 )
-from oracles import iid_ordered_eigenvalue_mean, ls_estimate_explicit, mp_cdf, mp_density
+from oracles import (
+    _channel_jacobian,
+    iid_ordered_eigenvalue_mean,
+    ls_estimate_explicit,
+    mp_cdf,
+    mp_density,
+)
 
 
 def spatial_ls(obs, n_t=16, n_r=16):
@@ -450,7 +456,6 @@ class TestUpperBoundMultiPath:
 
 class TestFisherMatrix:
     def test_jacobian_matches_finite_differences(self):
-        from tsdce.analysis import _channel_jacobian
         ch = build_channel(sample_paths(3, SeededRng(97)), 16, 16)
         model = model_from_channel(ch, 0.1)
         jac = _channel_jacobian(model)
@@ -471,6 +476,30 @@ class TestFisherMatrix:
         assert np.allclose(f[:, 1:], 0.0)
         assert f[0, 0] > 0
 
+    @pytest.mark.parametrize("n_t, n_r", [(16, 16), (8, 12), (12, 8)])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_closed_form_matches_oracle_jacobian(self, L, n_t, n_r):
+        ch = build_channel(sample_paths(L, SeededRng(123).substream(L)), n_t, n_r)
+        model = model_from_channel(ch, 0.3)
+        assert fisher_rel_err(model) < 1e-12
+
+    def test_closed_form_matches_oracle_on_degenerate_channels(self):
+        p, q = sample_paths(2, SeededRng(124))
+        dead = PathParams.from_freqs(0.0, 0.4, 0.9, -1.3)
+        for ch in (coincident_paths_channel(125), build_channel([p, q, dead], 16, 16)):
+            assert fisher_rel_err(model_from_channel(ch, 0.3)) < 1e-12
+
+    @pytest.mark.parametrize("n_t, n_r", [(16, 16), (8, 12), (12, 8)])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_amplitude_block_gives_channel_energy(self, L, n_t, n_r):
+        # ||H||^2 = |a|^T Re[J^H J]_{|a||a|} |a|, which crlb_nmse_bound reads off F
+        paths = sample_paths(L, SeededRng(126).substream(L))
+        model = model_from_channel(build_channel(paths, n_t, n_r), 0.3)
+        mag = model.params[0::4]
+        energy = model.noise_var / 2 * (mag @ fisher_matrix(model)[0::4, 0::4] @ mag)
+        expected = np.linalg.norm(build_channel(paths, n_t, n_r).h) ** 2
+        assert energy == pytest.approx(expected, rel=1e-12)
+
     def test_frequency_crlb_antenna_trend(self):
         # single-sinusoid frequency variance falls roughly as 1/n^3
         variances = []
@@ -478,6 +507,14 @@ class TestFisherMatrix:
             model = FisherModel(np.array([1.0, 0.2, 0.7, -0.9]), 0.1, n, n)
             variances.append(np.linalg.inv(fisher_matrix(model))[2, 2])
         assert variances[0] > 6 * variances[1] > 36 * variances[2]
+
+
+def fisher_rel_err(model):
+    """Largest deviation of `fisher_matrix` from (2/noise_var) Re[J^H J]
+    of the oracle Jacobian, relative to that matrix's largest entry."""
+    jac = _channel_jacobian(model)
+    ref = (2.0 / model.noise_var) * np.real(jac.conj().T @ jac)
+    return np.max(np.abs(fisher_matrix(model) - ref)) / np.max(np.abs(ref))
 
 
 def crlb_noise_var(ch, rho, sigma_z_sq):
@@ -489,7 +526,6 @@ def crlb_trace_reference(ch, rho, sigma_z_sq):
     """tr(J F+ J^H) / ||H||^2 from the Jacobian, with F+ the inverse of
     the Fisher matrix whose eigenvalues are floored at 1e-12 of the
     largest."""
-    from tsdce.analysis import _channel_jacobian
     model = model_from_channel(ch, crlb_noise_var(ch, rho, sigma_z_sq))
     vals, vecs = np.linalg.eigh(fisher_matrix(model))
     f_plus = (vecs / np.maximum(vals, 1e-12 * vals[-1])) @ vecs.T
@@ -509,7 +545,7 @@ def coincident_paths_channel(seed):
 class TestCrlbNmseBound:
     def test_vanishing_noise_limit(self):
         ch = build_channel(sample_paths(2, SeededRng(99)), 16, 16)
-        ratio = crlb_nmse_bound(ch, 1.0, 1e-18)
+        ratio = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, 1e-18)
         assert ratio < 1e-12
 
     def test_decreases_with_snr(self):
@@ -520,7 +556,7 @@ class TestCrlbNmseBound:
             for t in range(100):
                 rng = SeededRng(101).substream(t)
                 ch = build_channel(sample_paths(3, rng), 16, 16)
-                acc += crlb_nmse_bound(ch, 1.0, sigma_z_sq)
+                acc += crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, sigma_z_sq)
             levels.append(10 * np.log10(acc / 100))
         assert levels[0] > levels[1] > levels[2]
 
@@ -528,7 +564,7 @@ class TestCrlbNmseBound:
     def test_closed_form_equals_jacobian_trace(self, seed):
         ch = build_channel(sample_paths(3, SeededRng(seed)), 16, 16)
         sigma_z_sq = 0.1 / 256.0
-        got = crlb_nmse_bound(ch, 1.0, sigma_z_sq)
+        got = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, sigma_z_sq)
         assert got == pytest.approx(crlb_trace_reference(ch, 1.0, sigma_z_sq), rel=1e-10)
         # full rank: 2 L noise_var, the trace of F^-1 F times noise_var / 2
         two_l_var = 6 * crlb_noise_var(ch, 1.0, sigma_z_sq) / np.linalg.norm(ch.h) ** 2
@@ -537,7 +573,7 @@ class TestCrlbNmseBound:
     def test_closed_form_on_coincident_paths(self):
         ch = coincident_paths_channel(115)
         sigma_z_sq = 0.1 / 256.0
-        got = crlb_nmse_bound(ch, 1.0, sigma_z_sq)
+        got = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, sigma_z_sq)
         # pseudo-inverse CRLB: rank 10 of 12, so 5 noise_var. The two lost
         # eigenvalues are rounding noise near 1e-17 of the largest; each
         # adds its ratio to the 1e-12 floor, about 1e-5, on either side
@@ -550,7 +586,7 @@ class TestCrlbNmseBound:
         dead = PathParams.from_freqs(0.0, 0.4, 0.9, -1.3)
         ch = build_channel([p, q, dead], 16, 16)
         sigma_z_sq = 0.1 / 256.0
-        got = crlb_nmse_bound(ch, 1.0, sigma_z_sq)
+        got = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, sigma_z_sq)
         # the dead path's phase and frequencies carry no information
         assert got == pytest.approx(crlb_trace_reference(ch, 1.0, sigma_z_sq), rel=1e-10)
         rank_var = 4.5 * crlb_noise_var(ch, 1.0, sigma_z_sq) / np.linalg.norm(ch.h) ** 2
@@ -567,7 +603,8 @@ class TestCrlbNmseBound:
         # linearized, each draw is (noise_var / 2) chi^2 with 12 degrees of
         # freedom, relative sd 1/sqrt(6); the mean of 4000 has 0.65%, so 3%
         # is over 4 standard errors
-        assert np.mean(ratios) == pytest.approx(crlb_nmse_bound(ch, 1.0, sigma_z_sq), rel=0.03)
+        bound = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, sigma_z_sq)
+        assert np.mean(ratios) == pytest.approx(bound, rel=0.03)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_full_rank_closed_form(self, L):
@@ -575,7 +612,8 @@ class TestCrlbNmseBound:
         ch = build_channel(sample_paths(L, SeededRng(121).substream(L)), 8, 12)
         rho, sigma_z_sq = 2.0, 0.03
         expected = 2 * L * 8 * 12 * sigma_z_sq / (rho * np.linalg.norm(ch.h) ** 2)
-        assert crlb_nmse_bound(ch, rho, sigma_z_sq) == pytest.approx(expected, rel=1e-12)
+        got = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, rho, sigma_z_sq)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_needs_no_eigenvalue_means(self, monkeypatch):
         def refuse(*args):
@@ -583,14 +621,23 @@ class TestCrlbNmseBound:
 
         monkeypatch.setattr(analysis, "ordered_eigenvalue_mean", refuse)
         ch = build_channel(sample_paths(3, SeededRng(122)), 16, 16)
-        assert np.isfinite(crlb_nmse_bound(ch, 1.0, 0.01))
+        assert np.isfinite(crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, 0.01))
 
     def test_deterministic_per_channel(self):
         ch = build_channel(sample_paths(3, SeededRng(119)), 16, 16)
-        assert crlb_nmse_bound(ch, 1.0, 0.01) == crlb_nmse_bound(ch, 1.0, 0.01)
+        args = (ch.paths, ch.n_t, ch.n_r, 1.0, 0.01)
+        assert crlb_nmse_bound(*args) == crlb_nmse_bound(*args)
+
+    def test_zero_norm_channel_raises(self):
+        dead = [PathParams.from_freqs(0.0, 0.4, 0.9, -1.3), PathParams.from_freqs(0.0, 0, -2, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero norm"):
+                crlb_nmse_bound(dead, 16, 16, 1.0, 0.01)
 
     def test_degenerate_fisher_matrix_raises_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ratio = crlb_nmse_bound(coincident_paths_channel(120), 1.0, 0.01)
+            ch = coincident_paths_channel(120)
+            ratio = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, 0.01)
         assert np.isfinite(ratio) and ratio > 0

@@ -13,6 +13,7 @@ from tsdce.bench import (
     MetricRecord,
     angle_errors_deg,
     doa_metrics,
+    draw_trial,
     emit_csv,
     load_config,
     match_paths,
@@ -20,7 +21,7 @@ from tsdce.bench import (
     ratio_to_db,
     run_experiment,
 )
-from tsdce import algorithm, analysis, bench, cli, observation
+from tsdce import algorithm, analysis, bench, cli, numkit, observation
 from tsdce.channel import PathParams
 from tsdce.numkit import SeededRng
 
@@ -256,6 +257,36 @@ class TestCsv:
         path = tmp_path / "out.csv"
         emit_csv([rec], path)
         assert ",-999," in path.read_text().splitlines()[1]
+
+
+class TestDrawTrial:
+    CFG = ExperimentConfig(trials=4, paths=3, snr_db_list=(0.0, 10.0), seed=8)
+
+    def test_builds_one_generator(self, monkeypatch):
+        philox, built = np.random.Philox, []
+
+        def counting_philox(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        draw_trial(self.CFG, 1, 2)
+        assert len(built) == 1
+
+    def test_draws_equal_those_of_eager_generators(self, monkeypatch):
+        lazy = [draw_trial(self.CFG, s, t) for s in range(2) for t in range(4)]
+
+        class EagerRng(SeededRng):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self._gen  # built at construction, not on the first draw
+
+        monkeypatch.setattr(numkit, "SeededRng", EagerRng)
+        monkeypatch.setattr(bench, "SeededRng", EagerRng)
+        eager = [draw_trial(self.CFG, s, t) for s in range(2) for t in range(4)]
+        for (paths, ch, obs), (e_paths, e_ch, e_obs) in zip(lazy, eager):
+            assert paths == e_paths
+            assert np.array_equal(ch.h, e_ch.h) and np.array_equal(obs.y, e_obs.y)
 
 
 class TestRunExperiment:

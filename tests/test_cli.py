@@ -223,6 +223,16 @@ class TestBoundCommand:
             rows = list(csv.DictReader(fh))
         assert [r["kind"] for r in rows] == ["crlb", "crlb"]
 
+    def test_crlb_synthesizes_no_channel(self, config_path, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the CRLB built a channel matrix")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tsdce") and hasattr(module, "build_channel"):
+                monkeypatch.setattr(module, "build_channel", refuse)
+        out = str(tmp_path / "crlb.csv")
+        assert main(["bound", "--config", config_path, "--kind", "crlb", "--out", out]) == 0
+
     @pytest.mark.parametrize("kind", ["lemma3", "lemma4", "crlb"])
     def test_bound_curves(self, config_path, tmp_path, kind):
         out = str(tmp_path / f"{kind}.csv")
