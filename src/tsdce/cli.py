@@ -5,7 +5,8 @@ Subcommands:
   single -- one sweep trial, replayed with matrix dumps for debugging/figures
   bound  -- analytic bound curves over the configured SNR list
 
-Exit codes: 0 success, 2 configuration error, 3 failure-rate breach.
+Exit codes: 0 success, 2 configuration error or an output path that cannot
+be written, 3 failure-rate breach.
 """
 
 from __future__ import annotations
@@ -151,6 +152,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except bench.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

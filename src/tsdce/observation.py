@@ -51,11 +51,10 @@ class Codebook:
 
 @dataclass(frozen=True)
 class Observation:
-    """Q x P angular-domain measurement with its SNR bookkeeping."""
+    """Q x P angular-domain measurement and its transmit power rho."""
 
     y: np.ndarray
     rho: float
-    sigma_n_sq: float
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def synthesize_observation(
         if rng is None:
             raise ValueError("rng is required when sigma_n_sq > 0")
         y = y + sample_complex_gaussian(rng, sigma_n_sq, size=y.shape)
-    return Observation(y=y, rho=float(rho), sigma_n_sq=float(sigma_n_sq))
+    return Observation(y=y, rho=float(rho))
 
 
 def to_spatial(obs: Observation, n_t: int, n_r: int) -> SpatialObservation:

@@ -3,20 +3,28 @@
 `ls_estimate_explicit` is the explicit least-squares solve, the oracle for
 `observation.spatial_ls_estimate`. `wls_weights` and `wls_slope` are the
 weighted least-squares line fit that `algorithm._slope_weights` folds into
-one closed-form vector. The Marchenko-Pastur density and CDF
-and `iid_ordered_eigenvalue_mean` are the paper's model behind Lemma 4:
+one closed-form vector. `MarchenkoPastur` with its density and CDF, and
+`iid_ordered_eigenvalue_mean`, are the paper's model behind Lemma 4:
 the ordered noise eigenvalues as order statistics of independent
 Marchenko-Pastur draws. `analysis.ordered_eigenvalue_mean` is the exact
 finite-N mean that the program uses; this model is kept as the record of
-the bound as published. `_channel_jacobian` is the explicit Jacobian of
-vec(H) in the path parameters, the oracle of `analysis.fisher_matrix`.
+the bound as published. `laguerre_ordered_means_tanhsinh` is that exact
+table by adaptive tanh-sinh quadrature, the oracle of the fixed rule in
+`analysis._laguerre_ordered_means`. `_channel_jacobian` is the explicit
+Jacobian of vec(H) in the path parameters, the oracle of
+`analysis.fisher_matrix`. `genie_sic` is TSDCE's per-path step with every
+other path cancelled by its true value, which separates the step's own
+error from the error that SIC propagates.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_laguerre
 
-from tsdce.analysis import FisherModel, MarchenkoPastur
+from tsdce.algorithm import _estimate_component
+from tsdce.analysis import FisherModel
 from tsdce.channel import cisoid_sum
 from tsdce.observation import Codebook, Observation
 
@@ -64,6 +72,26 @@ def wls_slope(phases: np.ndarray, weights: np.ndarray) -> float:
     y_bar = (weights * phases).sum() / wsum
     denom = (weights * (i - x_bar) ** 2).sum()
     return float((weights * (i - x_bar) * (phases - y_bar)).sum() / denom)
+
+
+@dataclass(frozen=True)
+class MarchenkoPastur:
+    """Marchenko-Pastur eigenvalue law for (1/n_t) Z^H Z with CN(0, s2)
+    entries, aspect ratio c = n_r/n_t in (0, 1]."""
+
+    sigma_z_sq: float
+    c: float
+    a: float = field(init=False)
+    b: float = field(init=False)
+
+    def __post_init__(self):
+        if self.sigma_z_sq <= 0:
+            raise ValueError("sigma_z_sq must be positive")
+        if not 0 < self.c <= 1:
+            raise ValueError("c must lie in (0, 1]")
+        sq = np.sqrt(self.c)
+        object.__setattr__(self, "a", self.sigma_z_sq * (1 - sq) ** 2)
+        object.__setattr__(self, "b", self.sigma_z_sq * (1 + sq) ** 2)
 
 
 def mp_density(mp: MarchenkoPastur, x) -> np.ndarray:
@@ -144,6 +172,54 @@ def iid_ordered_eigenvalue_mean(mp: MarchenkoPastur, l: int, n_r: int) -> float:
     if not np.isfinite(val):
         raise ArithmeticError(f"order-statistic quadrature failed (err={err})")
     return float(val)
+
+
+def laguerre_ordered_means_tanhsinh(n_r: int, n_t: int) -> np.ndarray:
+    """`analysis._laguerre_ordered_means` with the s-integral of every rank
+    taken by one adaptive tanh-sinh quadrature to rtol 1e-12 over [0, inf),
+    evaluating each batch of abscissae at once; raises ArithmeticError
+    when it does not converge."""
+    alpha = n_t - n_r
+    t, w = roots_laguerre(n_r + alpha // 2)
+    root_w = np.sqrt(w * np.exp(t))
+    k = np.arange(n_r)
+    step = np.sqrt(k * (k + alpha))
+
+    def rank_tails(s_all):
+        # every rank has the same limits, so every row holds the same abscissae
+        s = s_all.reshape(n_r, -1)[0]
+        x = s[:, None] + t
+        phi = np.empty((n_r,) + x.shape)
+        phi[0] = np.exp(0.5 * (alpha * np.log(x) - x - gammaln(alpha + 1))) * root_w
+        if n_r > 1:
+            phi[1] = (1 + alpha - x) * phi[0] / step[1]
+        for j in range(2, n_r):
+            phi[j] = ((2 * j - 1 + alpha - x) * phi[j - 1] - step[j - 1] * phi[j - 2]) / step[j]
+        gram = np.einsum("ism,jsm->sij", phi, phi)
+        probs = np.clip(np.linalg.eigvalsh(gram), 0.0, 1.0)
+        tails = np.zeros((s.size, n_r + 1))
+        tails[:, 0] = 1.0
+        for p in probs.T:
+            tails[:, 1:] += p[:, None] * (tails[:, :-1] - tails[:, 1:])
+        return tails[:, 1:].T.reshape(s_all.shape)
+
+    res = integrate.tanhsinh(
+        rank_tails, np.zeros(n_r), np.inf, preserve_shape=True, rtol=1e-12
+    )
+    if not np.all(res.success):
+        raise ArithmeticError(f"ordered-eigenvalue quadrature failed (err={res.error.max()})")
+    return res.integral
+
+
+def genie_sic(h_ls: np.ndarray, paths) -> list:
+    """TSDCE's per-path step with a genie: for each true path, cancel every
+    other path by its true gain times cisoid and run
+    `algorithm._estimate_component` on what is left of the spatial LS
+    estimate ``h_ls``. Returns the estimates in the order of ``paths``."""
+    n_r, n_t = h_ls.shape
+    parts = [cisoid_sum(p.gain, p.omega_aoa, p.omega_aod, n_r, n_t) for p in paths]
+    total = sum(parts)
+    return [_estimate_component(h_ls - (total - part))[0] for part in parts]
 
 
 def _channel_jacobian(model: FisherModel) -> np.ndarray:

@@ -14,7 +14,6 @@ import pytest
 from tsdce.algorithm import reconstruct_channel, run
 from tsdce.analysis import (
     FisherModel,
-    MarchenkoPastur,
     crlb_nmse_bound,
     ordered_eigenvalue_mean,
     upper_bound_single_path,
@@ -30,7 +29,7 @@ from tsdce.observation import (
     to_spatial,
     wrap,
 )
-from oracles import _channel_jacobian, ls_estimate_explicit, mp_density
+from oracles import MarchenkoPastur, _channel_jacobian, ls_estimate_explicit, mp_density
 
 N = 16
 CB16 = build_codebook(16, 16, N, N)
@@ -149,7 +148,7 @@ def test_criterion_04_single_path_upper_bound():
 
 def test_criterion_05_ordered_eigenvalue_means():
     mp = MarchenkoPastur(sigma_z_sq=1.0, c=1.0)
-    theory = np.array([ordered_eigenvalue_mean(mp, l, N) for l in range(1, N + 1)])
+    theory = np.array([ordered_eigenvalue_mean(l, N, N, 1.0) for l in range(1, N + 1)])
     acc = np.zeros(N)
     for t in range(2000):
         z = sample_complex_gaussian(SeededRng(206).substream(t), 1.0, size=(N, N))

@@ -13,7 +13,6 @@ from scipy import integrate
 from tsdce import analysis
 from tsdce.analysis import (
     FisherModel,
-    MarchenkoPastur,
     _PEAK_BLOCK,
     _candidate_tiles,
     _coarse_grid,
@@ -36,8 +35,10 @@ from tsdce.observation import (
     wrap,
 )
 from oracles import (
+    MarchenkoPastur,
     _channel_jacobian,
     iid_ordered_eigenvalue_mean,
+    laguerre_ordered_means_tanhsinh,
     ls_estimate_explicit,
     mp_cdf,
     mp_density,
@@ -208,7 +209,7 @@ class TestDftPeakBaseline:
         stream = SeededRng(seed)
         if noise_only:
             obs = Observation(y=sample_complex_gaussian(stream, 1.0, (16, 16)),
-                              rho=1.0, sigma_n_sq=1.0)
+                              rho=1.0)
         else:
             ch = build_channel(sample_paths(L, stream), n_t, n_r)
             obs = synthesize_observation(ch, build_codebook(16, 16, n_t, n_r), 1.0, 1e-3, stream)
@@ -310,7 +311,7 @@ class TestDftPeakBaseline:
 
     def test_zero_observation_picks_first_bin(self):
         # every bin ties at zero power, so the lowest flat index, (0, 0), wins
-        obs = Observation(y=np.zeros((16, 16), dtype=complex), rho=1.0, sigma_n_sq=1.0)
+        obs = Observation(y=np.zeros((16, 16), dtype=complex), rho=1.0)
         got = dft_peak_baseline(spatial_ls(obs), 2, n_dft=1024)
         ref = padded_dft_peak_oracle(obs, 2, 1024, 16, 16)
         for e, r in zip(got, ref):
@@ -333,7 +334,7 @@ class TestDftPeakBaseline:
 
     @pytest.mark.parametrize("n_dft", [1000, 8])
     def test_rejects_bad_n_dft(self, n_dft):
-        obs = Observation(y=np.zeros((16, 16), dtype=complex), rho=1.0, sigma_n_sq=1.0)
+        obs = Observation(y=np.zeros((16, 16), dtype=complex), rho=1.0)
         with pytest.raises(ValueError, match="power of two"):
             dft_peak_baseline(spatial_ls(obs), 1, n_dft=n_dft)
 
@@ -386,15 +387,13 @@ class TestMarchenkoPastur:
 
 class TestOrderedEigenvalueMean:
     def test_monotone_in_rank(self):
-        mp = MarchenkoPastur(sigma_z_sq=1.0, c=1.0)
-        means = [ordered_eigenvalue_mean(mp, l, 16) for l in range(1, 17)]
+        means = [ordered_eigenvalue_mean(l, 16, 16, 1.0) for l in range(1, 17)]
         assert np.all(np.diff(means) < 0)
 
     def test_sum_equals_trace_mean(self):
         # order statistics partition the sample: their means sum to
         # n_r times the distribution mean
-        mp = MarchenkoPastur(sigma_z_sq=1.0, c=1.0)
-        total = sum(ordered_eigenvalue_mean(mp, l, 16) for l in range(1, 17))
+        total = sum(ordered_eigenvalue_mean(l, 16, 16, 1.0) for l in range(1, 17))
         assert total == pytest.approx(16.0, rel=0.01)
 
     def test_matches_iid_order_statistics(self):
@@ -411,28 +410,32 @@ class TestOrderedEigenvalueMean:
             assert iid_ordered_eigenvalue_mean(mp, l, 16) == pytest.approx(
                 emp[l - 1], rel=0.02)
 
-    def test_exact_finite_n_identities_and_refusals(self):
-        # the smallest eigenvalue of a square complex Wishart matrix has
-        # mean sigma^2/n^2 (Edelman 1988), and the ordered means of any
-        # shape partition the trace mean n_r * sigma^2
-        square = MarchenkoPastur(sigma_z_sq=0.5, c=1.0)
-        assert ordered_eigenvalue_mean(square, 16, 16) == pytest.approx(
-            0.5 / 256, rel=1e-10)
-        half = MarchenkoPastur(sigma_z_sq=0.5, c=0.5)
-        total = sum(ordered_eigenvalue_mean(half, l, 8) for l in range(1, 9))
-        assert total == pytest.approx(8 * 0.5, rel=1e-10)
-        with pytest.raises(ValueError):
-            ordered_eigenvalue_mean(MarchenkoPastur(sigma_z_sq=1.0, c=0.7), 1, 16)
-        with pytest.raises(ValueError):
-            ordered_eigenvalue_mean(square, 0, 16)
-        with pytest.raises(ValueError):
-            ordered_eigenvalue_mean(square, 17, 16)
+    @pytest.mark.parametrize("n_r, n_t", [(16, 16), (32, 32), (64, 64), (8, 16), (16, 64)])
+    def test_exact_finite_n_identities(self, n_r, n_t):
+        # the ordered means of any shape partition the trace mean
+        # n_r * sigma^2, and the smallest eigenvalue of a square complex
+        # Wishart matrix has mean sigma^2/n^2 (Edelman 1988)
+        means = [ordered_eigenvalue_mean(l, n_r, n_t, 0.5) for l in range(1, n_r + 1)]
+        assert sum(means) == pytest.approx(n_r * 0.5, rel=1e-12)
+        if n_r == n_t:
+            assert means[-1] == pytest.approx(0.5 / n_r**2, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "n_r, n_t", [(2, 2), (4, 16), (8, 12), (16, 16), (12, 32), (32, 32), (16, 64)])
+    def test_matches_tanhsinh_oracle(self, n_r, n_t):
+        # the oracle is itself converged to rtol 1e-12 only
+        assert analysis._laguerre_ordered_means(n_r, n_t) == pytest.approx(
+            laguerre_ordered_means_tanhsinh(n_r, n_t), rel=1e-11, abs=0)
+
+    def test_refusals(self):
+        for l, n_r, n_t, sigma_z_sq in [(0, 16, 16, 1.0), (17, 16, 16, 1.0),
+                                        (1, 16, 12, 1.0), (1, 16, 16, 0.0)]:
+            with pytest.raises(ValueError):
+                ordered_eigenvalue_mean(l, n_r, n_t, sigma_z_sq)
 
     def test_scales_with_noise_power(self):
-        mp1 = MarchenkoPastur(sigma_z_sq=1.0, c=1.0)
-        mp2 = MarchenkoPastur(sigma_z_sq=0.25, c=1.0)
-        a = ordered_eigenvalue_mean(mp1, 1, 16)
-        b = ordered_eigenvalue_mean(mp2, 1, 16)
+        a = ordered_eigenvalue_mean(1, 16, 16, 1.0)
+        b = ordered_eigenvalue_mean(1, 16, 16, 0.25)
         assert b == pytest.approx(0.25 * a, rel=1e-6)
 
 

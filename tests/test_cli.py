@@ -1,8 +1,10 @@
 """End-to-end CLI tests through the console entry point."""
 
+import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,14 +109,19 @@ class TestConfigErrors:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["run"], ["bound", "--kind", "crlb"]])
+    def test_unwritable_output_exits_2(self, config_path, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "x.csv"
+        assert main([*argv, "--config", config_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+
 
 class TestImportFootprint:
-    """Each command loads only the scipy modules of the code it calls, so
-    sweeps, `single` and the CRLB start without scipy's import cost; only
-    `bound --kind lemma4` loads scipy. The config has one path, so every
-    tsdce step takes the rank-one step."""
-
-    HEAVY = ("scipy.linalg", "scipy.integrate", "scipy.special")
+    """The runtime needs numpy only: no command loads any scipy module. Each
+    runs in a fresh process; the config has one path, so every tsdce step
+    takes the rank-one step."""
 
     def run_fresh(self, tmp_path, argv, methods, out="--out"):
         cfg = tmp_path / "exp.cfg"
@@ -124,7 +131,7 @@ class TestImportFootprint:
             "import json, sys\n"
             "from tsdce.cli import main\n"
             f"rc = main({argv!r})\n"
-            f"print(json.dumps([rc, [m for m in {self.HEAVY!r} if m in sys.modules]]))\n"
+            "print(json.dumps([rc, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(tsdce.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-c", script], env=env,
@@ -141,13 +148,26 @@ class TestImportFootprint:
         argv = ["single", "--snr-index", "1", "--trial", "1"]
         assert self.run_fresh(tmp_path, argv, "tsdce", out="--dump") == [0, []]
 
-    def test_crlb_bound_loads_no_scipy_submodule(self, tmp_path):
-        assert self.run_fresh(tmp_path, ["bound", "--kind", "crlb"], "tsdce") == [0, []]
+    @pytest.mark.parametrize("kind", ["lemma3", "lemma4", "crlb"])
+    def test_bound_loads_no_scipy(self, tmp_path, kind):
+        assert self.run_fresh(tmp_path, ["bound", "--kind", kind], "tsdce") == [0, []]
 
-    def test_lemma4_bound_loads_its_quadrature(self, tmp_path):
-        rc, loaded = self.run_fresh(tmp_path, ["bound", "--kind", "lemma4"], "tsdce")
-        assert rc == 0
-        assert "scipy.integrate" in loaded
+    def test_source_imports_no_scipy(self):
+        # function-local imports included; scipy is a test dependency only
+        src = Path(tsdce.__file__).resolve().parent
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n.split(".")[0] == "scipy" for n in names), path.name
+        tomllib = pytest.importorskip("tomllib")
+        with open(src.parents[1] / "pyproject.toml", "rb") as fh:
+            deps = tomllib.load(fh)["project"]["dependencies"]
+        assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
 
 
 class TestSingleCommand:
