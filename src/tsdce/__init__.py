@@ -3,11 +3,10 @@ systems: channel/codebook simulation, the TSDCE estimator, baseline
 estimators, analytic bounds and a Monte Carlo bench."""
 
 from .algorithm import reconstruct_channel, run
-from .channel import ChannelRealization, PathParams, build_channel, sample_paths
+from .channel import PathParams, build_channel, sample_paths
 from .numkit import SeededRng
 from .observation import (
     Codebook,
-    Observation,
     SpatialObservation,
     build_codebook,
     spatial_ls_estimate,
@@ -16,9 +15,7 @@ from .observation import (
 )
 
 __all__ = [
-    "ChannelRealization",
     "Codebook",
-    "Observation",
     "PathParams",
     "SeededRng",
     "SpatialObservation",

@@ -1,7 +1,7 @@
 """TSDCE: transformed spatial domain channel estimation.
 
 Per-path pipeline, in channel units on the spatial LS estimate (the one
-place where rho and the spatial-domain scale enter): rank-one extraction,
+place where the spatial-domain scale enters): rank-one extraction,
 unbiased 2D autocorrelation, phase differences with wrap-branch
 selection, cumulative unwrapping, weighted least-squares slope fits for
 the two spatial frequencies, then amplitude and phase of the complex

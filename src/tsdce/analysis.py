@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,19 +237,21 @@ def _laguerre_ordered_means(n_r: int, n_t: int) -> np.ndarray:
     width = span / panels
     s = ((np.arange(panels)[:, None] + (nodes + 1) / 2) * width).ravel()
 
-    x = s[:, None] + t
-    phi = np.empty((n_r,) + x.shape)
-    phi[0] = np.exp(0.5 * (alpha * np.log(x) - x - math.lgamma(alpha + 1))) * root_w
-    if n_r > 1:
-        phi[1] = (1 + alpha - x) * phi[0] / step[1]
-    for j in range(2, n_r):
-        phi[j] = ((2 * j - 1 + alpha - x) * phi[j - 1] - step[j - 1] * phi[j - 2]) / step[j]
-    gram = np.einsum("ism,jsm->sij", phi, phi)
-    probs = np.clip(np.linalg.eigvalsh(gram), 0.0, 1.0)
+    # the Gram eigenvalues, 4 panels of abscissae at a time to bound the memory
+    probs = np.empty((s.size, n_r))
+    for lo in range(0, s.size, 4 * 64):
+        x = s[lo:lo + 4 * 64, None] + t
+        phi = np.empty((n_r,) + x.shape)
+        phi[0] = np.exp(0.5 * (alpha * np.log(x) - x - math.lgamma(alpha + 1))) * root_w
+        if n_r > 1:
+            phi[1] = (1 + alpha - x) * phi[0] / step[1]
+        for j in range(2, n_r):
+            phi[j] = ((2 * j - 1 + alpha - x) * phi[j - 1] - step[j - 1] * phi[j - 2]) / step[j]
+        probs[lo:lo + 4 * 64] = np.linalg.eigvalsh(np.einsum("ism,jsm->sij", phi, phi))
     # tails[:, l] = P(count >= l), built up one Bernoulli trial at a time
     tails = np.zeros((s.size, n_r + 1))
     tails[:, 0] = 1.0
-    for p in probs.T:
+    for p in np.clip(probs, 0.0, 1.0).T:
         tails[:, 1:] += p[:, None] * (tails[:, :-1] - tails[:, 1:])
     means = np.tile(weights * width / 2, panels) @ tails[:, 1:]
     means.setflags(write=False)
@@ -274,8 +275,8 @@ def ordered_eigenvalue_mean(l: int, n_r: int, n_t: int, sigma_z_sq: float) -> fl
     return float(sigma_z_sq / n_t * _laguerre_ordered_means(n_r, n_t)[l - 1])
 
 
-def upper_bound_multi_path(L: int, rho: float, n_t: int, n_r: int, sigma_z_sq: float) -> float:
-    """Mean-SSE upper bound (n_t n_r / rho) * sum_l n_t * lambda_l_mean.
+def upper_bound_multi_path(L: int, n_t: int, n_r: int, sigma_z_sq: float) -> float:
+    """Mean-SSE upper bound n_t n_r * sum_l n_t * lambda_l_mean.
 
     lambda_l_mean is the exact finite-N mean of the l-th largest
     eigenvalue of (1/n_t) Z^H Z, Z n_t x n_r with CN(0, sigma_z_sq)
@@ -284,32 +285,14 @@ def upper_bound_multi_path(L: int, rho: float, n_t: int, n_r: int, sigma_z_sq: f
     if not 1 <= L <= n_r:
         raise ValueError("L must lie in 1..n_r")
     total = sum(ordered_eigenvalue_mean(l, n_r, n_t, sigma_z_sq) for l in range(1, L + 1))
-    return n_t * n_r / rho * n_t * total
+    return n_t * n_r * n_t * total
 
 
-@dataclass(frozen=True)
-class FisherModel:
-    """Real parameter vector (|a_l|, phase_l, omega_aod_l, omega_aoa_l)
-    per path, plus the variance of the white noise on each entry of H."""
-
-    params: np.ndarray
-    noise_var: float
-    n_t: int
-    n_r: int
-
-    def __post_init__(self):
-        if self.noise_var <= 0:
-            raise ValueError("noise_var must be positive")
-        if len(self.params) % 4 != 0:
-            raise ValueError("params length must be a multiple of 4")
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.params) // 4
-
-
-def fisher_matrix(model: FisherModel) -> np.ndarray:
-    """Fisher information (2/noise_var) * Re[J^H J]; symmetric PSD.
+def fisher_matrix(params, noise_var: float, n_t: int, n_r: int) -> np.ndarray:
+    """Fisher information (2/noise_var) * Re[J^H J] of the real parameters
+    ``params``, (|a_l|, phase_l, omega_aod_l, omega_aoa_l) per path, from the
+    n_r x n_t channel H observed in white noise of variance noise_var on each
+    entry; symmetric PSD.
 
     J is the Jacobian of vec(H), H[m, n] = sum_l |a_l| r_l[m] t_l[n] with
     r_l[m] = exp(j(phase_l + w_aoa_l m)) and t_l[n] = exp(j w_aod_l n), in
@@ -321,28 +304,32 @@ def fisher_matrix(model: FisherModel) -> np.ndarray:
     sum_n n^q conj(t_l) t_k with p, q <= 2: neither J nor H is formed.
     The finite-difference-checked J is the tests' oracle.
     """
-    mag, phase, w_aod, w_aoa = model.params.reshape(-1, 4).T
-    r, t = _steering_factors(w_aoa, w_aod, model.n_r, model.n_t)
+    if noise_var <= 0:
+        raise ValueError("noise_var must be positive")
+    if len(params) % 4 != 0:
+        raise ValueError("params length must be a multiple of 4")
+    mag, phase, w_aod, w_aoa = np.reshape(params, (-1, 4)).T
+    r, t = _steering_factors(w_aoa, w_aod, n_r, n_t)
     r, t = r * np.exp(1j * phase), t.T
     scaled = 1j * mag * r
     # columns grouped by parameter, then by path
-    a = np.concatenate((r, scaled, scaled, _index(model.n_r)[:, None] * scaled), axis=1)
-    b = np.concatenate((t, t, _index(model.n_t)[:, None] * t, t), axis=1)
+    a = np.concatenate((r, scaled, scaled, _index(n_r)[:, None] * scaled), axis=1)
+    b = np.concatenate((t, t, _index(n_t)[:, None] * t, t), axis=1)
     f = ((a.conj().T @ a) * (b.conj().T @ b)).real
-    n = model.n_paths
+    n = len(params) // 4
     f = f.reshape(4, n, 4, n).transpose(1, 0, 3, 2).reshape(4 * n, 4 * n)  # per path
-    return (f + f.T) / model.noise_var
+    return (f + f.T) / noise_var
 
 
-def crlb_nmse_bound(paths, n_t: int, n_r: int, rho: float, sigma_z_sq: float) -> float:
+def crlb_nmse_bound(paths, n_t: int, n_r: int, sigma_z_sq: float) -> float:
     """Cramer-Rao bound on ||H_hat - H||^2 / ||H||^2 for the n_r x n_t
     channel of ``paths``.
 
-    Noise. The spatial crop is d_bar = sqrt(rho/(n_t n_r)) H + Z with Z
+    Noise. The spatial crop is d_bar = H / sqrt(n_t n_r) + Z with Z
     white, CN(0, sigma_z_sq) entries, so the spatial LS estimate
-    sqrt(n_t n_r / rho) d_bar = H + sqrt(n_t n_r / rho) Z observes every
+    sqrt(n_t n_r) d_bar = H + sqrt(n_t n_r) Z observes every
     entry of H in white noise of variance
-    noise_var = n_t n_r sigma_z_sq / rho. That rescaling is one-to-one, so
+    noise_var = n_t n_r sigma_z_sq. That rescaling is one-to-one, so
     this is the CRLB of H from d_bar, and no processing of d_bar (rank-L
     denoising included) can lower it.
 
@@ -362,11 +349,11 @@ def crlb_nmse_bound(paths, n_t: int, n_r: int, rho: float, sigma_z_sq: float) ->
     n_t n_r |a|^2 with |a|^2 exponential, so E[1/||H||^2] diverges and
     the mean over realizations grows with their number.
     """
-    noise_var = n_t * n_r * sigma_z_sq / rho
+    noise_var = n_t * n_r * sigma_z_sq
     params = np.ravel(
         [(p.gain_magnitude, p.gain_phase, p.omega_aod, p.omega_aoa) for p in paths]
     )
-    f = fisher_matrix(FisherModel(params=params, noise_var=noise_var, n_t=n_t, n_r=n_r))
+    f = fisher_matrix(params, noise_var, n_t, n_r)
     mag = params[0::4]
     h_sq = noise_var / 2 * (mag @ f[0::4, 0::4] @ mag)
     if not h_sq > 0:

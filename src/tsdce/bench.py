@@ -47,7 +47,6 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     methods: tuple = ("tsdce", "ls")
-    rho: float = 1.0
     detection_threshold_deg: float = 1.0
     angle_range: tuple = (0.0, float(np.pi))
     n_dft: int = 1024
@@ -69,8 +68,6 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-        if not self.rho > 0:
-            raise ConfigError("rho must be positive")
         if not self.detection_threshold_deg > 0:
             raise ConfigError("detection_threshold_deg must be positive")
         if not self.max_failure_rate >= 0:
@@ -143,8 +140,9 @@ def match_paths(true_paths, estimates):
     Costs within 1e-9 relative of the minimum count as equal: in 1-D
     many pairings tie exactly (two estimates on the same side of two
     true angles), so among those the smallest summed squared error wins,
-    and rounding cannot flip the pairing. Returns (true, estimate) index
-    pairs in true-path order.
+    and rounding cannot flip the pairing. Returns the (true, estimate)
+    index pairs in true-path order and the pairs' angle errors in degrees,
+    true minus estimate, AoA then AoD per pair.
     """
     if not true_paths or not estimates:
         raise ValueError("both path lists must be non-empty")
@@ -159,18 +157,10 @@ def match_paths(true_paths, estimates):
     l1 = np.abs(picked).sum(axis=(1, 2))
     tied = np.flatnonzero(l1 <= l1.min() * (1.0 + 1e-9))
     best = tied[np.argmin((picked[tied] ** 2).sum(axis=(1, 2)))]
-    pairs = zip(range(n), perms[best].tolist())
-    return sorted((t, e) for e, t in pairs) if swap else list(pairs)
-
-
-def angle_errors_deg(true_paths, estimates, pairing):
-    """Flat list of per-measurement angle errors; AoA and AoD each count
-    as an individual measurement."""
-    errors = []
-    for ti, ei in pairing:
-        errors.append(np.degrees(true_paths[ti].aoa - estimates[ei].aoa))
-        errors.append(np.degrees(true_paths[ti].aod - estimates[ei].aod))
-    return errors
+    if not swap:
+        return list(zip(range(n), perms[best].tolist())), picked[best].ravel().tolist()
+    order = np.argsort(perms[best])  # the estimate rows in true-path order
+    return sorted(zip(perms[best].tolist(), range(n))), picked[best][order].ravel().tolist()
 
 
 def doa_metrics(errors_deg, threshold_deg: float, total_measurements: int):
@@ -190,15 +180,14 @@ def doa_metrics(errors_deg, threshold_deg: float, total_measurements: int):
 
 
 def draw_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
-    """(paths, channel, observation) of one sweep trial, all drawn from
+    """(paths, channel H, observation Y) of one sweep trial, all drawn from
     the trial's own substream of (seed, snr index, trial index)."""
     stream = SeededRng(cfg.seed).substream((snr_idx << 32) | trial)
-    sigma_n_sq = cfg.rho / cfg.snr_list[snr_idx]
+    sigma_n_sq = 1.0 / cfg.snr_list[snr_idx]
     paths = sample_paths(cfg.paths, stream, cfg.angle_range)
-    ch = build_channel(paths, cfg.n_t, cfg.n_r)
+    h = build_channel(paths, cfg.n_t, cfg.n_r)
     cb = build_codebook(cfg.p_count, cfg.q_count, cfg.n_t, cfg.n_r)
-    obs = synthesize_observation(ch, cb, cfg.rho, sigma_n_sq, stream)
-    return paths, ch, obs
+    return paths, h, synthesize_observation(h, cb, sigma_n_sq, stream)
 
 
 def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
@@ -206,10 +195,10 @@ def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
     the trial's one spatial LS estimate, which ``ls`` scores itself. Each
     method's wall_ms includes the time of that shared estimate; if it fails,
     every method of the trial fails."""
-    paths, ch, obs = draw_trial(cfg, snr_idx, trial)
+    paths, h, y = draw_trial(cfg, snr_idx, trial)
     t0 = time.perf_counter()
     try:
-        h_ls = spatial_ls_estimate(to_spatial(obs, cfg.n_t, cfg.n_r), obs.rho)
+        h_ls = spatial_ls_estimate(to_spatial(y, cfg.n_t, cfg.n_r))
     except Exception as exc:  # noqa: BLE001 - per-trial failures are counted
         return {method: {"failed": repr(exc), "wall_ms": 0.0} for method in cfg.methods}
     h_ls.setflags(write=False)  # shared by every method
@@ -227,14 +216,13 @@ def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
                 else:  # dft_peak
                     est = analysis.dft_peak_baseline(h_ls, cfg.l_desired, cfg.n_dft)
                 h_hat = algorithm.reconstruct_channel(est, cfg.n_t, cfg.n_r)
-                errors = angle_errors_deg(paths, est, match_paths(paths, est))
+                errors = match_paths(paths, est)[1]
         except Exception as exc:  # noqa: BLE001 - per-trial failures are counted
             out[method] = {"failed": repr(exc), "wall_ms": 0.0}
             continue
-        sse = float(np.linalg.norm(h_hat - ch.h) ** 2)
         out[method] = {
-            "ratio": nmse_ratio(h_hat, ch.h),
-            "sse": sse,
+            "ratio": nmse_ratio(h_hat, h),
+            "sse": float(np.linalg.norm(h_hat - h) ** 2),
             "errors": errors,
             "wall_ms": (time.perf_counter() - t0) * 1e3,
         }

@@ -54,17 +54,6 @@ class PathParams:
         return self.gain_magnitude * np.exp(1j * self.gain_phase)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Channel matrix H (n_r x n_t) together with its generating paths,
-    ordered by decreasing gain magnitude."""
-
-    n_t: int
-    n_r: int
-    paths: tuple
-    h: np.ndarray
-
-
 def steering_vector(angle: float, n: int) -> np.ndarray:
     """Unit-norm ULA response, Tx and Rx alike: element k =
     exp(-j*pi*k*cos(angle))/sqrt(n)."""
@@ -126,14 +115,14 @@ def sample_paths(L: int, rng: SeededRng, angle_range=(0.0, np.pi)):
     return paths
 
 
-def build_channel(paths, n_t: int, n_r: int) -> ChannelRealization:
-    """Synthesize H[m, n] = sum_l alpha_l exp(j(omega_aoa*m + omega_aod*n))."""
+def build_channel(paths, n_t: int, n_r: int) -> np.ndarray:
+    """The n_r x n_t channel H[m, n] = sum_l alpha_l exp(j(omega_aoa*m + omega_aod*n)),
+    summed in decreasing gain order."""
     if n_t < 2 or n_r < 2:
         raise ValueError("n_t and n_r must be >= 2")
-    ordered = tuple(sorted(paths, key=lambda p: p.gain_magnitude, reverse=True))
+    ordered = sorted(paths, key=lambda p: p.gain_magnitude, reverse=True)
     gains, w_aoa, w_aod = zip(*[(p.gain, p.omega_aoa, p.omega_aod) for p in ordered])
-    h = cisoid_sum(gains, w_aoa, w_aod, n_r, n_t)
-    return ChannelRealization(n_t=n_t, n_r=n_r, paths=ordered, h=h)
+    return cisoid_sum(gains, w_aoa, w_aod, n_r, n_t)
 
 
 def freq_to_angle(omega: float, side: str) -> float:

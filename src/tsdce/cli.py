@@ -33,8 +33,21 @@ def _dump_matrix(path, m):
                 fh.write(f"{i},{j},{z.real:.17g},{z.imag:.17g}\n")
 
 
+def _check_out(path) -> None:
+    """Fail an unwritable output path before any work: opening it to append
+    leaves an old file as it was, and a file it creates is removed again."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_run(args) -> int:
     cfg = bench.load_config(args.config)
+    _check_out(args.out)
     try:
         records = bench.run_experiment(cfg)
     except bench.FailureRateError as exc:
@@ -57,14 +70,14 @@ def _cmd_single(args) -> int:
             f"--trial {args.trial} is outside the config's trials (0..{cfg.trials - 1})"
         )
     os.makedirs(args.dump, exist_ok=True)
-    _, ch, obs = bench.draw_trial(cfg, args.snr_index, args.trial)
-    sp = to_spatial(obs, cfg.n_t, cfg.n_r)
-    _dump_matrix(os.path.join(args.dump, "Y.csv"), obs.y)
+    _, h, y = bench.draw_trial(cfg, args.snr_index, args.trial)
+    sp = to_spatial(y, cfg.n_t, cfg.n_r)
+    _dump_matrix(os.path.join(args.dump, "Y.csv"), y)
     _dump_matrix(os.path.join(args.dump, "D.csv"), sp.d)
     _dump_matrix(os.path.join(args.dump, "D_bar.csv"), sp.d_bar)
-    _dump_matrix(os.path.join(args.dump, "H_true.csv"), ch.h)
+    _dump_matrix(os.path.join(args.dump, "H_true.csv"), h)
     trace = []
-    estimates = algorithm.run(spatial_ls_estimate(sp, obs.rho), cfg.l_desired, cfg.rounds, trace)
+    estimates = algorithm.run(spatial_ls_estimate(sp), cfg.l_desired, cfg.rounds, trace)
     for step in trace:
         name = f"residual_k{step['round']}_l{step['path']}.csv"
         _dump_matrix(os.path.join(args.dump, name), step["residual"])
@@ -89,28 +102,24 @@ def _cmd_bound(args) -> int:
             f"--kind {args.kind} needs paths <= n_r <= n_t, got paths = {cfg.paths}, "
             f"n_r = {cfg.n_r}, n_t = {cfg.n_t}"
         )
+    _check_out(args.out)
     rows = ["kind,snr_db,mean_sse,nmse_db"]
     e_h_sq = cfg.n_t * cfg.n_r  # expected ||H||_F^2 under unit path power
     for snr_db, snr in zip(cfg.snr_db_list, cfg.snr_list):
-        sigma_n_sq = cfg.rho / snr
+        sigma_n_sq = 1.0 / snr
         sigma_z_sq = sigma_n_sq / (cfg.q_count * cfg.p_count)
         if args.kind == "lemma3":
             snr_c = snr_in_spatial_domain(snr, cfg.p_count, cfg.q_count, cfg.n_t, cfg.n_r)
             sse = analysis.upper_bound_single_path(snr_c, cfg.n_t, cfg.n_r)
         elif args.kind == "lemma4":
-            sse = analysis.upper_bound_multi_path(
-                cfg.paths, cfg.rho, cfg.n_t, cfg.n_r, sigma_z_sq
-            )
+            sse = analysis.upper_bound_multi_path(cfg.paths, cfg.n_t, cfg.n_r, sigma_z_sq)
         else:  # crlb
             base = SeededRng(cfg.seed)
             ratios = []
             for t in range(cfg.trials):
                 paths = sample_paths(cfg.paths, base.substream(t), cfg.angle_range)
-                ratios.append(
-                    analysis.crlb_nmse_bound(paths, cfg.n_t, cfg.n_r, cfg.rho, sigma_z_sq)
-                )
-            ratio = float(np.mean(ratios))
-            sse = ratio * e_h_sq
+                ratios.append(analysis.crlb_nmse_bound(paths, cfg.n_t, cfg.n_r, sigma_z_sq))
+            sse = float(np.mean(ratios)) * e_h_sq
         rows.append(
             f"{args.kind},{snr_db:.6g},{sse:.6g},{bench.ratio_to_db(sse / e_h_sq):.6g}"
         )

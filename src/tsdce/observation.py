@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelRealization, steering_vector
+from .channel import steering_vector
 from .numkit import SeededRng, dft2d, sample_complex_gaussian
 
 
@@ -50,14 +50,6 @@ class Codebook:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """Q x P angular-domain measurement and its transmit power rho."""
-
-    y: np.ndarray
-    rho: float
-
-
-@dataclass(frozen=True)
 class SpatialObservation:
     """IDFT of the observation, its informative n_r x n_t crop and the
     out-of-mask noise variance estimate (absent when the mask fills the
@@ -92,36 +84,31 @@ def build_codebook(P: int, Q: int, n_t: int, n_r: int) -> Codebook:
 
 
 def synthesize_observation(
-    ch: ChannelRealization,
-    cb: Codebook,
-    rho: float,
-    sigma_n_sq: float,
-    rng: Optional[SeededRng] = None,
-) -> Observation:
-    """Y = sqrt(rho) * W^H H F + N with N i.i.d. CN(0, sigma_n_sq)."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    h: np.ndarray, cb: Codebook, sigma_n_sq: float, rng: Optional[SeededRng] = None
+) -> np.ndarray:
+    """The Q x P angular-domain measurement Y = W^H H F + N of the channel h,
+    with N i.i.d. CN(0, sigma_n_sq)."""
     if sigma_n_sq < 0:
         raise ValueError("sigma_n_sq must be non-negative")
-    y = np.sqrt(rho) * (cb.w.conj().T @ ch.h @ cb.f)
+    y = cb.w.conj().T @ h @ cb.f
     if sigma_n_sq > 0:
         if rng is None:
             raise ValueError("rng is required when sigma_n_sq > 0")
         y = y + sample_complex_gaussian(rng, sigma_n_sq, size=y.shape)
-    return Observation(y=y, rho=float(rho))
+    return y
 
 
-def to_spatial(obs: Observation, n_t: int, n_r: int) -> SpatialObservation:
-    """IDFT the observation and crop the informative top-left block.
+def to_spatial(y: np.ndarray, n_t: int, n_r: int) -> SpatialObservation:
+    """IDFT the Q x P observation y and crop the informative top-left block.
 
     When the codebook is strictly larger than the array, the entries
     outside the crop are pure noise and their mean power estimates the
     spatial-domain noise variance.
     """
-    q_count, p_count = obs.y.shape
+    q_count, p_count = y.shape
     if q_count < n_r or p_count < n_t:
         raise ValueError("observation smaller than the requested crop")
-    d = dft2d(obs.y, inverse=True)
+    d = dft2d(y, inverse=True)
     d_bar = d[:n_r, :n_t].copy()
     if q_count * p_count > n_t * n_r:
         mask = np.ones(d.shape, dtype=bool)
@@ -132,12 +119,10 @@ def to_spatial(obs: Observation, n_t: int, n_r: int) -> SpatialObservation:
     return SpatialObservation(d=d, d_bar=d_bar, sigma_z_sq_hat=sigma_z_sq_hat)
 
 
-def spatial_ls_estimate(sp: SpatialObservation, rho: float) -> np.ndarray:
-    """Channel estimate sqrt(n_t*n_r/rho) * d_bar; equals the explicit LS
+def spatial_ls_estimate(sp: SpatialObservation) -> np.ndarray:
+    """Channel estimate sqrt(n_t*n_r) * d_bar; equals the explicit LS
     solution exactly thanks to codebook column orthogonality."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return np.sqrt(sp.d_bar.size / rho) * sp.d_bar
+    return np.sqrt(sp.d_bar.size) * sp.d_bar
 
 
 def snr_in_spatial_domain(snr: float, P: int, Q: int, n_t: int, n_r: int) -> float:

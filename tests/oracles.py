@@ -24,17 +24,16 @@ from scipy import integrate
 from scipy.special import gammaln, roots_laguerre
 
 from tsdce.algorithm import _estimate_component
-from tsdce.analysis import FisherModel
 from tsdce.channel import cisoid_sum
-from tsdce.observation import Codebook, Observation
+from tsdce.observation import Codebook
 
 
 class RankDeficiencyError(ValueError):
     """LS system does not have full column rank (QP < n_t * n_r)."""
 
 
-def ls_estimate_explicit(obs: Observation, cb: Codebook) -> np.ndarray:
-    """Least-squares channel estimate from the vectorized observation.
+def ls_estimate_explicit(y: np.ndarray, cb: Codebook) -> np.ndarray:
+    """Least-squares channel estimate from the vectorized Q x P observation y.
 
     The normal equations collapse to a scaled matrix product because the
     Kronecker system matrix has orthogonal columns with squared norm
@@ -42,13 +41,13 @@ def ls_estimate_explicit(obs: Observation, cb: Codebook) -> np.ndarray:
     """
     n_t = cb.f.shape[0]
     n_r = cb.w.shape[0]
-    q_count, p_count = obs.y.shape
+    q_count, p_count = y.shape
     if q_count * p_count < n_t * n_r:
         raise RankDeficiencyError(
             f"LS needs QP >= n_t*n_r, got {q_count * p_count} < {n_t * n_r}"
         )
-    scale = n_t * n_r / (q_count * p_count * np.sqrt(obs.rho))
-    return scale * (cb.w @ obs.y @ cb.f.conj().T)
+    scale = n_t * n_r / (q_count * p_count)
+    return scale * (cb.w @ y @ cb.f.conj().T)
 
 
 def wls_weights(M: int) -> np.ndarray:
@@ -222,21 +221,22 @@ def genie_sic(h_ls: np.ndarray, paths) -> list:
     return [_estimate_component(h_ls - (total - part))[0] for part in parts]
 
 
-def _channel_jacobian(model: FisherModel) -> np.ndarray:
-    """Jacobian of vec(H) w.r.t. the 4L real parameters.
+def _channel_jacobian(params, n_t: int, n_r: int) -> np.ndarray:
+    """Jacobian of the n_r x n_t vec(H) w.r.t. the 4L real parameters
+    ``params``, (|a_l|, phase_l, omega_aod_l, omega_aoa_l) per path.
 
     H[m, n] = sum_l |a_l| exp(j(phase_l + w_aoa_l m + w_aod_l n)); each
     column below is the derivative of the vectorized channel w.r.t. one
     parameter, verified against central finite differences in the tests.
     """
-    mag, phase, w_aod, w_aoa = model.params.reshape(-1, 4).T
+    mag, phase, w_aod, w_aoa = np.reshape(params, (-1, 4)).T
     # one unit-magnitude n_r x n_t cisoid per path
     cis = np.array([
-        cisoid_sum(np.exp(1j * p), wa, wd, model.n_r, model.n_t)
+        cisoid_sum(np.exp(1j * p), wa, wd, n_r, n_t)
         for p, wa, wd in zip(phase, w_aoa, w_aod)
     ])
-    m, n = np.indices((model.n_r, model.n_t))
+    m, n = np.indices((n_r, n_t))
     scaled = 1j * mag[:, None, None] * cis
     # per path: d/d|a|, d/d phase, d/d omega_aod, d/d omega_aoa
     cols = np.stack([cis, scaled, n * scaled, m * scaled], axis=1)
-    return cols.reshape(4 * model.n_paths, -1).T
+    return cols.reshape(len(params), -1).T

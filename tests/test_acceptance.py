@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from tsdce.algorithm import reconstruct_channel, run
-from tsdce.analysis import (
-    FisherModel,
-    crlb_nmse_bound,
-    ordered_eigenvalue_mean,
-    upper_bound_single_path,
-)
+from tsdce.analysis import crlb_nmse_bound, ordered_eigenvalue_mean, upper_bound_single_path
 from tsdce.bench import ExperimentConfig, emit_csv, nmse_ratio, run_experiment
 from tsdce.channel import PathParams, build_channel, sample_paths
 from tsdce.numkit import SeededRng, sample_complex_gaussian
@@ -41,42 +36,42 @@ def report(num, ok, detail):
 
 
 def random_channel(L, stream):
-    return build_channel(sample_paths(L, stream), N, N)
+    """(paths, H) of L paths drawn from stream, strongest path first."""
+    paths = sample_paths(L, stream)
+    return paths, build_channel(paths, N, N)
 
 
-def spatial_ls(obs):
-    return spatial_ls_estimate(to_spatial(obs, N, N), obs.rho)
+def spatial_ls(y):
+    return spatial_ls_estimate(to_spatial(y, N, N))
 
 
-def tsdce_estimate(obs, l_desired, rounds):
-    return reconstruct_channel(run(spatial_ls(obs), l_desired, rounds), N, N)
+def tsdce_estimate(y, l_desired, rounds):
+    return reconstruct_channel(run(spatial_ls(y), l_desired, rounds), N, N)
 
 
 def ls_nmse_db(cb, snr_db, trials, seed, L=3):
     sigma_n_sq = 10.0 ** (-snr_db / 10.0)
     ratios = []
     for t in range(trials):
-        ch = random_channel(L, SeededRng(seed).substream(t))
+        _, h = random_channel(L, SeededRng(seed).substream(t))
         noise_stream = SeededRng(seed ^ 0x5EED).substream(t)
-        obs = synthesize_observation(ch, cb, 1.0, sigma_n_sq, noise_stream)
-        h_hat = spatial_ls_estimate(to_spatial(obs, N, N), 1.0)
-        ratios.append(nmse_ratio(h_hat, ch.h))
+        y = synthesize_observation(h, cb, sigma_n_sq, noise_stream)
+        ratios.append(nmse_ratio(spatial_ls(y), h))
     return 10.0 * np.log10(np.mean(ratios))
 
 
 def test_criterion_01_exact_recovery():
     # untimed warm-up so lazy one-time initialization (FFT plan caches
     # and friends) stays out of the runtime budget
-    warm = random_channel(1, SeededRng(200))
-    run(spatial_ls(synthesize_observation(warm, CB16, 1.0, 0.0)), 1, 1)
+    _, warm = random_channel(1, SeededRng(200))
+    run(spatial_ls(synthesize_observation(warm, CB16, 0.0)), 1, 1)
     start = time.perf_counter()
     worst_param, worst_nmse = 0.0, 0.0
     for t in range(50):
         stream = SeededRng(201).substream(t)
-        ch = random_channel(1, stream)
-        obs = synthesize_observation(ch, CB16, 1.0, 0.0)
-        est = run(spatial_ls(obs), 1, 1)[0]
-        truth = ch.paths[0]
+        paths, h = random_channel(1, stream)
+        est = run(spatial_ls(synthesize_observation(h, CB16, 0.0)), 1, 1)[0]
+        truth = paths[0]
         worst_param = max(
             worst_param,
             abs(est.gain_magnitude - truth.gain_magnitude),
@@ -85,7 +80,7 @@ def test_criterion_01_exact_recovery():
             abs(est.omega_aoa - truth.omega_aoa),
         )
         worst_nmse = max(worst_nmse,
-                         nmse_ratio(reconstruct_channel([est], N, N), ch.h))
+                         nmse_ratio(reconstruct_channel([est], N, N), h))
     elapsed = time.perf_counter() - start
     ok = worst_param < 1e-8 and worst_nmse < 1e-15 and elapsed < 1.0
     report(1, ok, f"worst parameter error {worst_param:.2e}, worst NMSE ratio "
@@ -99,13 +94,12 @@ def test_criterion_02_ls_mean_sse_and_identity():
     sse = []
     worst_gap = 0.0
     for t in range(2000):
-        ch = random_channel(3, SeededRng(202).substream(t))
-        obs = synthesize_observation(ch, CB16, 1.0, 1.0,
-                                     SeededRng(203).substream(t))
-        fast = spatial_ls_estimate(to_spatial(obs, N, N), 1.0)
-        explicit = ls_estimate_explicit(obs, CB16)
+        _, h = random_channel(3, SeededRng(202).substream(t))
+        y = synthesize_observation(h, CB16, 1.0, SeededRng(203).substream(t))
+        fast = spatial_ls(y)
+        explicit = ls_estimate_explicit(y, CB16)
         worst_gap = max(worst_gap, np.max(np.abs(fast - explicit)))
-        sse.append(np.linalg.norm(fast - ch.h) ** 2)
+        sse.append(np.linalg.norm(fast - h) ** 2)
     mean_sse = float(np.mean(sse))
     ok = abs(mean_sse - 256.0) / 256.0 < 0.03 and worst_gap < 1e-9
     report(2, ok, f"mean SSE {mean_sse:.2f} (target 256 +-3%), "
@@ -135,9 +129,9 @@ def test_criterion_04_single_path_upper_bound():
         sse = []
         for t in range(500):
             stream = SeededRng(205).substream((int(snr_db) << 16) | t)
-            ch = random_channel(1, stream)
-            obs = synthesize_observation(ch, CB16, 1.0, 1.0 / snr, stream)
-            sse.append(np.linalg.norm(tsdce_estimate(obs, 1, 1) - ch.h) ** 2)
+            _, h = random_channel(1, stream)
+            y = synthesize_observation(h, CB16, 1.0 / snr, stream)
+            sse.append(np.linalg.norm(tsdce_estimate(y, 1, 1) - h) ** 2)
         bound = upper_bound_single_path(snr_in_spatial_domain(snr, 16, 16, N, N), N, N)
         mean_sse = float(np.mean(sse))
         ok = ok and mean_sse < bound
@@ -171,12 +165,11 @@ def test_criterion_05_ordered_eigenvalue_means():
 
 def test_criterion_06_crlb_curve():
     # Jacobian spot check against central finite differences
-    ch = random_channel(3, SeededRng(207))
+    paths, _ = random_channel(3, SeededRng(207))
     params = []
-    for p in ch.paths:
+    for p in paths:
         params.extend([p.gain_magnitude, p.gain_phase, p.omega_aod, p.omega_aoa])
-    model = FisherModel(np.array(params), 0.1, N, N)
-    jac = _channel_jacobian(model)
+    jac = _channel_jacobian(np.array(params), N, N)
     step = 1e-6
     worst_rel = 0.0
     mm, nn = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
@@ -204,10 +197,10 @@ def test_criterion_06_crlb_curve():
         t_ratio, c_ratio = [], []
         for t in range(500):
             stream = SeededRng(208).substream((int(snr_db) << 16) | t)
-            ch = random_channel(3, stream)
-            obs = synthesize_observation(ch, CB16, 1.0, sigma_n_sq, stream)
-            t_ratio.append(nmse_ratio(tsdce_estimate(obs, 3, 3), ch.h))
-            c_ratio.append(crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, sigma_z_sq))
+            paths, h = random_channel(3, stream)
+            y = synthesize_observation(h, CB16, sigma_n_sq, stream)
+            t_ratio.append(nmse_ratio(tsdce_estimate(y, 3, 3), h))
+            c_ratio.append(crlb_nmse_bound(paths, N, N, sigma_z_sq))
         tsdce_db[snr_db] = 10.0 * np.log10(np.mean(t_ratio))
         crlb_db[snr_db] = 10.0 * np.log10(np.mean(c_ratio))
 
@@ -231,10 +224,9 @@ def test_criterion_07_k_sweep():
         ratios = []
         for t in range(300):
             stream = SeededRng(209).substream(t)
-            ch = random_channel(3, stream)
-            obs = synthesize_observation(ch, CB16, 1.0, 0.1,
-                                         SeededRng(210).substream(t))
-            ratios.append(nmse_ratio(tsdce_estimate(obs, 3, rounds), ch.h))
+            _, h = random_channel(3, stream)
+            y = synthesize_observation(h, CB16, 0.1, SeededRng(210).substream(t))
+            ratios.append(nmse_ratio(tsdce_estimate(y, 3, rounds), h))
         nmse[rounds] = 10.0 * np.log10(np.mean(ratios))
     gain = nmse[1] - nmse[2]
     settle = abs(nmse[3] - nmse[2])
@@ -254,12 +246,11 @@ def test_criterion_08_beats_ls():
             t_ratio, l_ratio = [], []
             for t in range(500):
                 stream = SeededRng(211).substream((L << 24) | (int(snr_db) << 16) | t)
-                ch = random_channel(L, stream)
-                obs = synthesize_observation(ch, CB16, 1.0, sigma_n_sq, stream)
+                _, h = random_channel(L, stream)
+                y = synthesize_observation(h, CB16, sigma_n_sq, stream)
                 # K = L_d, the protocol used for the method comparisons
-                t_ratio.append(nmse_ratio(tsdce_estimate(obs, L, L), ch.h))
-                l_ratio.append(nmse_ratio(
-                    spatial_ls_estimate(to_spatial(obs, N, N), 1.0), ch.h))
+                t_ratio.append(nmse_ratio(tsdce_estimate(y, L, L), h))
+                l_ratio.append(nmse_ratio(spatial_ls(y), h))
             t_db = 10.0 * np.log10(np.mean(t_ratio))
             l_db = 10.0 * np.log10(np.mean(l_ratio))
             margin = l_db - t_db
@@ -276,9 +267,8 @@ def test_criterion_09_noise_variance_estimator():
     sigma_n_sq = 0.7
     acc = 0.0
     for t in range(1000):
-        obs = synthesize_observation(zero, CB32, 1.0, sigma_n_sq,
-                                     SeededRng(212).substream(t))
-        acc += to_spatial(obs, N, N).sigma_z_sq_hat
+        y = synthesize_observation(zero, CB32, sigma_n_sq, SeededRng(212).substream(t))
+        acc += to_spatial(y, N, N).sigma_z_sq_hat
     mean = acc / 1000
     target = sigma_n_sq / 1024.0
     rel = abs(mean - target) / target

@@ -12,7 +12,6 @@ from scipy import integrate
 
 from tsdce import analysis
 from tsdce.analysis import (
-    FisherModel,
     _PEAK_BLOCK,
     _candidate_tiles,
     _coarse_grid,
@@ -27,7 +26,6 @@ from tsdce.analysis import (
 from tsdce.channel import PathParams, build_channel, sample_paths
 from tsdce.numkit import SeededRng, dft2d, dft_columns, sample_complex_gaussian
 from tsdce.observation import (
-    Observation,
     build_codebook,
     spatial_ls_estimate,
     synthesize_observation,
@@ -45,24 +43,24 @@ from oracles import (
 )
 
 
-def spatial_ls(obs, n_t=16, n_r=16):
+def spatial_ls(y, n_t=16, n_r=16):
     """The n_r x n_t spatial LS estimate every estimator takes."""
-    return spatial_ls_estimate(to_spatial(obs, n_t, n_r), obs.rho)
+    return spatial_ls_estimate(to_spatial(y, n_t, n_r))
 
 
-def kron_ls_oracle(obs, cb, n_t, n_r):
+def kron_ls_oracle(y, cb, n_t, n_r):
     """Explicit normal-equations LS through the materialized Kronecker
     system, the reference construction for the fast path."""
     big = np.kron(cb.f.T, cb.w.conj().T)
-    y = obs.y.reshape(-1, order="F")
-    h_vec = np.linalg.solve(big.conj().T @ big, big.conj().T @ y) / np.sqrt(obs.rho)
+    y_vec = y.reshape(-1, order="F")
+    h_vec = np.linalg.solve(big.conj().T @ big, big.conj().T @ y_vec)
     return h_vec.reshape((n_r, n_t), order="F")
 
 
-def padded_dft_peak_oracle(obs, L_d, n_dft, n_t, n_r):
+def padded_dft_peak_oracle(y, L_d, n_dft, n_t, n_r):
     """DFT peak picking through the full zero-padded n_dft x n_dft 2D DFT
     of the crop, the reference construction for the blocked scan."""
-    work = to_spatial(obs, n_t, n_r).d_bar.copy()
+    work = to_spatial(y, n_t, n_r).d_bar.copy()
     m = np.arange(n_r)[:, None]
     n = np.arange(n_t)[None, :]
     estimates = []
@@ -74,20 +72,18 @@ def padded_dft_peak_oracle(obs, L_d, n_dft, n_t, n_r):
         omega_aoa = wrap(2 * np.pi * qi / n_dft, -np.pi, np.pi)
         omega_aod = wrap(2 * np.pi * pi_ / n_dft, -np.pi, np.pi)
         cisoid = np.exp(1j * (omega_aoa * m + omega_aod * n))
-        a_hat = (work * cisoid.conj()).mean() / np.sqrt(obs.rho)
+        a_hat = (work * cisoid.conj()).mean()
         gain = np.sqrt(n_t * n_r) * a_hat
         estimates.append(
             PathParams.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa)
         )
-        work = work - np.sqrt(obs.rho) * a_hat * cisoid
+        work = work - a_hat * cisoid
     return estimates
 
 
-def model_from_channel(ch, noise_var):
-    params = []
-    for p in ch.paths:
-        params.extend([p.gain_magnitude, p.gain_phase, p.omega_aod, p.omega_aoa])
-    return FisherModel(np.array(params), noise_var, ch.n_t, ch.n_r)
+def params_of(paths):
+    """The (|a|, phase, w_aod, w_aoa) vector of ``paths``, path by path."""
+    return np.ravel([(p.gain_magnitude, p.gain_phase, p.omega_aod, p.omega_aoa) for p in paths])
 
 
 def channel_of_params(params, n_t, n_r):
@@ -100,17 +96,17 @@ def channel_of_params(params, n_t, n_r):
     return h
 
 
-def stacked_jacobian_fd(model, step=1e-6):
+def stacked_jacobian_fd(params, n_t, n_r, step=1e-6):
     """Central finite differences of vec(H) with respect to each real
     parameter."""
 
-    def h_vec(params):
-        return channel_of_params(params, model.n_t, model.n_r).reshape(-1)
+    def h_vec(vec):
+        return channel_of_params(vec, n_t, n_r).reshape(-1)
 
     cols = []
-    for i in range(len(model.params)):
-        hi = model.params.copy()
-        lo = model.params.copy()
+    for i in range(len(params)):
+        hi = params.copy()
+        lo = params.copy()
         hi[i] += step
         lo[i] -= step
         cols.append((h_vec(hi) - h_vec(lo)) / (2 * step))
@@ -120,27 +116,26 @@ def stacked_jacobian_fd(model, step=1e-6):
 class TestLsEstimateExplicit:
     def test_noiseless_exact(self):
         cb = build_codebook(16, 16, 16, 16)
-        ch = build_channel(sample_paths(2, SeededRng(91)), 16, 16)
-        obs = synthesize_observation(ch, cb, 1.0, 0.0)
-        assert np.allclose(ls_estimate_explicit(obs, cb), ch.h, atol=1e-9)
+        h = build_channel(sample_paths(2, SeededRng(91)), 16, 16)
+        y = synthesize_observation(h, cb, 0.0)
+        assert np.allclose(ls_estimate_explicit(y, cb), h, atol=1e-9)
 
     def test_matches_kronecker_oracle(self):
         cb = build_codebook(32, 32, 16, 16)
         for t in range(5):
             rng = SeededRng(92).substream(t)
-            ch = build_channel(sample_paths(2, rng), 16, 16)
-            obs = synthesize_observation(ch, cb, 1.0, 0.5, rng)
-            ref = kron_ls_oracle(obs, cb, 16, 16)
-            assert np.allclose(ls_estimate_explicit(obs, cb), ref, atol=1e-9)
+            h = build_channel(sample_paths(2, rng), 16, 16)
+            y = synthesize_observation(h, cb, 0.5, rng)
+            ref = kron_ls_oracle(y, cb, 16, 16)
+            assert np.allclose(ls_estimate_explicit(y, cb), ref, atol=1e-9)
 
     def test_matches_spatial_route(self):
         cb = build_codebook(16, 16, 16, 16)
         for t in range(100):
             rng = SeededRng(93).substream(t)
-            ch = build_channel(sample_paths(3, rng), 16, 16)
-            obs = synthesize_observation(ch, cb, 1.0, 1.0, rng)
-            fast = spatial_ls_estimate(to_spatial(obs, 16, 16), 1.0)
-            assert np.allclose(ls_estimate_explicit(obs, cb), fast, atol=1e-9)
+            h = build_channel(sample_paths(3, rng), 16, 16)
+            y = synthesize_observation(h, cb, 1.0, rng)
+            assert np.allclose(ls_estimate_explicit(y, cb), spatial_ls(y), atol=1e-9)
 
 
 class TestDftPeakBaseline:
@@ -148,22 +143,22 @@ class TestDftPeakBaseline:
         cb = build_codebook(16, 16, 16, 16)
         aod = np.arccos(cb.tx_cosines[3])
         aoa = np.arccos(cb.rx_cosines[5])
-        ch = build_channel([PathParams.from_gain_angles(0.9, aod, aoa)], 16, 16)
-        obs = synthesize_observation(ch, cb, 1.0, 0.0)
-        est = dft_peak_baseline(spatial_ls(obs), 1, n_dft=1024)[0]
-        assert abs(est.omega_aod - ch.paths[0].omega_aod) < 2 * np.pi / 1024
-        assert abs(est.omega_aoa - ch.paths[0].omega_aoa) < 2 * np.pi / 1024
+        path = PathParams.from_gain_angles(0.9, aod, aoa)
+        y = synthesize_observation(build_channel([path], 16, 16), cb, 0.0)
+        est = dft_peak_baseline(spatial_ls(y), 1, n_dft=1024)[0]
+        assert abs(est.omega_aod - path.omega_aod) < 2 * np.pi / 1024
+        assert abs(est.omega_aoa - path.omega_aoa) < 2 * np.pi / 1024
 
     def test_off_grid_half_bin_error(self):
         cb = build_codebook(16, 16, 16, 16)
         worst = 0.0
         for t in range(20):
-            ch = build_channel(sample_paths(1, SeededRng(94).substream(t)), 16, 16)
-            obs = synthesize_observation(ch, cb, 1.0, 0.0)
-            est = dft_peak_baseline(spatial_ls(obs), 1, n_dft=1024)[0]
+            [path] = sample_paths(1, SeededRng(94).substream(t))
+            y = synthesize_observation(build_channel([path], 16, 16), cb, 0.0)
+            est = dft_peak_baseline(spatial_ls(y), 1, n_dft=1024)[0]
             # frequencies live on the circle: compare modulo 2*pi
-            d1 = wrap(est.omega_aod - ch.paths[0].omega_aod, -np.pi, np.pi)
-            d2 = wrap(est.omega_aoa - ch.paths[0].omega_aoa, -np.pi, np.pi)
+            d1 = wrap(est.omega_aod - path.omega_aod, -np.pi, np.pi)
+            d2 = wrap(est.omega_aoa - path.omega_aoa, -np.pi, np.pi)
             worst = max(worst, abs(d1), abs(d2))
         assert worst <= np.pi / 1024 + 1e-9
 
@@ -171,9 +166,8 @@ class TestDftPeakBaseline:
         cb = build_codebook(16, 16, 16, 16)
         p1 = PathParams.from_gain_angles(0.9, 0.7, 2.4)
         p2 = PathParams.from_gain_angles(0.5 * np.exp(1j * 0.8), 2.2, 1.0)
-        ch = build_channel([p1, p2], 16, 16)
-        obs = synthesize_observation(ch, cb, 1.0, 1e-4, SeededRng(95))
-        ests = dft_peak_baseline(spatial_ls(obs), 2, n_dft=1024)
+        y = synthesize_observation(build_channel([p1, p2], 16, 16), cb, 1e-4, SeededRng(95))
+        ests = dft_peak_baseline(spatial_ls(y), 2, n_dft=1024)
         got = sorted(e.gain_magnitude for e in ests)
         assert got[1] == pytest.approx(0.9, rel=0.1)
         assert got[0] == pytest.approx(0.5, rel=0.1)
@@ -184,10 +178,10 @@ class TestDftPeakBaseline:
         cb = build_codebook(16, 16, 16, 16)
         for t in range(5):
             stream = SeededRng(96).substream(t)
-            ch = build_channel(sample_paths(3, stream), 16, 16)
-            obs = synthesize_observation(ch, cb, 1.0, 0.1, stream)
-            got = dft_peak_baseline(spatial_ls(obs), 3, n_dft=n_dft)
-            ref = padded_dft_peak_oracle(obs, 3, n_dft, 16, 16)
+            h = build_channel(sample_paths(3, stream), 16, 16)
+            y = synthesize_observation(h, cb, 0.1, stream)
+            got = dft_peak_baseline(spatial_ls(y), 3, n_dft=n_dft)
+            ref = padded_dft_peak_oracle(y, 3, n_dft, 16, 16)
             for e, r in zip(got, ref):
                 assert (e.omega_aod, e.omega_aoa) == pytest.approx(
                     (r.omega_aod, r.omega_aoa), abs=1e-12)
@@ -208,13 +202,12 @@ class TestDftPeakBaseline:
         n_t, n_r = shape
         stream = SeededRng(seed)
         if noise_only:
-            obs = Observation(y=sample_complex_gaussian(stream, 1.0, (16, 16)),
-                              rho=1.0)
+            y = sample_complex_gaussian(stream, 1.0, (16, 16))
         else:
-            ch = build_channel(sample_paths(L, stream), n_t, n_r)
-            obs = synthesize_observation(ch, build_codebook(16, 16, n_t, n_r), 1.0, 1e-3, stream)
-        got = dft_peak_baseline(spatial_ls(obs, n_t, n_r), L, n_dft=n_dft)
-        ref = padded_dft_peak_oracle(obs, L, n_dft, n_t, n_r)
+            h = build_channel(sample_paths(L, stream), n_t, n_r)
+            y = synthesize_observation(h, build_codebook(16, 16, n_t, n_r), 1e-3, stream)
+        got = dft_peak_baseline(spatial_ls(y, n_t, n_r), L, n_dft=n_dft)
+        ref = padded_dft_peak_oracle(y, L, n_dft, n_t, n_r)
 
         def bins(e):
             return [round(w * n_dft / (2 * np.pi)) % n_dft for w in (e.omega_aod, e.omega_aoa)]
@@ -237,32 +230,31 @@ class TestDftPeakBaseline:
         # 0.997 of its peak; the weak path sits on a coarse sample at 0.999.
         # Only the kappa margin keeps the strong path's tiles.
         strong, weak = self.on_bins(1.0, 160, 400), self.on_bins(0.999j, 682, 122)
-        ch = build_channel([strong, weak], 16, 16)
-        obs = synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.0)
+        h = build_channel([strong, weak], 16, 16)
+        y = synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.0)
         padded = np.zeros((1024, 1024), dtype=complex)
-        padded[:16, :16] = to_spatial(obs, 16, 16).d_bar
+        padded[:16, :16] = to_spatial(y, 16, 16).d_bar
         spectrum = np.abs(dft2d(padded))  # [AoA bin, AoD bin]
         coarse = spectrum[2::4, 2::4]
         assert np.unravel_index(np.argmax(coarse), coarse.shape) == (122 // 4, 682 // 4)
         assert np.unravel_index(np.argmax(spectrum), spectrum.shape) == (400, 160)
-        est = dft_peak_baseline(spatial_ls(obs), 1, n_dft=1024)[0]
+        est = dft_peak_baseline(spatial_ls(y), 1, n_dft=1024)[0]
         assert (est.omega_aod, est.omega_aoa) == pytest.approx(
             (strong.omega_aod, strong.omega_aoa), abs=1e-12)
 
     @staticmethod
-    def scan_runs(obs, n_dft=1024, n_t=16, n_r=16):
+    def scan_runs(y, n_dft=1024, n_t=16, n_r=16):
         """The (row, lo, hi) runs that the first path's scan multiplies."""
         f_r_t = dft_columns(n_dft, n_r).T
-        left = dft_columns(n_dft, n_t) @ to_spatial(obs, n_t, n_r).d_bar.T
+        left = dft_columns(n_dft, n_t) @ to_spatial(y, n_t, n_r).d_bar.T
         spec = np.empty((_PEAK_BLOCK, n_dft), dtype=complex)
         power = np.empty((_PEAK_BLOCK, n_dft))
         keep = _candidate_tiles(left, f_r_t, *_coarse_grid(n_dft, n_t, n_r), spec, power)
         return keep, _scan_runs(keep, _PEAK_BLOCK)
 
     def test_on_grid_path_scans_few_tiles(self):
-        ch = build_channel([self.on_bins(0.9, 300, 700)], 16, 16)
-        obs = synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.0)
-        keep, runs = self.scan_runs(obs)
+        h = build_channel([self.on_bins(0.9, 300, 700)], 16, 16)
+        keep, runs = self.scan_runs(synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.0))
         assert keep.shape == (1024 // _PEAK_BLOCK,) * 2 == (16, 16)
         assert keep[300 // _PEAK_BLOCK, 700 // _PEAK_BLOCK]
         assert keep.sum() <= 4
@@ -276,15 +268,15 @@ class TestDftPeakBaseline:
     # so tiles at both ends are kept: two short runs, not one of 1024
     @pytest.mark.parametrize("q", [1, 1022])
     def test_peak_at_aoa_wrap_scans_two_short_runs(self, q):
-        ch = build_channel([self.on_bins(0.9, 300, q)], 16, 16)
-        obs = synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.0)
-        keep, runs = self.scan_runs(obs)
+        h = build_channel([self.on_bins(0.9, 300, q)], 16, 16)
+        y = synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.0)
+        keep, runs = self.scan_runs(y)
         row = 300 // _PEAK_BLOCK * _PEAK_BLOCK
         assert [run for run in runs if run[0] == row] == [
             (row, 0, _PEAK_BLOCK), (row, 1024 - _PEAK_BLOCK, 1024)]
         assert all(hi - lo < 1024 for _, lo, hi in runs)
-        est = dft_peak_baseline(spatial_ls(obs), 1, n_dft=1024)[0]
-        ref = padded_dft_peak_oracle(obs, 1, 1024, 16, 16)[0]
+        est = dft_peak_baseline(spatial_ls(y), 1, n_dft=1024)[0]
+        ref = padded_dft_peak_oracle(y, 1, 1024, 16, 16)[0]
         assert (est.omega_aod, est.omega_aoa) == (ref.omega_aod, ref.omega_aoa)
         assert [round(w * 1024 / (2 * np.pi)) % 1024 for w in (est.omega_aod, est.omega_aoa)] \
             == [300, q]
@@ -296,10 +288,10 @@ class TestDftPeakBaseline:
         cb = build_codebook(16, 16, 2, 2)
         for t in range(3):
             stream = SeededRng(97).substream(t)
-            ch = build_channel(sample_paths(2, stream), 2, 2)
-            obs = synthesize_observation(ch, cb, 1.0, 1e-3, stream)
-            got = dft_peak_baseline(spatial_ls(obs, 2, 2), 1, n_dft=2048)[0]
-            ref = padded_dft_peak_oracle(obs, 1, 2048, 2, 2)[0]
+            h = build_channel(sample_paths(2, stream), 2, 2)
+            y = synthesize_observation(h, cb, 1e-3, stream)
+            got = dft_peak_baseline(spatial_ls(y, 2, 2), 1, n_dft=2048)[0]
+            ref = padded_dft_peak_oracle(y, 1, 2048, 2, 2)[0]
             assert (got.omega_aod, got.omega_aoa) == (ref.omega_aod, ref.omega_aoa)
             assert got.gain == pytest.approx(ref.gain, rel=1e-9)
 
@@ -311,9 +303,9 @@ class TestDftPeakBaseline:
 
     def test_zero_observation_picks_first_bin(self):
         # every bin ties at zero power, so the lowest flat index, (0, 0), wins
-        obs = Observation(y=np.zeros((16, 16), dtype=complex), rho=1.0)
-        got = dft_peak_baseline(spatial_ls(obs), 2, n_dft=1024)
-        ref = padded_dft_peak_oracle(obs, 2, 1024, 16, 16)
+        y = np.zeros((16, 16), dtype=complex)
+        got = dft_peak_baseline(spatial_ls(y), 2, n_dft=1024)
+        ref = padded_dft_peak_oracle(y, 2, 1024, 16, 16)
         for e, r in zip(got, ref):
             assert (e.omega_aod, e.omega_aoa) == (r.omega_aod, r.omega_aoa) == (0.0, 0.0)
             assert e.gain == r.gain == 0
@@ -322,8 +314,8 @@ class TestDftPeakBaseline:
         # the whole 1024 x 1024 complex spectrum alone would take 16 MB
         cb = build_codebook(16, 16, 16, 16)
         stream = SeededRng(99)
-        ch = build_channel(sample_paths(3, stream), 16, 16)
-        h_ls = spatial_ls(synthesize_observation(ch, cb, 1.0, 0.1, stream))
+        h = build_channel(sample_paths(3, stream), 16, 16)
+        h_ls = spatial_ls(synthesize_observation(h, cb, 0.1, stream))
         tracemalloc.start()
         try:
             dft_peak_baseline(h_ls, 3, n_dft=1024)
@@ -334,9 +326,8 @@ class TestDftPeakBaseline:
 
     @pytest.mark.parametrize("n_dft", [1000, 8])
     def test_rejects_bad_n_dft(self, n_dft):
-        obs = Observation(y=np.zeros((16, 16), dtype=complex), rho=1.0)
         with pytest.raises(ValueError, match="power of two"):
-            dft_peak_baseline(spatial_ls(obs), 1, n_dft=n_dft)
+            dft_peak_baseline(spatial_ls(np.zeros((16, 16), dtype=complex)), 1, n_dft=n_dft)
 
 
 class TestUpperBoundSinglePath:
@@ -427,6 +418,18 @@ class TestOrderedEigenvalueMean:
         assert analysis._laguerre_ordered_means(n_r, n_t) == pytest.approx(
             laguerre_ordered_means_tanhsinh(n_r, n_t), rel=1e-11, abs=0)
 
+    def test_table_memory_is_bounded(self):
+        # all 2880 abscissae of 64 x 64 at once would hold 94 MB of Laguerre
+        # functions and a 94 MB Gram stack; 256 at a time hold about 17 MB
+        analysis._laguerre_ordered_means.cache_clear()
+        tracemalloc.start()
+        try:
+            analysis._laguerre_ordered_means(64, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
     def test_refusals(self):
         for l, n_r, n_t, sigma_z_sq in [(0, 16, 16, 1.0), (17, 16, 16, 1.0),
                                         (1, 16, 12, 1.0), (1, 16, 16, 0.0)]:
@@ -441,39 +444,36 @@ class TestOrderedEigenvalueMean:
 
 class TestUpperBoundMultiPath:
     def test_monotone_in_paths(self):
-        vals = [upper_bound_multi_path(L, 1.0, 16, 16, 0.01) for L in (1, 2, 3)]
+        vals = [upper_bound_multi_path(L, 16, 16, 0.01) for L in (1, 2, 3)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_single_path_tighter_than_gordon(self):
         # both bound the same SSE; the spectral-norm bound is looser
         sigma_z_sq = 1.0 / 256.0
-        lemma4 = upper_bound_multi_path(1, 1.0, 16, 16, sigma_z_sq)
+        lemma4 = upper_bound_multi_path(1, 16, 16, sigma_z_sq)
         lemma3 = upper_bound_single_path(1.0, 16, 16)
         assert lemma4 <= lemma3
 
     def test_linear_in_noise_power(self):
-        a = upper_bound_multi_path(2, 1.0, 16, 16, 0.02)
-        b = upper_bound_multi_path(2, 1.0, 16, 16, 0.01)
+        a = upper_bound_multi_path(2, 16, 16, 0.02)
+        b = upper_bound_multi_path(2, 16, 16, 0.01)
         assert a == pytest.approx(2.0 * b, rel=1e-6)
 
 
 class TestFisherMatrix:
     def test_jacobian_matches_finite_differences(self):
-        ch = build_channel(sample_paths(3, SeededRng(97)), 16, 16)
-        model = model_from_channel(ch, 0.1)
-        jac = _channel_jacobian(model)
-        ref = stacked_jacobian_fd(model)
+        params = params_of(sample_paths(3, SeededRng(97)))
+        jac = _channel_jacobian(params, 16, 16)
+        ref = stacked_jacobian_fd(params, 16, 16)
         assert np.max(np.abs(jac - ref)) / np.max(np.abs(ref)) < 1e-5
 
     def test_symmetric_psd(self):
-        ch = build_channel(sample_paths(2, SeededRng(98)), 16, 16)
-        f = fisher_matrix(model_from_channel(ch, 0.5))
+        f = fisher_matrix(params_of(sample_paths(2, SeededRng(98))), 0.5, 16, 16)
         assert np.max(np.abs(f - f.T)) < 1e-10
         assert np.linalg.eigvalsh(f)[0] >= -1e-9 * np.trace(f)
 
     def test_zero_amplitude_path(self):
-        model = FisherModel(np.array([0.0, 0.3, 0.5, -0.5]), 1.0, 8, 8)
-        f = fisher_matrix(model)
+        f = fisher_matrix(np.array([0.0, 0.3, 0.5, -0.5]), 1.0, 8, 8)
         # phase/frequency information vanishes with the amplitude
         assert np.allclose(f[1:, :], 0.0)
         assert np.allclose(f[:, 1:], 0.0)
@@ -482,73 +482,76 @@ class TestFisherMatrix:
     @pytest.mark.parametrize("n_t, n_r", [(16, 16), (8, 12), (12, 8)])
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_closed_form_matches_oracle_jacobian(self, L, n_t, n_r):
-        ch = build_channel(sample_paths(L, SeededRng(123).substream(L)), n_t, n_r)
-        model = model_from_channel(ch, 0.3)
-        assert fisher_rel_err(model) < 1e-12
+        params = params_of(sample_paths(L, SeededRng(123).substream(L)))
+        assert fisher_rel_err(params, 0.3, n_t, n_r) < 1e-12
 
     def test_closed_form_matches_oracle_on_degenerate_channels(self):
         p, q = sample_paths(2, SeededRng(124))
         dead = PathParams.from_freqs(0.0, 0.4, 0.9, -1.3)
-        for ch in (coincident_paths_channel(125), build_channel([p, q, dead], 16, 16)):
-            assert fisher_rel_err(model_from_channel(ch, 0.3)) < 1e-12
+        for paths in (coincident_paths(125), [p, q, dead]):
+            assert fisher_rel_err(params_of(paths), 0.3, 16, 16) < 1e-12
 
     @pytest.mark.parametrize("n_t, n_r", [(16, 16), (8, 12), (12, 8)])
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_amplitude_block_gives_channel_energy(self, L, n_t, n_r):
         # ||H||^2 = |a|^T Re[J^H J]_{|a||a|} |a|, which crlb_nmse_bound reads off F
         paths = sample_paths(L, SeededRng(126).substream(L))
-        model = model_from_channel(build_channel(paths, n_t, n_r), 0.3)
-        mag = model.params[0::4]
-        energy = model.noise_var / 2 * (mag @ fisher_matrix(model)[0::4, 0::4] @ mag)
-        expected = np.linalg.norm(build_channel(paths, n_t, n_r).h) ** 2
+        params = params_of(paths)
+        mag = params[0::4]
+        energy = 0.3 / 2 * (mag @ fisher_matrix(params, 0.3, n_t, n_r)[0::4, 0::4] @ mag)
+        expected = np.linalg.norm(build_channel(paths, n_t, n_r)) ** 2
         assert energy == pytest.approx(expected, rel=1e-12)
 
     def test_frequency_crlb_antenna_trend(self):
         # single-sinusoid frequency variance falls roughly as 1/n^3
         variances = []
         for n in (8, 16, 32):
-            model = FisherModel(np.array([1.0, 0.2, 0.7, -0.9]), 0.1, n, n)
-            variances.append(np.linalg.inv(fisher_matrix(model))[2, 2])
+            f = fisher_matrix(np.array([1.0, 0.2, 0.7, -0.9]), 0.1, n, n)
+            variances.append(np.linalg.inv(f)[2, 2])
         assert variances[0] > 6 * variances[1] > 36 * variances[2]
 
 
-def fisher_rel_err(model):
+def fisher_rel_err(params, noise_var, n_t, n_r):
     """Largest deviation of `fisher_matrix` from (2/noise_var) Re[J^H J]
     of the oracle Jacobian, relative to that matrix's largest entry."""
-    jac = _channel_jacobian(model)
-    ref = (2.0 / model.noise_var) * np.real(jac.conj().T @ jac)
-    return np.max(np.abs(fisher_matrix(model) - ref)) / np.max(np.abs(ref))
+    jac = _channel_jacobian(params, n_t, n_r)
+    ref = (2.0 / noise_var) * np.real(jac.conj().T @ jac)
+    return np.max(np.abs(fisher_matrix(params, noise_var, n_t, n_r) - ref)) / np.max(np.abs(ref))
 
 
-def crlb_noise_var(ch, rho, sigma_z_sq):
-    """Per-entry noise variance of the spatial LS estimate of H."""
-    return ch.n_t * ch.n_r * sigma_z_sq / rho
+def crlb_noise_var(sigma_z_sq):
+    """Per-entry noise variance of the spatial LS estimate of a 16 x 16 H."""
+    return 16 * 16 * sigma_z_sq
 
 
-def crlb_trace_reference(ch, rho, sigma_z_sq):
-    """tr(J F+ J^H) / ||H||^2 from the Jacobian, with F+ the inverse of
-    the Fisher matrix whose eigenvalues are floored at 1e-12 of the
-    largest."""
-    model = model_from_channel(ch, crlb_noise_var(ch, rho, sigma_z_sq))
-    vals, vecs = np.linalg.eigh(fisher_matrix(model))
+def channel_energy(paths, n_t=16, n_r=16):
+    return np.linalg.norm(build_channel(paths, n_t, n_r)) ** 2
+
+
+def crlb_trace_reference(paths, sigma_z_sq):
+    """tr(J F+ J^H) / ||H||^2 of the 16 x 16 channel of ``paths`` from the
+    Jacobian, with F+ the inverse of the Fisher matrix whose eigenvalues
+    are floored at 1e-12 of the largest."""
+    params = params_of(paths)
+    vals, vecs = np.linalg.eigh(fisher_matrix(params, crlb_noise_var(sigma_z_sq), 16, 16))
     f_plus = (vecs / np.maximum(vals, 1e-12 * vals[-1])) @ vecs.T
-    jac = _channel_jacobian(model)
-    return np.trace(jac @ f_plus @ jac.conj().T).real / np.linalg.norm(ch.h) ** 2
+    jac = _channel_jacobian(params, 16, 16)
+    return np.trace(jac @ f_plus @ jac.conj().T).real / channel_energy(paths)
 
 
-def coincident_paths_channel(seed):
+def coincident_paths(seed):
     """Two paths with the same frequencies but different gains, plus one
-    other path: the Fisher matrix loses two of its twelve ranks."""
+    other path, strongest first: the Fisher matrix loses two of its twelve
+    ranks."""
     p, q = sample_paths(2, SeededRng(seed))
     twin = PathParams.from_freqs(0.5 * p.gain_magnitude, p.gain_phase + 1.0,
                                  p.omega_aod, p.omega_aoa)
-    return build_channel([p, q, twin], 16, 16)
+    return sorted([p, q, twin], key=lambda x: x.gain_magnitude, reverse=True)
 
 
 class TestCrlbNmseBound:
     def test_vanishing_noise_limit(self):
-        ch = build_channel(sample_paths(2, SeededRng(99)), 16, 16)
-        ratio = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, 1e-18)
+        ratio = crlb_nmse_bound(sample_paths(2, SeededRng(99)), 16, 16, 1e-18)
         assert ratio < 1e-12
 
     def test_decreases_with_snr(self):
@@ -558,64 +561,65 @@ class TestCrlbNmseBound:
             acc = 0.0
             for t in range(100):
                 rng = SeededRng(101).substream(t)
-                ch = build_channel(sample_paths(3, rng), 16, 16)
-                acc += crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, sigma_z_sq)
+                acc += crlb_nmse_bound(sample_paths(3, rng), 16, 16, sigma_z_sq)
             levels.append(10 * np.log10(acc / 100))
         assert levels[0] > levels[1] > levels[2]
 
     @pytest.mark.parametrize("seed", range(110, 115))
     def test_closed_form_equals_jacobian_trace(self, seed):
-        ch = build_channel(sample_paths(3, SeededRng(seed)), 16, 16)
+        paths = sample_paths(3, SeededRng(seed))
         sigma_z_sq = 0.1 / 256.0
-        got = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, sigma_z_sq)
-        assert got == pytest.approx(crlb_trace_reference(ch, 1.0, sigma_z_sq), rel=1e-10)
+        got = crlb_nmse_bound(paths, 16, 16, sigma_z_sq)
+        assert got == pytest.approx(crlb_trace_reference(paths, sigma_z_sq), rel=1e-10)
         # full rank: 2 L noise_var, the trace of F^-1 F times noise_var / 2
-        two_l_var = 6 * crlb_noise_var(ch, 1.0, sigma_z_sq) / np.linalg.norm(ch.h) ** 2
+        two_l_var = 6 * crlb_noise_var(sigma_z_sq) / channel_energy(paths)
         assert got == pytest.approx(two_l_var, rel=1e-10)
 
     def test_closed_form_on_coincident_paths(self):
-        ch = coincident_paths_channel(115)
+        paths = coincident_paths(115)
         sigma_z_sq = 0.1 / 256.0
-        got = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, sigma_z_sq)
+        got = crlb_nmse_bound(paths, 16, 16, sigma_z_sq)
         # pseudo-inverse CRLB: rank 10 of 12, so 5 noise_var. The two lost
         # eigenvalues are rounding noise near 1e-17 of the largest; each
         # adds its ratio to the 1e-12 floor, about 1e-5, on either side
-        rank_var = 5 * crlb_noise_var(ch, 1.0, sigma_z_sq) / np.linalg.norm(ch.h) ** 2
+        rank_var = 5 * crlb_noise_var(sigma_z_sq) / channel_energy(paths)
         assert got == pytest.approx(rank_var, rel=1e-4)
-        assert got == pytest.approx(crlb_trace_reference(ch, 1.0, sigma_z_sq), rel=1e-4)
+        assert got == pytest.approx(crlb_trace_reference(paths, sigma_z_sq), rel=1e-4)
 
     def test_closed_form_with_zero_amplitude_path(self):
         p, q = sample_paths(2, SeededRng(116))
         dead = PathParams.from_freqs(0.0, 0.4, 0.9, -1.3)
-        ch = build_channel([p, q, dead], 16, 16)
+        paths = [p, q, dead]
         sigma_z_sq = 0.1 / 256.0
-        got = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, sigma_z_sq)
+        got = crlb_nmse_bound(paths, 16, 16, sigma_z_sq)
         # the dead path's phase and frequencies carry no information
-        assert got == pytest.approx(crlb_trace_reference(ch, 1.0, sigma_z_sq), rel=1e-10)
-        rank_var = 4.5 * crlb_noise_var(ch, 1.0, sigma_z_sq) / np.linalg.norm(ch.h) ** 2
+        assert got == pytest.approx(crlb_trace_reference(paths, sigma_z_sq), rel=1e-10)
+        rank_var = 4.5 * crlb_noise_var(sigma_z_sq) / channel_energy(paths)
         assert got == pytest.approx(rank_var, rel=1e-10)
 
     def test_matches_full_covariance_draw_at_30db(self):
-        ch = build_channel(sample_paths(3, SeededRng(117)), 16, 16)
+        paths = sample_paths(3, SeededRng(117))
+        h = build_channel(paths, 16, 16)
         sigma_z_sq = 1e-3 / 256.0
-        model = model_from_channel(ch, crlb_noise_var(ch, 1.0, sigma_z_sq))
-        chol = np.linalg.cholesky(np.linalg.inv(fisher_matrix(model)))
-        draws = model.params + SeededRng(118).normal(1.0, size=(4000, 12)) @ chol.T
-        errors = [np.linalg.norm(channel_of_params(d, 16, 16) - ch.h) ** 2 for d in draws]
-        ratios = np.array(errors) / np.linalg.norm(ch.h) ** 2
+        params = params_of(paths)
+        f = fisher_matrix(params, crlb_noise_var(sigma_z_sq), 16, 16)
+        chol = np.linalg.cholesky(np.linalg.inv(f))
+        draws = params + SeededRng(118).normal(1.0, size=(4000, 12)) @ chol.T
+        errors = [np.linalg.norm(channel_of_params(d, 16, 16) - h) ** 2 for d in draws]
+        ratios = np.array(errors) / np.linalg.norm(h) ** 2
         # linearized, each draw is (noise_var / 2) chi^2 with 12 degrees of
         # freedom, relative sd 1/sqrt(6); the mean of 4000 has 0.65%, so 3%
         # is over 4 standard errors
-        bound = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, sigma_z_sq)
+        bound = crlb_nmse_bound(paths, 16, 16, sigma_z_sq)
         assert np.mean(ratios) == pytest.approx(bound, rel=0.03)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_full_rank_closed_form(self, L):
-        # 2 L n_t n_r sigma_z^2 / (rho ||H||^2), here on n_r > n_t
-        ch = build_channel(sample_paths(L, SeededRng(121).substream(L)), 8, 12)
-        rho, sigma_z_sq = 2.0, 0.03
-        expected = 2 * L * 8 * 12 * sigma_z_sq / (rho * np.linalg.norm(ch.h) ** 2)
-        got = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, rho, sigma_z_sq)
+        # 2 L n_t n_r sigma_z^2 / ||H||^2, here on n_r > n_t
+        paths = sample_paths(L, SeededRng(121).substream(L))
+        sigma_z_sq = 0.03
+        expected = 2 * L * 8 * 12 * sigma_z_sq / channel_energy(paths, 8, 12)
+        got = crlb_nmse_bound(paths, 8, 12, sigma_z_sq)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_needs_no_eigenvalue_means(self, monkeypatch):
@@ -623,12 +627,10 @@ class TestCrlbNmseBound:
             raise AssertionError("the CRLB called ordered_eigenvalue_mean")
 
         monkeypatch.setattr(analysis, "ordered_eigenvalue_mean", refuse)
-        ch = build_channel(sample_paths(3, SeededRng(122)), 16, 16)
-        assert np.isfinite(crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, 0.01))
+        assert np.isfinite(crlb_nmse_bound(sample_paths(3, SeededRng(122)), 16, 16, 0.01))
 
     def test_deterministic_per_channel(self):
-        ch = build_channel(sample_paths(3, SeededRng(119)), 16, 16)
-        args = (ch.paths, ch.n_t, ch.n_r, 1.0, 0.01)
+        args = (sample_paths(3, SeededRng(119)), 16, 16, 0.01)
         assert crlb_nmse_bound(*args) == crlb_nmse_bound(*args)
 
     def test_zero_norm_channel_raises(self):
@@ -636,11 +638,10 @@ class TestCrlbNmseBound:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="zero norm"):
-                crlb_nmse_bound(dead, 16, 16, 1.0, 0.01)
+                crlb_nmse_bound(dead, 16, 16, 0.01)
 
     def test_degenerate_fisher_matrix_raises_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ch = coincident_paths_channel(120)
-            ratio = crlb_nmse_bound(ch.paths, ch.n_t, ch.n_r, 1.0, 0.01)
+            ratio = crlb_nmse_bound(coincident_paths(120), 16, 16, 0.01)
         assert np.isfinite(ratio) and ratio > 0

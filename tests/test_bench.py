@@ -11,7 +11,6 @@ from tsdce.bench import (
     ConfigError,
     ExperimentConfig,
     MetricRecord,
-    angle_errors_deg,
     doa_metrics,
     draw_trial,
     emit_csv,
@@ -61,21 +60,21 @@ class TestMatchPaths:
     def test_identity(self):
         truths = [make_path(0.5, 1.0), make_path(2.0, 2.5)]
         ests = [make_estimate(0.5, 1.0), make_estimate(2.0, 2.5)]
-        assert set(match_paths(truths, ests)) == {(0, 0), (1, 1)}
+        assert set(match_paths(truths, ests)[0]) == {(0, 0), (1, 1)}
 
     def test_recovers_permutation(self):
         truths = [make_path(0.5, 1.0), make_path(2.0, 2.5), make_path(1.2, 0.4)]
         ests = [make_estimate(1.2, 0.4), make_estimate(0.5, 1.0),
                 make_estimate(2.0, 2.5)]
-        assert set(match_paths(truths, ests)) == {(0, 1), (1, 2), (2, 0)}
+        assert set(match_paths(truths, ests)[0]) == {(0, 1), (1, 2), (2, 0)}
 
     def test_l1_tie_broken_by_squared_error(self):
         # both estimates lie above both true AoAs: the two pairings have the
         # same L1 cost, and the straight one has the smaller squared error
         truths = [make_path(1.0, 1.0), make_path(1.0, 1.2)]
         ests = [make_estimate(1.0, 1.3), make_estimate(1.0, 1.5)]
-        assert match_paths(truths, ests) == [(0, 0), (1, 1)]
-        assert match_paths(truths, ests[::-1]) == [(0, 1), (1, 0)]
+        assert match_paths(truths, ests)[0] == [(0, 0), (1, 1)]
+        assert match_paths(truths, ests[::-1])[0] == [(0, 1), (1, 0)]
         # the L1 tie is exact for any such positions, so which pairing has
         # the smaller rounded L1 sum is decided by rounding; perturbations
         # at the 1e-13 level must not flip the choice
@@ -83,20 +82,33 @@ class TestMatchPaths:
         for d0 in steps:
             for d1 in steps:
                 moved = [make_estimate(1.0, 1.3 + d0), make_estimate(1.0 + d1, 1.5 + d1)]
-                assert match_paths(truths, moved) == [(0, 0), (1, 1)]
+                assert match_paths(truths, moved)[0] == [(0, 0), (1, 1)]
 
     def test_fewer_estimates_than_true_paths(self):
         truths = [make_path(0.5, 1.0), make_path(2.0, 2.5), make_path(1.2, 0.4)]
-        assert match_paths(truths, [make_estimate(2.0, 2.5)]) == [(1, 0)]
+        assert match_paths(truths, [make_estimate(2.0, 2.5)])[0] == [(1, 0)]
         ests = [make_estimate(1.2, 0.4), make_estimate(2.0, 2.5)]
-        assert match_paths(truths, ests) == [(1, 1), (2, 0)]
+        assert match_paths(truths, ests)[0] == [(1, 1), (2, 0)]
 
     def test_angle_errors(self):
         truths = [make_path(0.5, 1.0)]
         ests = [make_estimate(0.5 + np.deg2rad(0.2), 1.0)]
-        errs = angle_errors_deg(truths, ests, match_paths(truths, ests))
+        errs = match_paths(truths, ests)[1]
         assert len(errs) == 2
         assert max(abs(e) for e in errs) == pytest.approx(0.2, abs=1e-6)
+
+    @pytest.mark.parametrize("n_true, n_est", [(3, 3), (3, 2), (2, 3), (4, 1)])
+    def test_angle_errors_follow_the_pairing(self, n_true, n_est):
+        # true minus estimate in true-path order, AoA then AoD, as each
+        # pair's own scalar difference would give them, bit for bit
+        rng = SeededRng(88)
+        truths = [make_path(rng.uniform(0, np.pi), rng.uniform(0, np.pi)) for _ in range(n_true)]
+        ests = [make_estimate(rng.uniform(0, np.pi), rng.uniform(0, np.pi)) for _ in range(n_est)]
+        pairs, errs = match_paths(truths, ests)
+        assert [t for t, _ in pairs] == sorted(t for t, _ in pairs)
+        expected = [np.degrees(d) for t, e in pairs
+                    for d in (truths[t].aoa - ests[e].aoa, truths[t].aod - ests[e].aod)]
+        assert errs == expected
 
 
 class TestConfig:
@@ -113,7 +125,6 @@ trials = 50
 seed = 7
 snr_db_list = 0, 10, 20
 methods = tsdce, ls
-rho = 1.0
 """
         path = tmp_path / "sweep.cfg"
         path.write_text(text, encoding="utf-8")
@@ -284,9 +295,9 @@ class TestDrawTrial:
         monkeypatch.setattr(numkit, "SeededRng", EagerRng)
         monkeypatch.setattr(bench, "SeededRng", EagerRng)
         eager = [draw_trial(self.CFG, s, t) for s in range(2) for t in range(4)]
-        for (paths, ch, obs), (e_paths, e_ch, e_obs) in zip(lazy, eager):
+        for (paths, h, y), (e_paths, e_h, e_y) in zip(lazy, eager):
             assert paths == e_paths
-            assert np.array_equal(ch.h, e_ch.h) and np.array_equal(obs.y, e_obs.y)
+            assert np.array_equal(h, e_h) and np.array_equal(y, e_y)
 
 
 class TestRunExperiment:

@@ -121,30 +121,30 @@ class TestSamplePaths:
 class TestBuildChannel:
     def test_matches_steering_synthesis(self):
         paths = sample_paths(3, SeededRng(5))
-        ch = build_channel(paths, 16, 16)
-        assert np.allclose(ch.h, channel_from_steering(paths, 16, 16), atol=1e-10)
+        h = build_channel(paths, 16, 16)
+        assert np.allclose(h, channel_from_steering(paths, 16, 16), atol=1e-10)
 
     def test_elementwise_formula(self):
         p = PathParams.from_gain_angles(0.7 * np.exp(1j * 1.1), 0.9, 2.1)
-        ch = build_channel([p], 8, 4)
+        h = build_channel([p], 8, 4)
         mm, nn = np.meshgrid(np.arange(4), np.arange(8), indexing="ij")
         expected = p.gain * np.exp(1j * (p.omega_aoa * mm + p.omega_aod * nn))
-        assert np.allclose(ch.h, expected, atol=1e-12)
+        assert np.allclose(h, expected, atol=1e-12)
 
-    def test_shape_and_metadata(self):
-        paths = sample_paths(2, SeededRng(6))
-        ch = build_channel(paths, 12, 10)
-        assert ch.h.shape == (10, 12)
-        assert ch.n_t == 12 and ch.n_r == 10
-        assert len(ch.paths) == 2
+    def test_shape_and_summation_order(self):
+        # the paths are summed strongest first whatever order they come in
+        paths = sample_paths(3, SeededRng(6))
+        h = build_channel(paths, 12, 10)
+        assert h.shape == (10, 12)
+        assert np.array_equal(build_channel(paths[::-1], 12, 10), h)
 
     def test_mean_frobenius_power(self):
         # E{||H||_F^2} = n_t n_r for unit total path power
         acc = 0.0
         reps = 1000
         for t in range(reps):
-            ch = build_channel(sample_paths(3, SeededRng(7).substream(t)), 16, 16)
-            acc += np.linalg.norm(ch.h) ** 2
+            h = build_channel(sample_paths(3, SeededRng(7).substream(t)), 16, 16)
+            acc += np.linalg.norm(h) ** 2
         assert acc / reps == pytest.approx(256.0, rel=0.1)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tsdce
-from tsdce import bench
+from tsdce import analysis, bench
 from tsdce.cli import main
 
 
@@ -81,8 +81,6 @@ class TestConfigErrors:
         "angle_range = 1",
         "angle_range = 2, 1",
         "angle_range = -1, 4",
-        "rho = 0",
-        "rho = -1",
         "detection_threshold_deg = 0",
         "max_failure_rate = -1",
         "methods =",
@@ -101,6 +99,16 @@ class TestConfigErrors:
         assert calls == []
         assert not out.exists()
 
+    def test_rho_is_an_unknown_key(self, tmp_path, monkeypatch, capsys):
+        # the program fixes the paper's transmit power rho at 1: SNR = 1/sigma_n^2
+        calls = []
+        monkeypatch.setattr(bench, "_run_trial", lambda *args: calls.append(args))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG + "rho = 1\n", encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "m.csv")]) == 2
+        assert "unknown key 'rho'" in capsys.readouterr().err
+        assert calls == []
+
     def test_bound_exits_2_on_bad_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(CONFIG + "trials = ten\n", encoding="utf-8")
@@ -110,12 +118,28 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["run"], ["bound", "--kind", "crlb"]])
-    def test_unwritable_output_exits_2(self, config_path, tmp_path, capsys, argv):
+    def test_unwritable_output_exits_2_before_any_trial(
+            self, config_path, tmp_path, monkeypatch, capsys, argv):
+        calls = []
+        monkeypatch.setattr(bench, "_run_trial", lambda *args: calls.append(args))
+        monkeypatch.setattr(analysis, "crlb_nmse_bound", lambda *args: calls.append(args))
         out = tmp_path / "missing" / "x.csv"
         assert main([*argv, "--config", config_path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err
+        assert calls == []
+
+    @pytest.mark.parametrize("old", [None, "old results\n"], ids=["new", "existing"])
+    def test_failed_sweep_leaves_output_as_it_was(self, config_path, tmp_path, monkeypatch, old):
+        # the output is checked before the sweep, but written only after it
+        monkeypatch.setattr(bench, "_run_trial", lambda cfg, snr_idx, trial: {
+            m: {"failed": "ValueError()", "wall_ms": 0.0} for m in cfg.methods})
+        out = tmp_path / "metrics.csv"
+        if old is not None:
+            out.write_text(old, encoding="utf-8")
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 3
+        assert (out.read_text(encoding="utf-8") if out.exists() else None) == old
 
 
 class TestImportFootprint:
@@ -182,7 +206,7 @@ class TestSingleCommand:
         header = (dump / "Y.csv").read_text().splitlines()[0]
         assert header == "m,n,re,im"
         # residuals are in channel units: the first is the spatial LS
-        # estimate, sqrt(n_t n_r / rho) = 16 times the crop
+        # estimate, sqrt(n_t n_r) = 16 times the crop
         assert np.array_equal(read_matrix(dump / "residual_k1_l1.csv"),
                               16 * read_matrix(dump / "D_bar.csv"))
 
@@ -198,13 +222,13 @@ class TestSingleCommand:
         monkeypatch.setattr(bench, "draw_trial", recording)
         bench._run_trial(bench.load_config(config_path), 1, 3)
         monkeypatch.undo()
-        (_, ch, obs), = drawn
+        (_, h, y), = drawn
         dump = tmp_path / "dump"
         rc = main(["single", "--config", config_path, "--snr-index", "1",
                    "--trial", "3", "--dump", str(dump)])
         assert rc == 0
-        assert np.array_equal(read_matrix(dump / "H_true.csv"), ch.h)
-        assert np.array_equal(read_matrix(dump / "Y.csv"), obs.y)
+        assert np.array_equal(read_matrix(dump / "H_true.csv"), h)
+        assert np.array_equal(read_matrix(dump / "Y.csv"), y)
 
     # the config has 2 SNRs and 5 trials; a negative trial would alias
     # another SNR index's key and a trial past the end is one no sweep runs

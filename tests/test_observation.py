@@ -27,7 +27,7 @@ def on_grid_path(cb, q, p, gain):
     return PathParams.from_gain_angles(gain, aod, aoa)
 
 
-def dirichlet_observation(paths, cb, n_t, n_r, rho):
+def dirichlet_observation(paths, cb, n_t, n_r):
     """Closed-form noiseless observation built from geometric sums of the
     beam/steering inner products, independent of the matrix product."""
     y = np.zeros((cb.q_count, cb.p_count), dtype=complex)
@@ -40,7 +40,7 @@ def dirichlet_observation(paths, cb, n_t, n_r, rho):
             for path in paths:
                 s_r = np.sum(np.exp(1j * (path.omega_aoa - w_omega) * m)) / n_r
                 s_t = np.sum(np.exp(1j * (path.omega_aod - f_omega) * n)) / n_t
-                y[q, p] += np.sqrt(rho * n_t * n_r) * path.gain * s_r * s_t
+                y[q, p] += np.sqrt(n_t * n_r) * path.gain * s_r * s_t
     return y
 
 
@@ -146,9 +146,8 @@ class TestSynthesizeObservation:
         # critically sampled codebook: every other beam pair sits on a
         # Dirichlet zero, leaving one nonzero entry
         cb = build_codebook(16, 16, 16, 16)
-        ch = build_channel([on_grid_path(cb, 3, 3, 0.8 * np.exp(1j * 0.3))], 16, 16)
-        obs = synthesize_observation(ch, cb, 1.0, 0.0)
-        mag = np.abs(obs.y)
+        h = build_channel([on_grid_path(cb, 3, 3, 0.8 * np.exp(1j * 0.3))], 16, 16)
+        mag = np.abs(synthesize_observation(h, cb, 0.0))
         assert mag[3, 3] == pytest.approx(0.8 * 16.0)
         off = mag.copy()
         off[3, 3] = 0.0
@@ -156,51 +155,46 @@ class TestSynthesizeObservation:
 
     def test_on_grid_peak_oversampled(self):
         cb = build_codebook(32, 32, 16, 16)
-        ch = build_channel([on_grid_path(cb, 3, 3, 0.8)], 16, 16)
-        obs = synthesize_observation(ch, cb, 1.0, 0.0)
-        assert np.abs(obs.y[3, 3]) == pytest.approx(0.8 * 16.0)
+        h = build_channel([on_grid_path(cb, 3, 3, 0.8)], 16, 16)
+        assert np.abs(synthesize_observation(h, cb, 0.0)[3, 3]) == pytest.approx(0.8 * 16.0)
 
     def test_matches_dirichlet_oracle(self):
         cb = build_codebook(16, 16, 16, 16)
         paths = sample_paths(2, SeededRng(31))
-        ch = build_channel(paths, 16, 16)
-        obs = synthesize_observation(ch, cb, 2.0, 0.0)
-        ref = dirichlet_observation(paths, cb, 16, 16, 2.0)
-        assert np.allclose(obs.y, ref, atol=1e-9)
+        y = synthesize_observation(build_channel(paths, 16, 16), cb, 0.0)
+        assert np.allclose(y, dirichlet_observation(paths, cb, 16, 16), atol=1e-9)
 
     def test_null_channel_noise_variance(self):
         cb = build_codebook(16, 16, 16, 16)
         zero = build_channel([PathParams.from_gain_angles(0.0, 1.0, 1.0)], 16, 16)
         acc, reps = 0.0, 100
         for t in range(reps):
-            obs = synthesize_observation(zero, cb, 1.0, 0.5, SeededRng(32).substream(t))
-            acc += np.mean(np.abs(obs.y) ** 2)
+            y = synthesize_observation(zero, cb, 0.5, SeededRng(32).substream(t))
+            acc += np.mean(np.abs(y) ** 2)
         assert acc / reps == pytest.approx(0.5, rel=0.03)
 
     def test_noiseless_needs_no_rng(self):
         cb = build_codebook(16, 16, 16, 16)
-        ch = build_channel(sample_paths(1, SeededRng(33)), 16, 16)
-        synthesize_observation(ch, cb, 1.0, 0.0)
+        h = build_channel(sample_paths(1, SeededRng(33)), 16, 16)
+        synthesize_observation(h, cb, 0.0)
 
 
 class TestToSpatial:
     def test_noiseless_cisoid_crop(self):
-        # each path appears in the crop as sqrt(rho) * alpha/sqrt(n_t n_r)
-        # times a 2D cisoid at its spatial frequencies
+        # each path appears in the crop as alpha/sqrt(n_t n_r) times a 2D
+        # cisoid at its spatial frequencies
         cb = build_codebook(16, 16, 16, 16)
         paths = sample_paths(1, SeededRng(41))
-        ch = build_channel(paths, 16, 16)
-        sp = to_spatial(synthesize_observation(ch, cb, 4.0, 0.0), 16, 16)
+        sp = to_spatial(synthesize_observation(build_channel(paths, 16, 16), cb, 0.0), 16, 16)
         p = paths[0]
         mm, nn = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
-        expected = (np.sqrt(4.0) * p.gain / 16.0
-                    * np.exp(1j * (p.omega_aoa * mm + p.omega_aod * nn)))
+        expected = p.gain / 16.0 * np.exp(1j * (p.omega_aoa * mm + p.omega_aod * nn))
         assert np.allclose(sp.d_bar, expected, atol=1e-9)
 
     def test_critical_sampling_has_no_noise_estimate(self):
         cb = build_codebook(16, 16, 16, 16)
-        ch = build_channel(sample_paths(1, SeededRng(42)), 16, 16)
-        sp = to_spatial(synthesize_observation(ch, cb, 1.0, 0.1, SeededRng(43)), 16, 16)
+        h = build_channel(sample_paths(1, SeededRng(42)), 16, 16)
+        sp = to_spatial(synthesize_observation(h, cb, 0.1, SeededRng(43)), 16, 16)
         assert sp.sigma_z_sq_hat is None
 
     def test_noise_variance_estimate(self):
@@ -209,23 +203,23 @@ class TestToSpatial:
         zero = build_channel([PathParams.from_gain_angles(0.0, 1.0, 1.0)], 16, 16)
         acc, reps = 0.0, 100
         for t in range(reps):
-            obs = synthesize_observation(zero, cb, 1.0, 0.8, SeededRng(44).substream(t))
-            acc += to_spatial(obs, 16, 16).sigma_z_sq_hat
+            y = synthesize_observation(zero, cb, 0.8, SeededRng(44).substream(t))
+            acc += to_spatial(y, 16, 16).sigma_z_sq_hat
         assert acc / reps == pytest.approx(0.8 / 1024.0, rel=0.05)
 
 
 class TestSpatialLs:
     def test_noiseless_recovers_channel(self):
         cb = build_codebook(16, 16, 16, 16)
-        ch = build_channel(sample_paths(3, SeededRng(51)), 16, 16)
-        sp = to_spatial(synthesize_observation(ch, cb, 1.0, 0.0), 16, 16)
-        assert np.allclose(spatial_ls_estimate(sp, 1.0), ch.h, atol=1e-9)
+        h = build_channel(sample_paths(3, SeededRng(51)), 16, 16)
+        sp = to_spatial(synthesize_observation(h, cb, 0.0), 16, 16)
+        assert np.allclose(spatial_ls_estimate(sp), h, atol=1e-9)
 
     def test_scaling(self):
         cb = build_codebook(16, 16, 16, 16)
-        ch = build_channel(sample_paths(1, SeededRng(52)), 16, 16)
-        sp = to_spatial(synthesize_observation(ch, cb, 1.0, 0.0), 16, 16)
-        assert np.allclose(spatial_ls_estimate(sp, 1.0), 16.0 * sp.d_bar)
+        h = build_channel(sample_paths(1, SeededRng(52)), 16, 16)
+        sp = to_spatial(synthesize_observation(h, cb, 0.0), 16, 16)
+        assert np.allclose(spatial_ls_estimate(sp), 16.0 * sp.d_bar)
 
 
 class TestSnrInSpatialDomain:

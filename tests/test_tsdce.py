@@ -37,9 +37,9 @@ def cisoid(n_r, n_t, w_row, w_col, amp=1.0, phase=0.0):
     return amp * np.exp(1j * (phase + w_row * mm + w_col * nn))
 
 
-def spatial_ls(obs, n_t=16, n_r=16):
+def spatial_ls(y, n_t=16, n_r=16):
     """The n_r x n_t spatial LS estimate every estimator takes."""
-    return spatial_ls_estimate(to_spatial(obs, n_t, n_r), obs.rho)
+    return spatial_ls_estimate(to_spatial(y, n_t, n_r))
 
 
 def wls_slope_oracle(phases, weights):
@@ -334,54 +334,34 @@ class TestRun:
             np.arccos(self.cb.tx_cosines[3]),
             np.arccos(self.cb.rx_cosines[3]),
         )
-        ch = build_channel([path], 16, 16)
-        obs = synthesize_observation(ch, self.cb, 1.0, 0.0)
-        est = run(spatial_ls(obs), 1, 1)[0]
+        y = synthesize_observation(build_channel([path], 16, 16), self.cb, 0.0)
+        est = run(spatial_ls(y), 1, 1)[0]
         assert est.gain_magnitude == pytest.approx(path.gain_magnitude, abs=1e-8)
         assert est.gain_phase == pytest.approx(path.gain_phase, abs=1e-8)
         assert est.omega_aod == pytest.approx(path.omega_aod, abs=1e-8)
         assert est.omega_aoa == pytest.approx(path.omega_aoa, abs=1e-8)
 
-    @pytest.mark.parametrize("method", ["tsdce", "dft_peak"])
-    def test_rho_read_from_observation(self, method):
-        # no estimator takes rho: at rho = 4 the crop is twice the rho = 1
-        # one, and the estimate is the channel's gain either way
-        path = PathParams.from_gain_angles(
-            0.8 * np.exp(1j * 0.3),
-            np.arccos(self.cb.tx_cosines[5]),
-            np.arccos(self.cb.rx_cosines[11]),
-        )
-        obs = synthesize_observation(build_channel([path], 16, 16), self.cb, 4.0, 0.0)
-        if method == "tsdce":
-            est = run(spatial_ls(obs), 1, 1)[0]
-        else:
-            est = dft_peak_baseline(spatial_ls(obs), 1, n_dft=1024)[0]
-        assert est.gain_magnitude == pytest.approx(path.gain_magnitude, abs=1e-8)
-
     def test_zero_observation(self):
-        ch = build_channel([PathParams.from_gain_angles(0.0, 1.0, 1.0)], 16, 16)
-        obs = synthesize_observation(ch, self.cb, 1.0, 0.0)
-        ests = run(spatial_ls(obs), 1, 1)
+        h = build_channel([PathParams.from_gain_angles(0.0, 1.0, 1.0)], 16, 16)
+        ests = run(spatial_ls(synthesize_observation(h, self.cb, 0.0)), 1, 1)
         assert len(ests) == 1
         assert ests[0].gain_magnitude == 0.0
 
     def test_gain_scale_equivariance(self):
-        ch = build_channel(sample_paths(1, SeededRng(71)), 16, 16)
-        obs = synthesize_observation(ch, self.cb, 1.0, 0.0)
-        scaled = type(obs)(y=3.0 * obs.y, rho=obs.rho)
-        base = run(spatial_ls(obs), 1, 1)[0]
-        est = run(spatial_ls(scaled), 1, 1)[0]
+        h = build_channel(sample_paths(1, SeededRng(71)), 16, 16)
+        y = synthesize_observation(h, self.cb, 0.0)
+        base = run(spatial_ls(y), 1, 1)[0]
+        est = run(spatial_ls(3.0 * y), 1, 1)[0]
         assert est.gain_magnitude == pytest.approx(3.0 * base.gain_magnitude, rel=1e-8)
         assert est.omega_aod == pytest.approx(base.omega_aod, abs=1e-10)
         assert est.gain_phase == pytest.approx(base.gain_phase, abs=1e-8)
 
     def test_global_phase_equivariance(self):
-        ch = build_channel(sample_paths(1, SeededRng(72)), 16, 16)
-        obs = synthesize_observation(ch, self.cb, 1.0, 0.0)
+        h = build_channel(sample_paths(1, SeededRng(72)), 16, 16)
+        y = synthesize_observation(h, self.cb, 0.0)
         beta = 1.1
-        rotated = type(obs)(y=np.exp(1j * beta) * obs.y, rho=obs.rho)
-        base = run(spatial_ls(obs), 1, 1)[0]
-        est = run(spatial_ls(rotated), 1, 1)[0]
+        base = run(spatial_ls(y), 1, 1)[0]
+        est = run(spatial_ls(np.exp(1j * beta) * y), 1, 1)[0]
         shift = wrap(est.gain_phase - base.gain_phase, -np.pi, np.pi)
         assert shift == pytest.approx(beta, abs=1e-8)
         assert est.gain_magnitude == pytest.approx(base.gain_magnitude, rel=1e-8)
@@ -389,18 +369,17 @@ class TestRun:
     def test_frequencies_in_principal_range(self):
         for t in range(10):
             rng = SeededRng(73).substream(t)
-            ch = build_channel(sample_paths(3, rng), 16, 16)
-            obs = synthesize_observation(ch, self.cb, 1.0, 0.1, rng)
-            for est in run(spatial_ls(obs), 3, 2):
+            h = build_channel(sample_paths(3, rng), 16, 16)
+            y = synthesize_observation(h, self.cb, 0.1, rng)
+            for est in run(spatial_ls(y), 3, 2):
                 assert -np.pi <= est.omega_aod <= np.pi
                 assert -np.pi <= est.omega_aoa <= np.pi
 
     def test_sic_residual_never_grows(self):
         for t in range(10):
             rng = SeededRng(74).substream(t)
-            ch = build_channel(sample_paths(3, rng), 16, 16)
-            obs = synthesize_observation(ch, self.cb, 1.0, 0.1, rng)
-            h_ls = spatial_ls(obs)
+            h = build_channel(sample_paths(3, rng), 16, 16)
+            h_ls = spatial_ls(synthesize_observation(h, self.cb, 0.1, rng))
             ests = run(h_ls, 3, 2)
             total = reconstruct_channel(ests, 16, 16)
             assert np.linalg.norm(h_ls - total) <= np.linalg.norm(h_ls) + 1e-12
@@ -418,15 +397,15 @@ class TestRun:
     def test_noiseless_non_square_recovery(self, n_r, n_t):
         cb = build_codebook(16, 16, n_t, n_r)
         for t in range(10):
-            ch = build_channel(sample_paths(1, SeededRng(76).substream(t)), n_t, n_r)
-            obs = synthesize_observation(ch, cb, 1.0, 0.0)
-            est, truth = run(spatial_ls(obs, n_t, n_r), 1, 1)[0], ch.paths[0]
+            [truth] = sample_paths(1, SeededRng(76).substream(t))
+            h = build_channel([truth], n_t, n_r)
+            est = run(spatial_ls(synthesize_observation(h, cb, 0.0), n_t, n_r), 1, 1)[0]
             assert abs(est.gain_magnitude - truth.gain_magnitude) < 1e-8
             assert abs(wrap(est.gain_phase - truth.gain_phase, -np.pi, np.pi)) < 1e-8
             assert abs(est.omega_aod - truth.omega_aod) < 1e-8
             assert abs(est.omega_aoa - truth.omega_aoa) < 1e-8
-            err = np.linalg.norm(reconstruct_channel([est], n_t, n_r) - ch.h) ** 2
-            assert err / np.linalg.norm(ch.h) ** 2 < 1e-15
+            err = np.linalg.norm(reconstruct_channel([est], n_t, n_r) - h) ** 2
+            assert err / np.linalg.norm(h) ** 2 < 1e-15
 
 
 class TestSic:
@@ -489,8 +468,8 @@ class TestSicCallCounts:
         import tsdce
 
         rng = SeededRng(75)
-        ch = build_channel(sample_paths(3, rng), 16, 16)
-        h_ls = spatial_ls(synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.1, rng))
+        h = build_channel(sample_paths(3, rng), 16, 16)
+        h_ls = spatial_ls(synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.1, rng))
         counts = dict.fromkeys(self.KERNELS, 0)
         for module in (tsdce.numkit, tsdce.channel, tsdce.observation, tsdce.algorithm):
             for name in self.KERNELS:
@@ -518,8 +497,8 @@ class TestDftPeakCallCounts:
         import tsdce
 
         rng = SeededRng(75)
-        ch = build_channel(sample_paths(3, rng), 16, 16)
-        h_ls = spatial_ls(synthesize_observation(ch, build_codebook(16, 16, 16, 16), 1.0, 0.1, rng))
+        h = build_channel(sample_paths(3, rng), 16, 16)
+        h_ls = spatial_ls(synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.1, rng))
         counts = dict.fromkeys(self.CALLS, 0)
         for module in (tsdce.numkit, tsdce.channel, tsdce.observation, tsdce.algorithm,
                        tsdce.analysis):
@@ -534,10 +513,10 @@ class TestDftPeakCallCounts:
 class TestReconstructChannel:
     def test_truth_roundtrip(self):
         paths = sample_paths(2, SeededRng(81))
-        ch = build_channel(paths, 16, 16)
+        h = build_channel(paths, 16, 16)
         ests = [PathParams.from_freqs(p.gain_magnitude, p.gain_phase,
                                       p.omega_aod, p.omega_aoa) for p in paths]
-        assert np.allclose(reconstruct_channel(ests, 16, 16), ch.h, atol=1e-10)
+        assert np.allclose(reconstruct_channel(ests, 16, 16), h, atol=1e-10)
 
     def test_single_estimate_rank_one(self):
         est = PathParams.from_freqs(1.0, 0.0, 0.4, -0.9)
@@ -551,10 +530,9 @@ class TestReconstructChannel:
         g2 = PathParams.from_gain_angles(0.4 * np.exp(1j * 1.0),
                                          np.arccos(cb.tx_cosines[7]),
                                          np.arccos(cb.rx_cosines[1]))
-        ch = build_channel([g1, g2], 16, 16)
-        obs = synthesize_observation(ch, cb, 1.0, 0.0)
-        h_hat = reconstruct_channel(run(spatial_ls(obs), 2, 2), 16, 16)
-        err = np.linalg.norm(h_hat - ch.h) ** 2 / np.linalg.norm(ch.h) ** 2
+        h = build_channel([g1, g2], 16, 16)
+        h_hat = reconstruct_channel(run(spatial_ls(synthesize_observation(h, cb, 0.0)), 2, 2), 16, 16)
+        err = np.linalg.norm(h_hat - h) ** 2 / np.linalg.norm(h) ** 2
         assert 10 * np.log10(err) < -160.0
 
 
@@ -571,11 +549,12 @@ class TestGenieSic:
             genie, crlb = [], []
             for t in range(500):
                 stream = SeededRng(208).substream((int(snr_db) << 16) | t)
-                ch = build_channel(sample_paths(3, stream), 16, 16)
-                obs = synthesize_observation(ch, cb, 1.0, sigma_n_sq, stream)
-                h_hat = reconstruct_channel(genie_sic(spatial_ls(obs), ch.paths), 16, 16)
-                genie.append(nmse_ratio(h_hat, ch.h))
-                crlb.append(crlb_nmse_bound(ch.paths, 16, 16, 1.0, sigma_n_sq / 256))
+                paths = sample_paths(3, stream)
+                h = build_channel(paths, 16, 16)
+                y = synthesize_observation(h, cb, sigma_n_sq, stream)
+                h_hat = reconstruct_channel(genie_sic(spatial_ls(y), paths), 16, 16)
+                genie.append(nmse_ratio(h_hat, h))
+                crlb.append(crlb_nmse_bound(paths, 16, 16, sigma_n_sq / 256))
             gaps[snr_db] = 10 * np.log10(np.mean(genie) / np.mean(crlb))
         print("genie-SIC dB above the CRLB at 0/10/20 dB: "
               + "/".join(f"{g:.2f}" for g in gaps.values()))
