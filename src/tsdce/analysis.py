@@ -20,15 +20,15 @@ from .channel import PathParams, _index, _steering_factors
 from .numkit import dft_columns
 from .observation import wrap
 
-# Side, in bins, of the square tiles (AoD rows x AoA columns) of the dft_peak
-# scan: the grain at which the coarse grid rules bins out.
-_PEAK_BLOCK = 64
+# Largest number of spectrum bins the dft_peak scan computes in one product,
+# the size of its buffers: 64 rows of a 1024-bin spectrum.
+_SCAN_BINS = 64 * 1024
 
 
-def valid_n_dft(n_dft: int, rows: int, cols: int) -> bool:
-    """Whether n_dft is a power of two >= max(rows, cols): the DFT sizes of
-    dft_peak for an n_r x n_t estimate, and of a sweep for a Q x P one."""
-    return n_dft >= max(rows, cols, 1) and n_dft & (n_dft - 1) == 0
+def check_n_dft(n_dft: int, n_r: int, n_t: int) -> None:
+    """dft_peak's rule on an n_r x n_t estimate: n_dft is a power of two >= max(n_r, n_t)."""
+    if not (n_dft >= max(n_r, n_t, 1) and n_dft & (n_dft - 1) == 0):
+        raise ValueError(f"n_dft must be a power of two >= max(n_r, n_t), got {n_dft}")
 
 
 def _coarse_grid(n_dft: int, n_t: int, n_r: int) -> tuple[int, float]:
@@ -46,60 +46,47 @@ def _coarse_grid(n_dft: int, n_t: int, n_r: int) -> tuple[int, float]:
     return c, c * kappa_per_step
 
 
-def _candidate_tiles(left, f_r_t, c: int, kappa: float, spec, power) -> np.ndarray:
-    """Mask of the spectrum tiles that may hold its maximum, indexed
-    [AoD tile, AoA tile].
-
-    ``left`` (n_dft x n_r) and ``f_r_t`` (n_r x n_dft) are the factors of
-    the spectrum's transpose, (c, kappa) its `_coarse_grid` with c >= 2 and
-    ``spec``/``power`` the scan's buffers, whose row count is the tile
-    side. The coarse samples are the bins at k c + c/2 in each frequency,
-    the centres of the cells of c bins, so the sample nearest a bin is that
-    of its own cell and a tile's nearest samples are those of its cells
-    (one cell holds c / tile whole tiles when c exceeds the tile side): no
-    bin's nearest sample lies across the spectrum's edge. A tile is kept
-    when the largest |bin| among them, plus kappa A / (1 - kappa), reaches
-    A (1 - 1e-9), A the largest coarse |bin|; the bound is stated in
-    `dft_peak_baseline`.
-
-    The coarse spectrum is never held whole: it is formed transposed, a
-    chunk of AoD samples at a time, in the scan's buffers, and each chunk is
-    reduced to its tile maxima before the next.
-    """
-    n_r, n_dft = f_r_t.shape
-    tile = spec.shape[0]
-    n_tiles, coarse = n_dft // tile, n_dft // c
-    g, r = max(tile // c, 1), max(c // tile, 1)  # coarse samples per tile, tiles per sample
-    chunk = min(coarse, tile * c)
-    cspec = spec.reshape(-1)[:coarse * chunk].reshape(coarse, chunk)  # [AoA, AoD] sample
-    cparts = cspec.view(float)
-    cpower = power.reshape(-1)[:coarse * chunk].reshape(coarse, chunk)
-    # each chunk's maxima per AoA tile go to spec once its products are spent
-    aoa_peaks = spec.view(float).reshape(-1)[:coarse // g * chunk].reshape(-1, chunk)
-    peaks = np.empty((n_tiles, n_tiles))  # [AoA tile, AoD tile]
-    for k in range(0, coarse, chunk):
-        np.matmul(f_r_t[:, c // 2::c].T, left[k * c + c // 2:(k + chunk) * c:c].T, out=cspec)
-        np.square(cparts, out=cparts)
-        np.add(cparts[:, 0::2], cparts[:, 1::2], out=cpower)
-        np.max(cpower.reshape(-1, g, chunk), axis=1, out=aoa_peaks)
-        block = aoa_peaks.reshape(len(aoa_peaks), -1, g).max(axis=2)
-        peaks[:, k // g * r:(k + chunk) // g * r] = block.repeat(r, axis=0).repeat(r, axis=1)
-    peaks = np.sqrt(peaks.T)
-    a = peaks.max()
-    return peaks + kappa / (1 - kappa) * a >= a * (1 - 1e-9)
+def _power_blocks(left, right, spec, power):
+    """(first row, |bin|^2) of each block of rows of left @ right, formed in
+    turn in the front of the flat buffers ``spec`` (complex) and ``power``
+    (float): re^2 + im^2 in place, one contiguous pass and one strided add."""
+    width = right.shape[1]
+    step = len(spec) // width
+    spec, power = spec[:step * width].reshape(step, -1), power[:step * width].reshape(step, -1)
+    for b in range(0, len(left), step):
+        rows = left[b:b + step]
+        parts = np.matmul(rows, right, out=spec[:len(rows)]).view(float)
+        np.square(parts, out=parts)
+        yield b, np.add(parts[:, 0::2], parts[:, 1::2], out=power[:len(rows)])
 
 
-def _scan_runs(keep: np.ndarray, tile: int) -> list[tuple[int, int, int]]:
-    """(row, lo, hi) of each maximal run of kept tiles in ``keep``, in
-    row-major order: AoD rows row..row + tile and AoA columns lo..hi."""
-    runs = []
-    for i in np.flatnonzero(keep).tolist():
-        row, col = divmod(i, keep.shape[1])
-        if runs and runs[-1][0] == row * tile and runs[-1][2] == col * tile:
-            runs[-1] = (row * tile, runs[-1][1], (col + 1) * tile)
-        else:
-            runs.append((row * tile, col * tile, (col + 1) * tile))
-    return runs
+def _kept_cells(left, f_r_t, c: int, kappa: float, spec, power) -> list[np.ndarray]:
+    """The AoD rows and the AoA columns, ascending, that may hold the
+    spectrum's maximum: the c bins of each coarse row and column whose
+    largest |bin| reaches A (1 - 1e-9) - kappa A / (1 - kappa), A the
+    largest coarse |bin| (see `dft_peak_baseline`). The coarse spectrum,
+    the bins at k c + c/2 for the `_coarse_grid` (c >= 2, kappa), is formed
+    a block of rows at a time in the scan's buffers ``spec`` and ``power``."""
+    right = np.ascontiguousarray(f_r_t[:, c // 2::c])
+    row_peaks, col_peaks = np.empty(right.shape[1]), np.zeros(right.shape[1])
+    for k, block in _power_blocks(left[c // 2::c], right, spec, power):
+        block.max(axis=1, out=row_peaks[k:k + len(block)])
+        np.maximum(col_peaks, block.max(axis=0), out=col_peaks)
+    a = np.sqrt(row_peaks.max())
+    floor = (a * (1 - 1e-9) - kappa / (1 - kappa) * a) ** 2  # > 0 as kappa <= 1/4
+    return [(np.flatnonzero(peaks >= floor)[:, None] * c + np.arange(c)).ravel()
+            for peaks in (row_peaks, col_peaks)]
+
+
+def _strongest_bin(left, right, spec, power) -> int:
+    """Flat index of the largest |bin| of left @ right, the first one on a
+    tie, computed a block of rows at a time in ``spec`` and ``power``."""
+    best, flat = -1.0, 0
+    for b, block in _power_blocks(left, right, spec, power):
+        i = int(np.argmax(block))
+        if block.flat[i] > best:
+            best, flat = block.flat[i], b * right.shape[1] + i
+    return flat
 
 
 def dft_peak_baseline(h_ls, L_d: int, n_dft: int = 1024):
@@ -110,81 +97,54 @@ def dft_peak_baseline(h_ls, L_d: int, n_dft: int = 1024):
     bin as the frequency pair and takes the derotated mean as the complex
     gain. Frequency accuracy is limited to the bin width 2*pi/n_dft.
 
-    The padded spectrum is never held whole. With the cached DFT columns
-    F_t (n_dft x n_t) and F_r (n_dft x n_r), its transpose is
-    (F_t @ residual^T) @ F_r^T, rows indexed by the AoD bin and columns by
-    the AoA bin; the left factor is formed once per path into a reused
-    buffer. The spectrum is cut into tiles of `_PEAK_BLOCK` x `_PEAK_BLOCK`
-    bins, and only the tiles that a coarse grid cannot rule out are scanned
-    (`_candidate_tiles`): each row of tiles that keeps any is scanned with
-    one product of its rows of the left factor and the columns of F_r^T per
-    maximal run of kept tiles (`_scan_runs`), into one reused buffer pair,
-    keeping only each run's strongest |bin|^2. The spectrum is periodic, so
-    a peak near AoA bin 0 keeps tiles at both ends of its row of tiles,
-    which are two short runs.
+    The padded spectrum is never held whole. Its transpose is
+    (F_t @ residual^T) @ F_r^T with the cached DFT columns F_t and F_r,
+    rows indexed by the AoD bin and columns by the AoA bin, and the left
+    factor is formed once per path. A coarse pass keeps the rows and the
+    columns that may hold the maximum (`_kept_cells`), a peak near AoA bin 0
+    keeping columns at both ends, and only their rectangle is computed
+    (`_strongest_bin`) in buffers allocated once per call; where every row
+    or column is kept, the factor itself is multiplied, not a gathered copy.
 
-    Tile bound. Centred, the spectrum g is a 2D exponential sum of type
+    Bound. Centred, the spectrum g is a 2D exponential sum of type
     sigma_t = (n_t - 1)/2 in AoD and sigma_r = (n_r - 1)/2 in AoA, so by
     Bernstein's inequality each partial derivative is at most sigma M,
-    M = max |g|. The bins at k c + c/2, the centres of the cells of c bins,
-    form the coarse grid, and every bin lies within delta = c pi / n_dft of
-    the sample of its own cell in each frequency, hence
-    |g(bin)| <= |g(sample)| + kappa M with kappa = delta (sigma_t + sigma_r)
-    <= 1/4 (`_coarse_grid`). Applied to the maximizer, M <= A / (1 - kappa),
-    where A is the largest coarse |bin|. A tile is skipped when the largest
-    coarse |bin| over the samples nearest its bins, plus kappa A / (1 - kappa),
-    is below A (1 - 1e-9): every bin in it is then below A by more than
-    rounding, while the coarse samples are spectrum bins themselves, so the
-    maximum is at least A and neither it nor a bin tied with it lies in a
-    skipped tile. Below c = 2 every tile is kept, and each row of tiles is
-    one run of full width.
+    M = max |g|. Every bin lies within delta = c pi / n_dft, in each
+    frequency, of the coarse sample k c + c/2 of its own cell of c x c
+    bins, so |g(bin)| <= |g(sample)| + kappa M with
+    kappa = delta (sigma_t + sigma_r) <= 1/4 (`_coarse_grid`). With A the
+    largest coarse |bin|, A <= M (the samples are bins) and
+    M <= A / (1 - kappa). So the sample of the cell of the maximum, or of a
+    bin tied with it, reads at least A - kappa A / (1 - kappa), and so does
+    the maximum of its coarse row and of its coarse column: only rows and
+    columns below A (1 - 1e-9) - kappa A / (1 - kappa) are dropped, the
+    1e-9 covering rounding. Below c = 2 all are kept and the coarse pass is
+    skipped: the scan is the exhaustive one.
 
-    Tie rule. An exact tie between two bins goes to the lowest flat index
-    in AoD-major order (the lower AoD bin, then the lower AoA bin), as a
-    single argmax over the whole spectrum would pick: within a run the
-    argmax returns the first such bin, and across runs the lower flat index
-    wins a tie, so the pick is the exhaustive scan's.
+    Tie rule. An exact tie goes to the lowest flat index in AoD-major order
+    (the lower AoD bin, then the lower AoA bin), as one argmax over the
+    whole spectrum would pick: the kept rows and columns are ascending, so
+    the rectangle's row-major scan meets that bin first.
     """
     n_r, n_t = h_ls.shape
-    if not valid_n_dft(n_dft, n_r, n_t):
-        raise ValueError("n_dft must be a power of two >= max(n_r, n_t)")
+    check_n_dft(n_dft, n_r, n_t)
     f_t = dft_columns(n_dft, n_t)
     f_r_t = dft_columns(n_dft, n_r).T
     c, kappa = _coarse_grid(n_dft, n_t, n_r)
-    rows = min(_PEAK_BLOCK, n_dft)
-    spec = np.empty((rows, n_dft), dtype=complex)
-    power = np.empty((rows, n_dft))
+    every_bin = np.arange(n_dft)
+    size = n_dft * min(n_dft, max(_SCAN_BINS // n_dft, 1))  # whole rows, at least one
+    spec, power = np.empty(size, dtype=complex), np.empty(size)
     left = np.empty((n_dft, n_r), dtype=complex)
-
-    @functools.cache
-    def run_buffers(width):
-        # the scan buffers as one run's spectrum, its re, im interleaved along
-        # each row, and its |bin|^2
-        run = spec.reshape(-1)[:rows * width].reshape(rows, width)
-        return run, run.view(float), power.reshape(-1)[:rows * width].reshape(rows, width)
-
-    # without a coarse step nothing is ruled out: each row of tiles is one run
-    every_tile = [(b, 0, n_dft) for b in range(0, n_dft, rows)]
 
     def component(residual, k, l):
         np.matmul(f_t, residual.T, out=left)
-        runs = every_tile if c < 2 else _scan_runs(
-            _candidate_tiles(left, f_r_t, c, kappa, spec, power), rows)
-        best, flat = -1.0, 0
-        for b, lo, hi in runs:
-            run, parts, run_power = run_buffers(hi - lo)
-            np.matmul(left[b:b + rows], f_r_t[:, lo:hi], out=run)
-            # re^2 + im^2 in place: one contiguous pass, then one strided add
-            np.square(parts, out=parts)
-            np.add(parts[:, 0::2], parts[:, 1::2], out=run_power)
-            i = int(np.argmax(run_power))
-            p = float(run_power.flat[i])
-            r, q = divmod(i, hi - lo)
-            f = (b + r) * n_dft + lo + q
-            if p > best or p == best and f < flat:
-                best, flat = p, f
+        rows, cols = ((every_bin, every_bin) if c < 2
+                      else _kept_cells(left, f_r_t, c, kappa, spec, power))
+        flat = _strongest_bin(left if len(rows) == n_dft else left[rows],
+                              f_r_t if len(cols) == n_dft else f_r_t[:, cols], spec, power)
+        r, q = divmod(flat, len(cols))
         # bins as frequencies in (-pi, pi], Python floats: numpy scalars slow later steps
-        omega_aod, omega_aoa = wrap(2 * np.pi * np.array(divmod(flat, n_dft)) / n_dft,
+        omega_aod, omega_aoa = wrap(2 * np.pi * np.array([rows[r], cols[q]]) / n_dft,
                                     -np.pi, np.pi).tolist()
         gain, cis = derotated_mean(residual, omega_aoa, omega_aod)
         return PathParams.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa), cis

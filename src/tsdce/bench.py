@@ -72,13 +72,6 @@ class ExperimentConfig:
             raise ConfigError("detection_threshold_deg must be positive")
         if not self.max_failure_rate >= 0:
             raise ConfigError("max_failure_rate must be >= 0")
-        if "dft_peak" in self.methods and not analysis.valid_n_dft(
-            self.n_dft, self.q_count, self.p_count
-        ):
-            raise ConfigError(
-                f"n_dft must be a power of two >= max(p_count, q_count) "
-                f"= {max(self.p_count, self.q_count)} for dft_peak, got {self.n_dft}"
-            )
         if self.l_desired == 0:
             object.__setattr__(self, "l_desired", self.paths)
         pairings = math.perm(max(self.paths, self.l_desired), min(self.paths, self.l_desired))
@@ -87,12 +80,14 @@ class ExperimentConfig:
                 f"paths = {self.paths} and l_desired = {self.l_desired} give {pairings} "
                 f"path pairings per trial to score, more than {MAX_PAIRINGS} (8 paths)"
             )
-        # The codebook, the path sampler and TSDCE own their range rules;
+        # The codebook, the path sampler, TSDCE and dft_peak own their range rules;
         # using them here fails a bad config before any trial runs.
         try:
             build_codebook(self.p_count, self.q_count, self.n_t, self.n_r)
             sample_paths(1, SeededRng(0), self.angle_range)
             algorithm.check_counts(self.l_desired, self.rounds, self.n_r, self.n_t)
+            if "dft_peak" in self.methods:
+                analysis.check_n_dft(self.n_dft, self.n_r, self.n_t)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

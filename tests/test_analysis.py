@@ -10,12 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from tsdce import analysis
+from tsdce import analysis, bench
 from tsdce.analysis import (
-    _PEAK_BLOCK,
-    _candidate_tiles,
+    _SCAN_BINS,
     _coarse_grid,
-    _scan_runs,
+    _kept_cells,
     crlb_nmse_bound,
     dft_peak_baseline,
     fisher_matrix,
@@ -243,48 +242,61 @@ class TestDftPeakBaseline:
             (strong.omega_aod, strong.omega_aoa), abs=1e-12)
 
     @staticmethod
-    def scan_runs(y, n_dft=1024, n_t=16, n_r=16):
-        """The (row, lo, hi) runs that the first path's scan multiplies."""
+    def kept_cells(y, n_dft=1024, n_t=16, n_r=16):
+        """The AoD rows and AoA columns that the first path's scan computes."""
         f_r_t = dft_columns(n_dft, n_r).T
         left = dft_columns(n_dft, n_t) @ to_spatial(y, n_t, n_r).d_bar.T
-        spec = np.empty((_PEAK_BLOCK, n_dft), dtype=complex)
-        power = np.empty((_PEAK_BLOCK, n_dft))
-        keep = _candidate_tiles(left, f_r_t, *_coarse_grid(n_dft, n_t, n_r), spec, power)
-        return keep, _scan_runs(keep, _PEAK_BLOCK)
+        spec, power = np.empty(_SCAN_BINS, dtype=complex), np.empty(_SCAN_BINS)
+        return _kept_cells(left, f_r_t, *_coarse_grid(n_dft, n_t, n_r), spec, power)
 
-    def test_on_grid_path_scans_few_tiles(self):
+    def test_on_grid_path_scans_few_bins(self):
         h = build_channel([self.on_bins(0.9, 300, 700)], 16, 16)
-        keep, runs = self.scan_runs(synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.0))
-        assert keep.shape == (1024 // _PEAK_BLOCK,) * 2 == (16, 16)
-        assert keep[300 // _PEAK_BLOCK, 700 // _PEAK_BLOCK]
-        assert keep.sum() <= 4
-        # 16 384 bins at most, against 131 072 for two full-width row blocks
-        assert sum(_PEAK_BLOCK * (hi - lo) for _, lo, hi in runs) <= 4 * _PEAK_BLOCK**2
-        # adjacent kept tiles of a row are one product
-        assert runs == [(256, 640, 768), (320, 640, 768)]
+        y = synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.0)
+        rows, cols = self.kept_cells(y)
+        assert 300 in rows and 700 in cols
+        # 4096 bins at most, against 1 048 576 for the whole spectrum
+        assert len(rows) * len(cols) <= 64 * 64
+        est = dft_peak_baseline(spatial_ls(y), 1, n_dft=1024)[0]
+        assert [round(w * 1024 / (2 * np.pi)) % 1024 for w in (est.omega_aod, est.omega_aoa)] \
+            == [300, 700]
 
     # the spectrum is periodic: a peak at AoA bin 1 or 1022 is within a few
-    # bins of coarse samples at both ends of AoD row block 4 (bins 2 and 1022),
-    # so tiles at both ends are kept: two short runs, not one of 1024
+    # bins of the coarse samples at both ends (AoA bins 2 and 1022), so
+    # columns at both ends are kept, and few in all
     @pytest.mark.parametrize("q", [1, 1022])
-    def test_peak_at_aoa_wrap_scans_two_short_runs(self, q):
+    def test_peak_at_aoa_wrap_keeps_columns_at_both_ends(self, q):
         h = build_channel([self.on_bins(0.9, 300, q)], 16, 16)
         y = synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.0)
-        keep, runs = self.scan_runs(y)
-        row = 300 // _PEAK_BLOCK * _PEAK_BLOCK
-        assert [run for run in runs if run[0] == row] == [
-            (row, 0, _PEAK_BLOCK), (row, 1024 - _PEAK_BLOCK, 1024)]
-        assert all(hi - lo < 1024 for _, lo, hi in runs)
+        rows, cols = self.kept_cells(y)
+        assert 300 in rows
+        assert cols[0] == 0 and cols[-1] == 1023
+        assert len(cols) <= 64
         est = dft_peak_baseline(spatial_ls(y), 1, n_dft=1024)[0]
         ref = padded_dft_peak_oracle(y, 1, 1024, 16, 16)[0]
         assert (est.omega_aod, est.omega_aoa) == (ref.omega_aod, ref.omega_aoa)
         assert [round(w * 1024 / (2 * np.pi)) % 1024 for w in (est.omega_aod, est.omega_aoa)] \
             == [300, q]
 
-    def test_coarse_step_above_tile_side(self):
-        # 2 x 2 at n_dft = 2048: c = 128 exceeds the 64-bin tile, so each
-        # coarse cell holds two tiles, both bounded through its one sample
-        assert _coarse_grid(2048, 2, 2)[0] == 2 * _PEAK_BLOCK
+    def test_two_peaks_leave_two_empty_cells_in_the_rectangle(self):
+        # Equal gains at (200, 800) and (700, 100): the kept rows hold AoD
+        # bins 200 and 700, the kept columns AoA bins 100 and 800, so the
+        # scanned rectangle also holds (200, 100) and (700, 800), where
+        # neither path peaks.
+        paths = [self.on_bins(0.8, 200, 800), self.on_bins(0.8j, 700, 100)]
+        y = synthesize_observation(build_channel(paths, 16, 16), build_codebook(16, 16, 16, 16),
+                                   1e-4, SeededRng(98))
+        rows, cols = self.kept_cells(y)
+        assert {200, 700} <= set(rows.tolist()) and {100, 800} <= set(cols.tolist())
+        assert len(rows) < 1024 and len(cols) < 1024
+        got = dft_peak_baseline(spatial_ls(y), 2, n_dft=1024)
+        ref = padded_dft_peak_oracle(y, 2, 1024, 16, 16)
+        for e, r in zip(got, ref):
+            assert (e.omega_aod, e.omega_aoa) == (r.omega_aod, r.omega_aoa)
+            assert e.gain == pytest.approx(r.gain, rel=1e-9)
+
+    def test_coarse_step_of_128_matches_padded_reference(self):
+        # 2 x 2 at n_dft = 2048: c = 128, so a kept coarse row is 128 AoD rows
+        assert _coarse_grid(2048, 2, 2)[0] == 128
         cb = build_codebook(16, 16, 2, 2)
         for t in range(3):
             stream = SeededRng(97).substream(t)
@@ -294,6 +306,24 @@ class TestDftPeakBaseline:
             ref = padded_dft_peak_oracle(y, 1, 2048, 2, 2)[0]
             assert (got.omega_aod, got.omega_aoa) == (ref.omega_aod, ref.omega_aoa)
             assert got.gain == pytest.approx(ref.gain, rel=1e-9)
+
+    def test_benchmark_sweep_scans_few_bins_per_path(self, monkeypatch):
+        # The benchmark's sweep_dft_peak config (16 x 16, L = 3, seed 7, 8
+        # trials per SNR). A path scans about 5 700 bins on average there; a
+        # bound or pruning rule that keeps far more rows or columns would
+        # still pick the same bins, so only this count shows it.
+        scanned = []
+
+        def counting(left, right, spec, power):
+            scanned.append(len(left) * right.shape[1])
+            return strongest_bin(left, right, spec, power)
+
+        strongest_bin = analysis._strongest_bin
+        monkeypatch.setattr(analysis, "_strongest_bin", counting)
+        bench.run_experiment(bench.ExperimentConfig(
+            paths=3, trials=8, seed=7, methods=("dft_peak",), max_failure_rate=0))
+        assert len(scanned) == 3 * 8 * 3
+        assert np.mean(scanned) <= 16384
 
     # kappa <= 1/4 allows c = 4 at 16 x 16 with n_dft = 1024; 16 x 16 at
     # n_dft = 32 and 64 x 64 at 1024 allow no c >= 2, so every block is scanned

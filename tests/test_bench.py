@@ -201,10 +201,13 @@ methods = tsdce, ls
     def test_n_dft_ignored_without_dft_peak(self):
         assert ExperimentConfig(methods=("tsdce", "ls"), n_dft=1000).n_dft == 1000
 
-    def test_n_dft_down_to_codebook_size_accepted(self):
-        assert ExperimentConfig(methods=("dft_peak",), p_count=32, n_dft=32).n_dft == 32
-        with pytest.raises(ConfigError):
-            ExperimentConfig(methods=("dft_peak",), p_count=32, n_dft=16)
+    def test_n_dft_down_to_array_size_accepted(self):
+        # dft_peak transforms the n_r x n_t estimate, so the codebook's size
+        # does not bound n_dft
+        cfg = ExperimentConfig(methods=("dft_peak",), p_count=32, q_count=32, n_dft=16)
+        assert cfg.n_dft == 16
+        with pytest.raises(ConfigError, match="n_dft"):
+            ExperimentConfig(methods=("dft_peak",), p_count=32, q_count=32, n_dft=8)
 
 
 class TestRunExitCodes:
