@@ -7,9 +7,8 @@ from .channel import PathParams, build_channel, sample_paths
 from .numkit import SeededRng
 from .observation import (
     Codebook,
-    SpatialObservation,
     build_codebook,
-    spatial_ls_estimate,
+    noise_variance_estimate,
     synthesize_observation,
     to_spatial,
 )
@@ -18,13 +17,12 @@ __all__ = [
     "Codebook",
     "PathParams",
     "SeededRng",
-    "SpatialObservation",
     "build_channel",
     "build_codebook",
+    "noise_variance_estimate",
     "reconstruct_channel",
     "run",
     "sample_paths",
-    "spatial_ls_estimate",
     "synthesize_observation",
     "to_spatial",
 ]

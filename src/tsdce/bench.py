@@ -18,7 +18,7 @@ import numpy as np
 from . import algorithm, analysis
 from .channel import build_channel, sample_paths
 from .numkit import SeededRng
-from .observation import build_codebook, synthesize_observation, to_spatial, spatial_ls_estimate
+from .observation import build_codebook, synthesize_observation, to_spatial
 
 NEG_INF_DB = -999.0
 KNOWN_METHODS = ("tsdce", "ls", "dft_peak")
@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_t and n_r must be >= 2, got {self.n_t} and {self.n_r}")
         if not self.snr_db_list:
             raise ConfigError("snr_db_list must name at least one SNR")
+        if not all(math.isfinite(s) for s in self.snr_db_list):
+            raise ConfigError(f"snr_db_list must hold finite SNRs, got {self.snr_db_list}")
         if not self.methods:
             raise ConfigError("methods must name at least one method")
         if len(set(self.methods)) < len(self.methods):
@@ -193,7 +195,7 @@ def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
     paths, h, y = draw_trial(cfg, snr_idx, trial)
     t0 = time.perf_counter()
     try:
-        h_ls = spatial_ls_estimate(to_spatial(y, cfg.n_t, cfg.n_r))
+        h_ls = to_spatial(y, cfg.n_t, cfg.n_r)
     except Exception as exc:  # noqa: BLE001 - per-trial failures are counted
         return {method: {"failed": repr(exc), "wall_ms": 0.0} for method in cfg.methods}
     h_ls.setflags(write=False)  # shared by every method
@@ -265,7 +267,7 @@ def run_experiment(cfg: ExperimentConfig):
     return records
 
 
-CSV_HEADER = "method,snr_db,nmse_db,doa_rmse_deg,p_detect,mean_sse,trials,wall_ms"
+CSV_HEADER = ",".join(f.name for f in fields(MetricRecord))
 
 
 def _fmt(x) -> str:
@@ -279,7 +281,6 @@ def _fmt(x) -> str:
 def emit_csv(records, path):
     """Write one row per record; floats use 6 significant digits and an
     absent RMSE is an empty field."""
-    # MetricRecord's fields are in CSV_HEADER order
     lines = [CSV_HEADER] + [",".join(_fmt(v) for v in astuple(r)) for r in records]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -304,10 +305,10 @@ def load_config(path) -> ExperimentConfig:
     """Parse a flat `key = value` UTF-8 config file.
 
     The keys are the fields of `ExperimentConfig`, each parsed as
-    the type of its default. Lines starting with # are comments; tuple
-    values are comma-separated.
+    the type of its default and set at most once. Lines starting with #
+    are comments; tuple values are comma-separated.
     """
-    values = {}
+    values, seen = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -320,6 +321,9 @@ def load_config(path) -> ExperimentConfig:
                 key, value = key.strip(), value.strip()
                 if key not in _DEFAULTS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in seen:
+                    raise ConfigError(f"{path}:{lineno}: {key} already set on line {seen[key]}")
+                seen[key] = lineno
                 try:
                     values[key] = _parse_value(_DEFAULTS[key], value)
                 except ValueError as exc:

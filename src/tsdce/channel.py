@@ -1,5 +1,5 @@
-"""Geometric mmWave channel: path sampling, steering vectors, channel
-synthesis and the angle <-> spatial-frequency dictionary.
+"""Geometric mmWave channel: path sampling, channel synthesis and the
+angle <-> spatial-frequency dictionary.
 
 Per-path spatial angular frequencies follow the half-wavelength ULA
 convention: omega_aod = pi*cos(aod), omega_aoa = -pi*cos(aoa).
@@ -52,15 +52,6 @@ class PathParams:
     @property
     def gain(self) -> complex:
         return self.gain_magnitude * np.exp(1j * self.gain_phase)
-
-
-def steering_vector(angle: float, n: int) -> np.ndarray:
-    """Unit-norm ULA response, Tx and Rx alike: element k =
-    exp(-j*pi*k*cos(angle))/sqrt(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    k = np.arange(n)
-    return np.exp(-1j * np.pi * k * np.cos(angle)) / np.sqrt(n)
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ import numpy as np
 from . import algorithm, analysis, bench
 from .channel import sample_paths
 from .numkit import SeededRng
-from .observation import snr_in_spatial_domain, spatial_ls_estimate, to_spatial
+from .observation import snr_in_spatial_domain, to_spatial
 
 
 def _dump_matrix(path, m):
@@ -71,13 +71,13 @@ def _cmd_single(args) -> int:
         )
     os.makedirs(args.dump, exist_ok=True)
     _, h, y = bench.draw_trial(cfg, args.snr_index, args.trial)
-    sp = to_spatial(y, cfg.n_t, cfg.n_r)
+    d = np.fft.ifft2(y)  # the spatial-domain data; to_spatial rescales its crop
     _dump_matrix(os.path.join(args.dump, "Y.csv"), y)
-    _dump_matrix(os.path.join(args.dump, "D.csv"), sp.d)
-    _dump_matrix(os.path.join(args.dump, "D_bar.csv"), sp.d_bar)
+    _dump_matrix(os.path.join(args.dump, "D.csv"), d)
+    _dump_matrix(os.path.join(args.dump, "D_bar.csv"), d[:cfg.n_r, :cfg.n_t])
     _dump_matrix(os.path.join(args.dump, "H_true.csv"), h)
     trace = []
-    estimates = algorithm.run(spatial_ls_estimate(sp), cfg.l_desired, cfg.rounds, trace)
+    estimates = algorithm.run(to_spatial(y, cfg.n_t, cfg.n_r), cfg.l_desired, cfg.rounds, trace)
     for step in trace:
         name = f"residual_k{step['round']}_l{step['path']}.csv"
         _dump_matrix(os.path.join(args.dump, name), step["residual"])

@@ -1,7 +1,7 @@
-"""Numerical kernel: seeded complex Gaussian sampling, 2D DFT/IDFT, cached
-DFT matrices, dominant singular triplet (the top eigenpair of a Gram
-matrix from numpy's LAPACK, so the module needs numpy only) and the
-unbiased 2D sample autocorrelation.
+"""Numerical kernel: seeded complex Gaussian sampling, cached DFT matrices,
+dominant singular triplet (the top eigenpair of a Gram matrix from numpy's
+LAPACK, so the module needs numpy only) and the unbiased 2D sample
+autocorrelation.
 
 All matrix arguments are dense complex numpy arrays. Functions are pure;
 ``SeededRng`` is the single piece of mutable state and is not safe for
@@ -55,17 +55,6 @@ def sample_complex_gaussian(rng: SeededRng, variance: float, size=None):
         raise ValueError(f"variance must be positive, got {variance}")
     scale = np.sqrt(variance / 2.0)
     return rng.normal(scale, size=size) + 1j * rng.normal(scale, size=size)
-
-
-def dft2d(m: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """2D DFT with unnormalized forward and 1/(QP)-scaled inverse.
-
-    Under this convention the inverse transform of white noise with
-    variance s2 has element variance s2/(QP), and the transforms
-    round-trip exactly: dft2d(dft2d(M), inverse=True) == M.
-    """
-    m = np.asarray(m, dtype=complex)
-    return np.fft.ifft2(m) if inverse else np.fft.fft2(m)
 
 
 def dominant_singular_triplet(m):

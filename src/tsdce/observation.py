@@ -1,6 +1,6 @@
 """DFT codebook construction, noisy observation synthesis and the
-transformed spatial domain pipeline (IDFT, informative crop, noise
-variance estimate, spatial LS channel estimate)."""
+transformed spatial domain: the spatial LS channel estimate (the IDFT's
+informative crop, rescaled) and the out-of-crop noise variance estimate."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import steering_vector
-from .numkit import SeededRng, dft2d, sample_complex_gaussian
+from .numkit import SeededRng, dft_columns, sample_complex_gaussian
 
 
 def wrap(x, lo: float, hi: float):
@@ -38,49 +37,36 @@ def wrap(x, lo: float, hi: float):
 
 @dataclass(frozen=True)
 class Codebook:
-    """DFT-structured beam codebook: quantized beam cosines and the
-    beamforming (f: n_t x P) / combining (w: n_r x Q) matrices."""
+    """DFT-structured beam codebook: the beamforming (f: n_t x P) and
+    combining (w: n_r x Q) matrices."""
 
     p_count: int
     q_count: int
-    tx_cosines: np.ndarray
-    rx_cosines: np.ndarray
     f: np.ndarray
     w: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpatialObservation:
-    """IDFT of the observation, its informative n_r x n_t crop and the
-    out-of-mask noise variance estimate (absent when the mask fills the
-    whole transform)."""
-
-    d: np.ndarray
-    d_bar: np.ndarray
-    sigma_z_sq_hat: Optional[float]
 
 
 @functools.lru_cache(maxsize=None)
 def build_codebook(P: int, Q: int, n_t: int, n_r: int) -> Codebook:
     """Codebook whose beams make W^H H F a 2D-DFT of the windowed channel.
 
-    Beam cosines are the wrapped uniform grids 2p/P and -2q/Q; columns of
-    f and w are unit-norm steering vectors at the corresponding angles.
-    Built once per (P, Q, n_t, n_r) and shared, so its arrays are
-    read-only.
+    Columns of f and w are unit-norm steering vectors at the beam cosines
+    2p/P and -2q/Q: f[k, p] = exp(-2 pi j k p / P) / sqrt(n_t) and
+    w[k, q] = exp(2 pi j k q / Q) / sqrt(n_r), read off the cached DFT
+    matrices (`dft_columns`). So W^H H F is the Q x P 2D DFT of H
+    zero-padded, over sqrt(n_t n_r). Built once per (P, Q, n_t, n_r) and
+    shared, so its arrays are read-only.
     """
     if P < n_t or Q < n_r:
         raise ValueError(
             f"codebook must satisfy P >= n_t and Q >= n_r, got P={P}, Q={Q}, "
             f"n_t={n_t}, n_r={n_r}"
         )
-    tx_cos = wrap(2.0 * np.arange(P) / P, -1.0, 1.0)
-    rx_cos = wrap(-2.0 * np.arange(Q) / Q, -1.0, 1.0)
-    f = np.stack([steering_vector(np.arccos(c), n_t) for c in tx_cos], axis=1)
-    w = np.stack([steering_vector(np.arccos(c), n_r) for c in rx_cos], axis=1)
-    for a in (tx_cos, rx_cos, f, w):
+    f = np.ascontiguousarray(dft_columns(P, n_t).T / np.sqrt(n_t))
+    w = np.ascontiguousarray(dft_columns(Q, n_r).conj().T / np.sqrt(n_r))
+    for a in (f, w):
         a.setflags(write=False)
-    return Codebook(p_count=P, q_count=Q, tx_cosines=tx_cos, rx_cosines=rx_cos, f=f, w=w)
+    return Codebook(p_count=P, q_count=Q, f=f, w=w)
 
 
 def synthesize_observation(
@@ -98,31 +84,26 @@ def synthesize_observation(
     return y
 
 
-def to_spatial(y: np.ndarray, n_t: int, n_r: int) -> SpatialObservation:
-    """IDFT the Q x P observation y and crop the informative top-left block.
-
-    When the codebook is strictly larger than the array, the entries
-    outside the crop are pure noise and their mean power estimates the
-    spatial-domain noise variance.
-    """
-    q_count, p_count = y.shape
-    if q_count < n_r or p_count < n_t:
+def to_spatial(y: np.ndarray, n_t: int, n_r: int) -> np.ndarray:
+    """The n_r x n_t spatial LS channel estimate sqrt(n_t n_r) * D_bar, with
+    D_bar the informative top-left crop of the IDFT of the Q x P observation
+    y; it equals the explicit LS solution by codebook column orthogonality."""
+    if y.shape[0] < n_r or y.shape[1] < n_t:
         raise ValueError("observation smaller than the requested crop")
-    d = dft2d(y, inverse=True)
-    d_bar = d[:n_r, :n_t].copy()
-    if q_count * p_count > n_t * n_r:
-        mask = np.ones(d.shape, dtype=bool)
-        mask[:n_r, :n_t] = False
-        sigma_z_sq_hat = float(np.mean(np.abs(d[mask]) ** 2))
-    else:
-        sigma_z_sq_hat = None
-    return SpatialObservation(d=d, d_bar=d_bar, sigma_z_sq_hat=sigma_z_sq_hat)
+    return np.sqrt(n_t * n_r) * np.fft.ifft2(y)[:n_r, :n_t]
 
 
-def spatial_ls_estimate(sp: SpatialObservation) -> np.ndarray:
-    """Channel estimate sqrt(n_t*n_r) * d_bar; equals the explicit LS
-    solution exactly thanks to codebook column orthogonality."""
-    return np.sqrt(sp.d_bar.size) * sp.d_bar
+def noise_variance_estimate(y: np.ndarray, n_t: int, n_r: int) -> Optional[float]:
+    """Mean power of the IDFT of the Q x P observation y outside its n_r x n_t
+    crop, which is pure noise: it estimates the spatial-domain noise variance
+    sigma_n^2/(QP). None when the crop fills the whole transform."""
+    if y.shape[0] < n_r or y.shape[1] < n_t:
+        raise ValueError("observation smaller than the requested crop")
+    if y.size == n_t * n_r:
+        return None
+    mask = np.ones(y.shape, dtype=bool)
+    mask[:n_r, :n_t] = False
+    return float(np.mean(np.abs(np.fft.ifft2(y)[mask]) ** 2))
 
 
 def snr_in_spatial_domain(snr: float, P: int, Q: int, n_t: int, n_r: int) -> float:

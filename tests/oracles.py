@@ -1,7 +1,9 @@
 """Reference models that only the tests use.
 
-`ls_estimate_explicit` is the explicit least-squares solve, the oracle for
-`observation.spatial_ls_estimate`. `wls_weights` and `wls_slope` are the
+`steering_vector` is the unit-norm ULA response, built per angle, and
+`beam_angle` the angle of a codebook beam: the oracles of the beams of
+`observation.build_codebook`. `ls_estimate_explicit` is the explicit
+least-squares solve, the oracle for `observation.to_spatial`. `wls_weights` and `wls_slope` are the
 weighted least-squares line fit that `algorithm._slope_weights` folds into
 one closed-form vector. `MarchenkoPastur` with its density and CDF, and
 `iid_ordered_eigenvalue_mean`, are the paper's model behind Lemma 4:
@@ -25,7 +27,28 @@ from scipy.special import gammaln, roots_laguerre
 
 from tsdce.algorithm import _estimate_component
 from tsdce.channel import cisoid_sum
-from tsdce.observation import Codebook
+from tsdce.observation import Codebook, wrap
+
+
+def steering_vector(angle: float, n: int) -> np.ndarray:
+    """Unit-norm ULA response, Tx and Rx alike: element k =
+    exp(-j*pi*k*cos(angle))/sqrt(n)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    k = np.arange(n)
+    return np.exp(-1j * np.pi * k * np.cos(angle)) / np.sqrt(n)
+
+
+def beam_angle(cb: Codebook, side: str, index: int) -> float:
+    """Angle of beam ``index`` of the codebook: transmit beam p has cosine
+    2p/P and receive beam q cosine -2q/Q, each wrapped into (-1, 1]."""
+    if side == "tx":
+        cosine = 2.0 * index / cb.p_count
+    elif side == "rx":
+        cosine = -2.0 * index / cb.q_count
+    else:
+        raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
+    return float(np.arccos(wrap(cosine, -1.0, 1.0)))
 
 
 class RankDeficiencyError(ValueError):

@@ -18,8 +18,8 @@ from tsdce.channel import PathParams, build_channel, sample_paths
 from tsdce.numkit import SeededRng, sample_complex_gaussian
 from tsdce.observation import (
     build_codebook,
+    noise_variance_estimate,
     snr_in_spatial_domain,
-    spatial_ls_estimate,
     synthesize_observation,
     to_spatial,
     wrap,
@@ -42,7 +42,7 @@ def random_channel(L, stream):
 
 
 def spatial_ls(y):
-    return spatial_ls_estimate(to_spatial(y, N, N))
+    return to_spatial(y, N, N)
 
 
 def tsdce_estimate(y, l_desired, rounds):
@@ -268,7 +268,7 @@ def test_criterion_09_noise_variance_estimator():
     acc = 0.0
     for t in range(1000):
         y = synthesize_observation(zero, CB32, sigma_n_sq, SeededRng(212).substream(t))
-        acc += to_spatial(y, N, N).sigma_z_sq_hat
+        acc += noise_variance_estimate(y, N, N)
     mean = acc / 1000
     target = sigma_n_sq / 1024.0
     rel = abs(mean - target) / target

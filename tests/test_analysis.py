@@ -23,17 +23,12 @@ from tsdce.analysis import (
     upper_bound_single_path,
 )
 from tsdce.channel import PathParams, build_channel, sample_paths
-from tsdce.numkit import SeededRng, dft2d, dft_columns, sample_complex_gaussian
-from tsdce.observation import (
-    build_codebook,
-    spatial_ls_estimate,
-    synthesize_observation,
-    to_spatial,
-    wrap,
-)
+from tsdce.numkit import SeededRng, dft_columns, sample_complex_gaussian
+from tsdce.observation import build_codebook, synthesize_observation, to_spatial, wrap
 from oracles import (
     MarchenkoPastur,
     _channel_jacobian,
+    beam_angle,
     iid_ordered_eigenvalue_mean,
     laguerre_ordered_means_tanhsinh,
     ls_estimate_explicit,
@@ -44,7 +39,7 @@ from oracles import (
 
 def spatial_ls(y, n_t=16, n_r=16):
     """The n_r x n_t spatial LS estimate every estimator takes."""
-    return spatial_ls_estimate(to_spatial(y, n_t, n_r))
+    return to_spatial(y, n_t, n_r)
 
 
 def kron_ls_oracle(y, cb, n_t, n_r):
@@ -59,14 +54,14 @@ def kron_ls_oracle(y, cb, n_t, n_r):
 def padded_dft_peak_oracle(y, L_d, n_dft, n_t, n_r):
     """DFT peak picking through the full zero-padded n_dft x n_dft 2D DFT
     of the crop, the reference construction for the blocked scan."""
-    work = to_spatial(y, n_t, n_r).d_bar.copy()
+    work = np.fft.ifft2(y)[:n_r, :n_t]
     m = np.arange(n_r)[:, None]
     n = np.arange(n_t)[None, :]
     estimates = []
     for _ in range(L_d):
         padded = np.zeros((n_dft, n_dft), dtype=complex)
         padded[:n_r, :n_t] = work
-        spectrum = dft2d(padded)
+        spectrum = np.fft.fft2(padded)
         qi, pi_ = np.unravel_index(np.argmax(np.abs(spectrum)), spectrum.shape)
         omega_aoa = wrap(2 * np.pi * qi / n_dft, -np.pi, np.pi)
         omega_aod = wrap(2 * np.pi * pi_ / n_dft, -np.pi, np.pi)
@@ -140,9 +135,7 @@ class TestLsEstimateExplicit:
 class TestDftPeakBaseline:
     def test_on_grid_single_path(self):
         cb = build_codebook(16, 16, 16, 16)
-        aod = np.arccos(cb.tx_cosines[3])
-        aoa = np.arccos(cb.rx_cosines[5])
-        path = PathParams.from_gain_angles(0.9, aod, aoa)
+        path = PathParams.from_gain_angles(0.9, beam_angle(cb, "tx", 3), beam_angle(cb, "rx", 5))
         y = synthesize_observation(build_channel([path], 16, 16), cb, 0.0)
         est = dft_peak_baseline(spatial_ls(y), 1, n_dft=1024)[0]
         assert abs(est.omega_aod - path.omega_aod) < 2 * np.pi / 1024
@@ -232,8 +225,8 @@ class TestDftPeakBaseline:
         h = build_channel([strong, weak], 16, 16)
         y = synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.0)
         padded = np.zeros((1024, 1024), dtype=complex)
-        padded[:16, :16] = to_spatial(y, 16, 16).d_bar
-        spectrum = np.abs(dft2d(padded))  # [AoA bin, AoD bin]
+        padded[:16, :16] = spatial_ls(y)
+        spectrum = np.abs(np.fft.fft2(padded))  # [AoA bin, AoD bin]
         coarse = spectrum[2::4, 2::4]
         assert np.unravel_index(np.argmax(coarse), coarse.shape) == (122 // 4, 682 // 4)
         assert np.unravel_index(np.argmax(spectrum), spectrum.shape) == (400, 160)
@@ -245,7 +238,7 @@ class TestDftPeakBaseline:
     def kept_cells(y, n_dft=1024, n_t=16, n_r=16):
         """The AoD rows and AoA columns that the first path's scan computes."""
         f_r_t = dft_columns(n_dft, n_r).T
-        left = dft_columns(n_dft, n_t) @ to_spatial(y, n_t, n_r).d_bar.T
+        left = dft_columns(n_dft, n_t) @ spatial_ls(y, n_t, n_r).T
         spec, power = np.empty(_SCAN_BINS, dtype=complex), np.empty(_SCAN_BINS)
         return _kept_cells(left, f_r_t, *_coarse_grid(n_dft, n_t, n_r), spec, power)
 

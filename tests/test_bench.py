@@ -161,6 +161,18 @@ methods = tsdce, ls
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_repeated_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("seed = 1\ntrials = 5\n# a comment\nseed = 2\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:4: seed already set on line 1"):
+            load_config(path)
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf"), float("inf")])
+    def test_non_finite_snr_rejected(self, snr_db):
+        # NaN would run noiseless and -inf divide by zero in the noise draw
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig(snr_db_list=(0.0, snr_db))
+
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("trials 50\n", encoding="utf-8")

@@ -1,5 +1,5 @@
-"""Channel model tests: steering vectors, path sampling, synthesis and the
-angle <-> spatial-frequency mapping."""
+"""Channel model tests: path sampling, synthesis and the angle <->
+spatial-frequency mapping."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,9 @@ from tsdce.channel import (
     cisoid_sum,
     freq_to_angle,
     sample_paths,
-    steering_vector,
 )
 from tsdce.numkit import SeededRng
+from oracles import steering_vector
 
 
 def channel_from_steering(paths, n_t, n_r):
@@ -25,23 +25,6 @@ def channel_from_steering(paths, n_t, n_r):
         a_t = steering_vector(p.aod, n_t)
         h += np.sqrt(n_t * n_r) * p.gain * np.outer(a_r, a_t.conj())
     return h
-
-
-class TestSteeringVector:
-    def test_unit_norm(self):
-        v = steering_vector(1.1, 16)
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-
-    def test_elements(self):
-        angle, n = 0.8, 8
-        v = steering_vector(angle, n)
-        k = np.arange(n)
-        assert np.allclose(v, np.exp(-1j * np.pi * k * np.cos(angle)) / np.sqrt(n))
-
-    def test_broadside(self):
-        # angle pi/2: no phase progression across the array
-        v = steering_vector(np.pi / 2, 4)
-        assert np.allclose(v, np.full(4, 0.5))
 
 
 def cisoid_sum_oracle(gains, w_aoa, w_aod, n_r, n_t):

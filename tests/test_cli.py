@@ -31,6 +31,15 @@ methods = tsdce, ls
 """
 
 
+def config_with(extra):
+    """CONFIG with the `key = value` lines of extra in place of its own lines
+    for those keys: a config sets each key once."""
+    lines = [line for line in extra.splitlines() if line.strip()]
+    keys = {line.partition("=")[0].strip() for line in lines}
+    kept = [line for line in CONFIG.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept + lines) + "\n"
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "exp.cfg"
@@ -53,7 +62,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("extra", ["", "n_t = 8\n"], ids=["square", "n_r_above_n_t"])
     def test_writes_metrics_csv(self, tmp_path, extra):
         config_path = tmp_path / "exp.cfg"
-        config_path.write_text(CONFIG + extra, encoding="utf-8")
+        config_path.write_text(config_with(extra), encoding="utf-8")
         out = str(tmp_path / "metrics.csv")
         assert main(["run", "--config", str(config_path), "--out", out]) == 0
         with open(out, newline="") as fh:
@@ -87,17 +96,30 @@ class TestConfigErrors:
         "snr_db_list =",
         "methods = dft_peak, dft_peak",
         "paths = 12",
+        "snr_db_list = nan",
+        "snr_db_list = 0, -inf",
+        "snr_db_list = inf",
     ])
     def test_run_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys, line):
         calls = []
         monkeypatch.setattr(bench, "_run_trial", lambda *args: calls.append(args))
         bad = tmp_path / "bad.cfg"
-        bad.write_text(CONFIG + line + "\n", encoding="utf-8")  # later keys win
+        bad.write_text(config_with(line), encoding="utf-8")
         out = tmp_path / "metrics.csv"
         assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+
+    def test_repeated_key_names_both_lines(self, tmp_path, monkeypatch, capsys):
+        # CONFIG sets seed on its line 9; a later value may not quietly win
+        calls = []
+        monkeypatch.setattr(bench, "_run_trial", lambda *args: calls.append(args))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG + "seed = 2\n", encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "m.csv")]) == 2
+        assert f"{bad}:12: seed already set on line 9" in capsys.readouterr().err
+        assert calls == []
 
     def test_rho_is_an_unknown_key(self, tmp_path, monkeypatch, capsys):
         # the program fixes the paper's transmit power rho at 1: SNR = 1/sigma_n^2
@@ -111,7 +133,7 @@ class TestConfigErrors:
 
     def test_bound_exits_2_on_bad_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(CONFIG + "trials = ten\n", encoding="utf-8")
+        bad.write_text(config_with("trials = ten"), encoding="utf-8")
         out = tmp_path / "crlb.csv"
         assert main(["bound", "--config", str(bad), "--kind", "crlb", "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
@@ -149,7 +171,7 @@ class TestImportFootprint:
 
     def run_fresh(self, tmp_path, argv, methods, out="--out"):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(CONFIG + f"trials = 2\nmethods = {methods}\n", encoding="utf-8")
+        cfg.write_text(config_with(f"trials = 2\nmethods = {methods}"), encoding="utf-8")
         argv = [*argv, "--config", str(cfg), out, str(tmp_path / "out")]
         script = (
             "import json, sys\n"
@@ -252,7 +274,7 @@ class TestBoundCommand:
                              ids=["paths_above_n_r", "n_r_above_n_t"])
     def test_eigenvalue_bounds_exit_2_on_bad_shape(self, tmp_path, capsys, kind, line):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(CONFIG + line + "\n", encoding="utf-8")
+        bad.write_text(config_with(line), encoding="utf-8")
         out = tmp_path / f"{kind}.csv"
         assert main(["bound", "--config", str(bad), "--kind", kind, "--out", str(out)]) == 2
         assert "paths <= n_r <= n_t" in capsys.readouterr().err
@@ -260,7 +282,7 @@ class TestBoundCommand:
 
     def test_crlb_runs_with_n_r_above_n_t(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(CONFIG + "n_t = 8\n", encoding="utf-8")
+        cfg.write_text(config_with("n_t = 8"), encoding="utf-8")
         out = tmp_path / "crlb.csv"
         assert main(["bound", "--config", str(cfg), "--kind", "crlb", "--out", str(out)]) == 0
         with open(out, newline="") as fh:

@@ -1,4 +1,4 @@
-"""Numeric kernel tests: seeded RNG, 2D DFT, cached DFT matrices, dominant
+"""Numeric kernel tests: seeded RNG, cached DFT matrices, dominant
 singular triplet and the unbiased 2D autocorrelation, each checked against an independent oracle."""
 
 import numpy as np
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tsdce.numkit import (
     SeededRng,
     acf2d_unbiased,
-    dft2d,
     dft_columns,
     dominant_singular_triplet,
     sample_complex_gaussian,
@@ -78,18 +77,6 @@ class TestComplexGaussian:
     def test_scalar_size(self):
         x = sample_complex_gaussian(SeededRng(13), 1.0)
         assert np.shape(x) == ()
-
-
-class TestDft2d:
-    def test_roundtrip(self):
-        m = random_complex(SeededRng(3), (8, 12))
-        back = dft2d(dft2d(m), inverse=True)
-        assert np.allclose(back, m, atol=1e-12)
-
-    def test_matches_numpy(self):
-        m = random_complex(SeededRng(4), (6, 6))
-        assert np.allclose(dft2d(m), np.fft.fft2(m))
-        assert np.allclose(dft2d(m, inverse=True), np.fft.ifft2(m))
 
 
 class TestDftColumns:

@@ -1,5 +1,5 @@
 """Observation model tests: wrapping, DFT codebooks, beam-sweep synthesis,
-the spatial-domain transform and the spatial LS shortcut."""
+the spatial LS estimate and the out-of-crop noise variance estimate."""
 
 import numpy as np
 import pytest
@@ -7,24 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsdce import observation
-from tsdce.channel import PathParams, build_channel, sample_paths, steering_vector
+from tsdce.channel import PathParams, build_channel, sample_paths
 from tsdce.numkit import SeededRng
 from tsdce.observation import (
-    Codebook,
     build_codebook,
+    noise_variance_estimate,
     snr_in_spatial_domain,
-    spatial_ls_estimate,
     synthesize_observation,
     to_spatial,
     wrap,
 )
+from oracles import beam_angle, ls_estimate_explicit, steering_vector
+
+# (P, Q, n_t, n_r): square and non-square arrays, codebooks critical and
+# oversampled, one transform length not a power of two
+SHAPES = [(16, 16, 16, 16), (32, 16, 16, 8), (12, 8, 8, 8)]
 
 
 def on_grid_path(cb, q, p, gain):
     """Path whose angles coincide with codebook entries (q, p)."""
-    aod = np.arccos(cb.tx_cosines[p])
-    aoa = np.arccos(cb.rx_cosines[q])
-    return PathParams.from_gain_angles(gain, aod, aoa)
+    return PathParams.from_gain_angles(gain, beam_angle(cb, "tx", p), beam_angle(cb, "rx", q))
 
 
 def dirichlet_observation(paths, cb, n_t, n_r):
@@ -34,9 +36,9 @@ def dirichlet_observation(paths, cb, n_t, n_r):
     m = np.arange(n_r)
     n = np.arange(n_t)
     for q in range(cb.q_count):
-        w_omega = -np.pi * cb.rx_cosines[q]
+        w_omega = -np.pi * np.cos(beam_angle(cb, "rx", q))
         for p in range(cb.p_count):
-            f_omega = np.pi * cb.tx_cosines[p]
+            f_omega = np.pi * np.cos(beam_angle(cb, "tx", p))
             for path in paths:
                 s_r = np.sum(np.exp(1j * (path.omega_aoa - w_omega) * m)) / n_r
                 s_t = np.sum(np.exp(1j * (path.omega_aod - f_omega) * n)) / n_t
@@ -105,20 +107,23 @@ class TestWrap:
 
 
 class TestBuildCodebook:
-    def test_cosine_grids(self):
-        cb = build_codebook(32, 32, 16, 16)
-        p = np.arange(32)
-        assert np.allclose(cb.tx_cosines, wrap(2 * p / 32, -1.0, 1.0))
-        assert np.allclose(cb.rx_cosines, wrap(-2 * p / 32, -1.0, 1.0))
+    @pytest.mark.parametrize("P, Q, n_t, n_r", SHAPES + [(64, 64, 64, 64)])
+    def test_beam_columns_are_steering_vectors(self, P, Q, n_t, n_r):
+        cb = build_codebook(P, Q, n_t, n_r)
+        assert cb.f.shape == (n_t, P) and cb.w.shape == (n_r, Q)
+        for p in range(P):
+            expected = steering_vector(beam_angle(cb, "tx", p), n_t)
+            assert np.allclose(cb.f[:, p], expected, rtol=0, atol=1e-13)
+        for q in range(Q):
+            expected = steering_vector(beam_angle(cb, "rx", q), n_r)
+            assert np.allclose(cb.w[:, q], expected, rtol=0, atol=1e-13)
 
-    def test_beam_columns_are_steering_vectors(self):
-        cb = build_codebook(16, 16, 16, 16)
-        for p in (0, 3, 9):
-            angle = np.arccos(cb.tx_cosines[p])
-            assert np.allclose(cb.f[:, p], steering_vector(angle, 16))
-        for q in (0, 5, 15):
-            angle = np.arccos(cb.rx_cosines[q])
-            assert np.allclose(cb.w[:, q], steering_vector(angle, 16))
+    def test_beam_angles_wrap_into_the_cosine_range(self):
+        cb = build_codebook(32, 32, 16, 16)
+        assert beam_angle(cb, "tx", 3) == pytest.approx(np.arccos(0.1875))
+        assert beam_angle(cb, "tx", 20) == pytest.approx(np.arccos(-0.75))
+        assert beam_angle(cb, "rx", 20) == pytest.approx(np.arccos(0.75))
+        assert beam_angle(cb, "rx", 16) == pytest.approx(0.0)  # cosine -1 wraps to 1
 
     def test_kronecker_orthogonality(self):
         # Q^H Q = (QP / n_t n_r) I for Q = F^T (x) W^H
@@ -133,8 +138,8 @@ class TestBuildCodebook:
         assert build_codebook(16, 16, 16, 16) is cb
         with pytest.raises(ValueError):
             cb.f[0, 0] = 0.0
-        for a in (cb.w, cb.tx_cosines, cb.rx_cosines):
-            assert not a.flags.writeable
+        assert not cb.w.flags.writeable
+        assert cb.f.flags.c_contiguous and cb.w.flags.c_contiguous
 
     def test_rejects_small_codebook(self):
         with pytest.raises(ValueError):
@@ -179,23 +184,62 @@ class TestSynthesizeObservation:
         synthesize_observation(h, cb, 0.0)
 
 
+class TestObservationIsTheDft:
+    @pytest.mark.parametrize("P, Q, n_t, n_r", SHAPES)
+    def test_observation_is_the_zero_padded_2d_dft(self, P, Q, n_t, n_r):
+        # W^H H F is the Q x P DFT of the zero-padded channel over sqrt(n_t n_r)
+        cb = build_codebook(P, Q, n_t, n_r)
+        h = build_channel(sample_paths(3, SeededRng(40)), n_t, n_r)
+        expected = np.fft.fft2(h, s=(Q, P)) / np.sqrt(n_t * n_r)
+        assert np.allclose(synthesize_observation(h, cb, 0.0), expected, rtol=0, atol=1e-12)
+
+
 class TestToSpatial:
     def test_noiseless_cisoid_crop(self):
-        # each path appears in the crop as alpha/sqrt(n_t n_r) times a 2D
-        # cisoid at its spatial frequencies
+        # each path appears in the crop as alpha times a 2D cisoid at its
+        # spatial frequencies
         cb = build_codebook(16, 16, 16, 16)
         paths = sample_paths(1, SeededRng(41))
-        sp = to_spatial(synthesize_observation(build_channel(paths, 16, 16), cb, 0.0), 16, 16)
+        h_ls = to_spatial(synthesize_observation(build_channel(paths, 16, 16), cb, 0.0), 16, 16)
         p = paths[0]
         mm, nn = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
-        expected = p.gain / 16.0 * np.exp(1j * (p.omega_aoa * mm + p.omega_aod * nn))
-        assert np.allclose(sp.d_bar, expected, atol=1e-9)
+        expected = p.gain * np.exp(1j * (p.omega_aoa * mm + p.omega_aod * nn))
+        assert np.allclose(h_ls, expected, atol=1e-9)
 
+    @pytest.mark.parametrize("P, Q, n_t, n_r", SHAPES)
+    def test_noiseless_recovers_channel(self, P, Q, n_t, n_r):
+        cb = build_codebook(P, Q, n_t, n_r)
+        h = build_channel(sample_paths(3, SeededRng(51)), n_t, n_r)
+        h_ls = to_spatial(synthesize_observation(h, cb, 0.0), n_t, n_r)
+        assert h_ls.shape == (n_r, n_t)
+        assert np.allclose(h_ls, h, atol=1e-9)
+
+    @pytest.mark.parametrize("P, Q, n_t, n_r", SHAPES)
+    def test_equals_explicit_ls(self, P, Q, n_t, n_r):
+        cb = build_codebook(P, Q, n_t, n_r)
+        stream = SeededRng(53)
+        h = build_channel(sample_paths(2, stream), n_t, n_r)
+        y = synthesize_observation(h, cb, 0.5, stream)
+        assert np.allclose(to_spatial(y, n_t, n_r), ls_estimate_explicit(y, cb), atol=1e-12)
+
+    def test_scaling(self):
+        # sqrt(n_t n_r) = 16 times the top-left crop of the IDFT
+        cb = build_codebook(32, 32, 16, 16)
+        h = build_channel(sample_paths(1, SeededRng(52)), 16, 16)
+        y = synthesize_observation(h, cb, 0.1, SeededRng(54))
+        assert np.allclose(to_spatial(y, 16, 16), 16.0 * np.fft.ifft2(y)[:16, :16])
+
+    def test_rejects_observation_smaller_than_crop(self):
+        with pytest.raises(ValueError):
+            to_spatial(np.zeros((8, 16), dtype=complex), 16, 16)
+
+
+class TestNoiseVarianceEstimate:
     def test_critical_sampling_has_no_noise_estimate(self):
         cb = build_codebook(16, 16, 16, 16)
         h = build_channel(sample_paths(1, SeededRng(42)), 16, 16)
-        sp = to_spatial(synthesize_observation(h, cb, 0.1, SeededRng(43)), 16, 16)
-        assert sp.sigma_z_sq_hat is None
+        y = synthesize_observation(h, cb, 0.1, SeededRng(43))
+        assert noise_variance_estimate(y, 16, 16) is None
 
     def test_noise_variance_estimate(self):
         # outside the crop only noise remains, with variance sigma_n^2/(QP)
@@ -204,22 +248,17 @@ class TestToSpatial:
         acc, reps = 0.0, 100
         for t in range(reps):
             y = synthesize_observation(zero, cb, 0.8, SeededRng(44).substream(t))
-            acc += to_spatial(y, 16, 16).sigma_z_sq_hat
+            acc += noise_variance_estimate(y, 16, 16)
         assert acc / reps == pytest.approx(0.8 / 1024.0, rel=0.05)
 
+    def test_noiseless_channel_leaves_no_power_outside_crop(self):
+        cb = build_codebook(32, 16, 16, 8)
+        h = build_channel(sample_paths(3, SeededRng(45)), 16, 8)
+        assert noise_variance_estimate(synthesize_observation(h, cb, 0.0), 16, 8) < 1e-28
 
-class TestSpatialLs:
-    def test_noiseless_recovers_channel(self):
-        cb = build_codebook(16, 16, 16, 16)
-        h = build_channel(sample_paths(3, SeededRng(51)), 16, 16)
-        sp = to_spatial(synthesize_observation(h, cb, 0.0), 16, 16)
-        assert np.allclose(spatial_ls_estimate(sp), h, atol=1e-9)
-
-    def test_scaling(self):
-        cb = build_codebook(16, 16, 16, 16)
-        h = build_channel(sample_paths(1, SeededRng(52)), 16, 16)
-        sp = to_spatial(synthesize_observation(h, cb, 0.0), 16, 16)
-        assert np.allclose(spatial_ls_estimate(sp), 16.0 * sp.d_bar)
+    def test_rejects_observation_smaller_than_crop(self):
+        with pytest.raises(ValueError):
+            noise_variance_estimate(np.zeros((16, 8), dtype=complex), 16, 16)
 
 
 class TestSnrInSpatialDomain:

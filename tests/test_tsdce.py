@@ -22,14 +22,8 @@ from tsdce.analysis import crlb_nmse_bound, dft_peak_baseline
 from tsdce.bench import nmse_ratio
 from tsdce.channel import PathParams, build_channel, cisoid_sum, sample_paths
 from tsdce.numkit import SeededRng, acf2d_unbiased
-from tsdce.observation import (
-    build_codebook,
-    spatial_ls_estimate,
-    synthesize_observation,
-    to_spatial,
-    wrap,
-)
-from oracles import genie_sic, wls_slope, wls_weights
+from tsdce.observation import build_codebook, synthesize_observation, to_spatial, wrap
+from oracles import beam_angle, genie_sic, wls_slope, wls_weights
 
 
 def cisoid(n_r, n_t, w_row, w_col, amp=1.0, phase=0.0):
@@ -39,7 +33,7 @@ def cisoid(n_r, n_t, w_row, w_col, amp=1.0, phase=0.0):
 
 def spatial_ls(y, n_t=16, n_r=16):
     """The n_r x n_t spatial LS estimate every estimator takes."""
-    return spatial_ls_estimate(to_spatial(y, n_t, n_r))
+    return to_spatial(y, n_t, n_r)
 
 
 def wls_slope_oracle(phases, weights):
@@ -331,8 +325,8 @@ class TestRun:
     def test_noiseless_on_grid_recovery(self):
         path = PathParams.from_gain_angles(
             0.8 * np.exp(1j * 0.3),
-            np.arccos(self.cb.tx_cosines[3]),
-            np.arccos(self.cb.rx_cosines[3]),
+            beam_angle(self.cb, "tx", 3),
+            beam_angle(self.cb, "rx", 3),
         )
         y = synthesize_observation(build_channel([path], 16, 16), self.cb, 0.0)
         est = run(spatial_ls(y), 1, 1)[0]
@@ -525,11 +519,9 @@ class TestReconstructChannel:
 
     def test_noiseless_two_orthogonal_paths(self):
         cb = build_codebook(16, 16, 16, 16)
-        g1 = PathParams.from_gain_angles(0.9, np.arccos(cb.tx_cosines[2]),
-                                         np.arccos(cb.rx_cosines[5]))
+        g1 = PathParams.from_gain_angles(0.9, beam_angle(cb, "tx", 2), beam_angle(cb, "rx", 5))
         g2 = PathParams.from_gain_angles(0.4 * np.exp(1j * 1.0),
-                                         np.arccos(cb.tx_cosines[7]),
-                                         np.arccos(cb.rx_cosines[1]))
+                                         beam_angle(cb, "tx", 7), beam_angle(cb, "rx", 1))
         h = build_channel([g1, g2], 16, 16)
         h_hat = reconstruct_channel(run(spatial_ls(synthesize_observation(h, cb, 0.0)), 2, 2), 16, 16)
         err = np.linalg.norm(h_hat - h) ** 2 / np.linalg.norm(h) ** 2
