@@ -17,7 +17,7 @@ import functools
 import numpy as np
 
 from .channel import PathParams, cisoid_sum
-from .numkit import acf2d_unbiased, dominant_singular_triplet
+from .numkit import acf2d_unbiased
 from .observation import wrap
 
 
@@ -30,9 +30,23 @@ def check_counts(l_desired: int, rounds: int, n_r: int, n_t: int) -> None:
 
 
 def extract_rank_one(residual: np.ndarray) -> np.ndarray:
-    """Best rank-one approximation from the dominant singular triplet."""
-    s, u, v = dominant_singular_triplet(residual)
-    return s * np.outer(u, v.conj())
+    """Best rank-one approximation m v v^H (Eckart-Young), with v the top
+    eigenvector of m^H m from numpy's ``eigh`` (LAPACK ``zheevd``).
+
+    m is scaled by max|m| first, so tiny or huge entries neither underflow
+    nor overflow in the Gram matrix. The Gram matrix is n_t x n_t for every
+    shape, so a wide m (n_r < n_t) decomposes the larger of the two. The
+    zero matrix gives zeros; non-finite entries raise ``np.linalg.LinAlgError``.
+    """
+    m = np.asarray(residual, dtype=complex)
+    scale = np.abs(m).max()
+    if scale == 0:
+        return np.zeros_like(m)
+    if not np.isfinite(scale):
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
+    a = m / scale
+    v = np.linalg.eigh(a.conj().T @ a)[1][:, -1]  # eigenvalues ascend
+    return scale * np.outer(a @ v, v.conj())
 
 
 def phase_differences(seq: np.ndarray) -> np.ndarray:

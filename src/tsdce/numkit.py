@@ -1,7 +1,5 @@
-"""Numerical kernel: seeded complex Gaussian sampling, cached DFT matrices,
-dominant singular triplet (the top eigenpair of a Gram matrix from numpy's
-LAPACK, so the module needs numpy only) and the unbiased 2D sample
-autocorrelation.
+"""Numerical kernel: seeded complex Gaussian sampling, cached DFT matrices
+and the unbiased 2D sample autocorrelation.
 
 All matrix arguments are dense complex numpy arrays. Functions are pure;
 ``SeededRng`` is the single piece of mutable state and is not safe for
@@ -12,7 +10,6 @@ each on its own substream.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -55,53 +52,6 @@ def sample_complex_gaussian(rng: SeededRng, variance: float, size=None):
         raise ValueError(f"variance must be positive, got {variance}")
     scale = np.sqrt(variance / 2.0)
     return rng.normal(scale, size=size) + 1j * rng.normal(scale, size=size)
-
-
-def dominant_singular_triplet(m):
-    """Leading singular triplet (s, u, v) of ``m``.
-
-    The top eigenpair of the Gram matrix of the smaller side (numpy's
-    ``eigh``, LAPACK ``zheevd``) gives s and one vector; the other follows
-    as u = m v / s or v = m^H u / s. ``m`` is scaled by
-    max|m| first, so tiny or huge entries neither underflow nor overflow
-    in the Gram matrix.
-
-    The phase ambiguity is fixed by rotating so the first nonzero entry
-    of ``u`` is real and positive (the compensating phase goes into
-    ``v``), making the triplet deterministic. The zero matrix returns
-    s = 0 with u and v the first unit vectors.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        raise ValueError("matrix must be non-empty")
-    nr, nt = m.shape
-    scale = np.abs(m).max()
-    if scale == 0:
-        u = np.zeros(nr, dtype=complex)
-        v = np.zeros(nt, dtype=complex)
-        u[0] = 1.0
-        v[0] = 1.0
-        return 0.0, u, v
-    if not math.isfinite(scale):
-        raise np.linalg.LinAlgError("matrix has non-finite entries")
-    a = m / scale
-    tall = nr >= nt
-    gram = a.conj().T @ a if tall else a @ a.conj().T
-    w, z = np.linalg.eigh(gram)  # ascending eigenvalues
-    s_a = np.sqrt(w[-1])  # >= 1: some entry of the scaled matrix has modulus 1
-    x = z[:, -1]
-    if tall:
-        u, v = (a @ x) / s_a, x
-    else:
-        u, v = x, (a.conj().T @ x) / s_a
-    return _fix_phase(s_a * scale, u, v)
-
-
-def _fix_phase(s, u, v):
-    first = u[np.flatnonzero(u)[0]]  # u has unit norm, so some entry is nonzero
-    phase = first / np.abs(first)
-    # u v^H is invariant: conj(phase) cancels in v^H
-    return float(s), u / phase, v / phase
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,18 +1,14 @@
-"""Numeric kernel tests: seeded RNG, cached DFT matrices, dominant
-singular triplet and the unbiased 2D autocorrelation, each checked against an independent oracle."""
+"""Numeric kernel tests: seeded RNG, cached DFT matrices, the rank-one step
+(the dominant singular term) and the unbiased 2D autocorrelation, each
+checked against an independent oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsdce.numkit import (
-    SeededRng,
-    acf2d_unbiased,
-    dft_columns,
-    dominant_singular_triplet,
-    sample_complex_gaussian,
-)
+from tsdce.algorithm import extract_rank_one
+from tsdce.numkit import SeededRng, acf2d_unbiased, dft_columns, sample_complex_gaussian
 
 
 def naive_acf2d(d):
@@ -98,43 +94,26 @@ class TestDftColumns:
 
 
 class TestDominantSingularTriplet:
+    """`extract_rank_one` is the dominant singular term s_1 u_1 v_1^H."""
+
     def test_matches_numpy_svd(self):
         for seed in range(5):
             m = random_complex(SeededRng(seed), (9, 7))
-            s, u, v = dominant_singular_triplet(m)
-            s_ref = np.linalg.svd(m, compute_uv=False)[0]
-            assert s == pytest.approx(s_ref, rel=1e-10)
-            # singular vectors checked through the invariant rank-one term
-            u_ref, s_all, vh_ref = np.linalg.svd(m)
-            ref = s_all[0] * np.outer(u_ref[:, 0], vh_ref[0])
-            assert np.allclose(s * np.outer(u, v.conj()), ref, atol=1e-8)
-
-    def test_unit_norm_vectors(self):
-        m = random_complex(SeededRng(9), (5, 8))
-        s, u, v = dominant_singular_triplet(m)
-        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
+            u_ref, s_ref, vh_ref = np.linalg.svd(m)
+            ref = s_ref[0] * np.outer(u_ref[:, 0], vh_ref[0])
+            assert np.allclose(extract_rank_one(m), ref, atol=1e-8)
 
     def test_rank_one_exact(self):
         a = np.exp(1j * 0.7 * np.arange(6))
         b = np.exp(-1j * 0.3 * np.arange(4))
         m = 2.5 * np.outer(a, b.conj())
-        s, u, v = dominant_singular_triplet(m)
-        assert np.allclose(s * np.outer(u, v.conj()), m, atol=1e-10)
-
-    def test_phase_convention(self):
-        # the first nonzero entry of u is real (to rounding) and positive
-        for seed in range(5):
-            m = random_complex(SeededRng(seed), (6, 5))
-            s, u, v = dominant_singular_triplet(m)
-            first = u[np.flatnonzero(np.abs(u) > 0)[0]]
-            assert abs(first.imag) <= 1e-15 * abs(first) and first.real > 0.0
+        assert np.allclose(extract_rank_one(m), m, atol=1e-10)
 
     @pytest.mark.parametrize("shape", [(12, 8), (8, 12)], ids=["tall", "wide"])
     def test_exact_tie(self, shape):
         # sigma_1 = sigma_2 = 2: every unit vector of the tied pair's span is
         # a valid answer, and LAPACK routines may pick different ones, so
-        # only the invariants of a top singular triplet are checked
+        # only the invariants of a best rank-one approximation are checked
         n_r, n_t = shape
         k = min(shape)
         sigma = np.ones(k)
@@ -144,20 +123,16 @@ class TestDominantSingularTriplet:
             u_all, _ = np.linalg.qr(random_complex(rng, (n_r, k)))
             v_all, _ = np.linalg.qr(random_complex(rng, (n_t, k)))
             m = (u_all * sigma) @ v_all.conj().T
-            s, u, v = dominant_singular_triplet(m)
-            assert abs(s - 2.0) <= 1e-12 * 2.0
+            r = extract_rank_one(m)
+            assert abs(np.linalg.norm(r) - 2.0) <= 1e-12 * 2.0
+            assert np.linalg.svd(r, compute_uv=False)[1] <= 1e-12 * 2.0
             m_sq = np.linalg.norm(m) ** 2
-            rest = np.linalg.norm(m - s * np.outer(u, v.conj())) ** 2
-            assert abs(rest - (m_sq - s**2)) <= 1e-10 * m_sq
-            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-            first = u[np.flatnonzero(np.abs(u) > 0)[0]]
-            assert abs(first.imag) <= 1e-15 * abs(first) and first.real > 0.0
+            rest = np.linalg.norm(m - r) ** 2
+            assert abs(rest - (m_sq - 4.0)) <= 1e-10 * m_sq
 
     def test_zero_matrix(self):
-        s, u, v = dominant_singular_triplet(np.zeros((4, 4), dtype=complex))
-        assert s == 0.0
-        assert np.linalg.norm(u) == pytest.approx(1.0)
+        r = extract_rank_one(np.zeros((4, 5), dtype=complex))
+        assert r.shape == (4, 5) and not r.any()
 
 
 def rank_two(n_r, n_t, ratio, rng):
@@ -168,9 +143,9 @@ def rank_two(n_r, n_t, ratio, rng):
 
 
 class TestDominantSingularTripletAgainstSvd:
-    """The one-eigenpair kernel against the full LAPACK SVD: s within 1e-10
-    relative, the rank-one term s u v^H within 1e-9 of ||m||. At scales
-    1e+-170 an unscaled Gram matrix would overflow or go subnormal."""
+    """The one-eigh rank-one step against the full LAPACK SVD: within 1e-9
+    of ||m|| of s_1 u_1 v_1^H. At scales 1e+-170 an unscaled Gram matrix
+    would overflow or go subnormal."""
 
     CASES = {
         "16x16": lambda rng: random_complex(rng, (16, 16)),
@@ -185,19 +160,21 @@ class TestDominantSingularTripletAgainstSvd:
     def test_matches_full_svd(self, case, scale):
         for seed in range(3):
             m = scale * self.CASES[case](SeededRng(100 + seed))
-            s, u, v = dominant_singular_triplet(m)
+            r = extract_rank_one(m)
+            assert np.isfinite(r).all()
             u_ref, s_ref, vh_ref = np.linalg.svd(m)
-            assert abs(s - s_ref[0]) <= 1e-10 * s_ref[0]
             # compared at unit scale, where the norms cannot overflow
-            err = (s / scale) * np.outer(u, v.conj()) - (s_ref[0] / scale) * np.outer(
-                u_ref[:, 0], vh_ref[0])
+            s1 = s_ref[0] / scale
+            # ||R||_F is sigma_1 of a rank-one R
+            assert abs(np.linalg.norm(r / scale) - s1) <= 1e-10 * s1
+            err = r / scale - s1 * np.outer(u_ref[:, 0], vh_ref[0])
             assert np.linalg.norm(err) <= 1e-9 * np.linalg.norm(m / scale)
 
     def test_non_finite_raises(self):
         m = random_complex(SeededRng(7), (4, 4))
         m[1, 2] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
-            dominant_singular_triplet(m)
+            extract_rank_one(m)
 
 
 class TestAcf2dUnbiased:

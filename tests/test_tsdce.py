@@ -454,7 +454,7 @@ class TestSicCallCounts:
 
     KERNELS = {
         "cisoid_sum": 9,  # one unit cisoid per estimate, shared with the cancellation
-        "dominant_singular_triplet": 2,  # rank-one extraction of paths 1 and 2, round 1
+        "eigh": 2,  # rank-one extraction of paths 1 and 2, round 1
         "acf2d_unbiased": 9,  # one per estimate
     }
 
@@ -465,7 +465,8 @@ class TestSicCallCounts:
         h = build_channel(sample_paths(3, rng), 16, 16)
         h_ls = spatial_ls(synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.1, rng))
         counts = dict.fromkeys(self.KERNELS, 0)
-        for module in (tsdce.numkit, tsdce.channel, tsdce.observation, tsdce.algorithm):
+        for module in (tsdce.numkit, tsdce.channel, tsdce.observation, tsdce.algorithm,
+                       np.linalg):
             for name in self.KERNELS:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, self._counting(counts, name,
@@ -485,7 +486,7 @@ class TestDftPeakCallCounts:
     """Kernel calls of one 16x16 L = 3 dft_peak_baseline call: one `sic`
     round, one derotated mean per path and no rank-one step."""
 
-    CALLS = {"sic": 1, "cisoid_sum": 3, "derotated_mean": 3, "dominant_singular_triplet": 0}
+    CALLS = {"sic": 1, "cisoid_sum": 3, "derotated_mean": 3, "eigh": 0}
 
     def test_counts(self, monkeypatch):
         import tsdce
@@ -495,7 +496,7 @@ class TestDftPeakCallCounts:
         h_ls = spatial_ls(synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.1, rng))
         counts = dict.fromkeys(self.CALLS, 0)
         for module in (tsdce.numkit, tsdce.channel, tsdce.observation, tsdce.algorithm,
-                       tsdce.analysis):
+                       tsdce.analysis, np.linalg):
             for name in self.CALLS:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, TestSicCallCounts._counting(
