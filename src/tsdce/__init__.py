@@ -2,7 +2,7 @@
 systems: channel/codebook simulation, the TSDCE estimator, baseline
 estimators, analytic bounds and a Monte Carlo bench."""
 
-from .algorithm import reconstruct_channel, run
+from .algorithm import run
 from .channel import PathParams, build_channel, sample_paths
 from .numkit import SeededRng
 from .observation import (
@@ -20,7 +20,6 @@ __all__ = [
     "build_channel",
     "build_codebook",
     "noise_variance_estimate",
-    "reconstruct_channel",
     "run",
     "sample_paths",
     "synthesize_observation",

@@ -184,11 +184,3 @@ def run(h_ls, l_desired: int, rounds: int, trace=None):
         return _estimate_component(residual)
 
     return sic(h_ls, component, l_desired, rounds, trace)
-
-
-def reconstruct_channel(estimates, n_t: int, n_r: int) -> np.ndarray:
-    """Rebuild the channel matrix from estimated path parameters."""
-    if not estimates:
-        raise ValueError("need at least one path estimate")
-    gains, w_aoa, w_aod = zip(*[(e.gain, e.omega_aoa, e.omega_aod) for e in estimates])
-    return cisoid_sum(gains, w_aoa, w_aod, n_r, n_t)

@@ -12,6 +12,7 @@ import itertools
 import math
 import time
 from dataclasses import astuple, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -55,10 +56,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.paths < 1:
-            raise ConfigError("paths must be >= 1")
-        if self.n_t < 2 or self.n_r < 2:
-            raise ConfigError(f"n_t and n_r must be >= 2, got {self.n_t} and {self.n_r}")
         if not self.snr_db_list:
             raise ConfigError("snr_db_list must name at least one SNR")
         if not all(math.isfinite(s) for s in self.snr_db_list):
@@ -76,22 +73,24 @@ class ExperimentConfig:
             raise ConfigError("max_failure_rate must be >= 0")
         if self.l_desired == 0:
             object.__setattr__(self, "l_desired", self.paths)
+        # The path sampler, the channel synthesizer, the codebook, TSDCE and
+        # dft_peak own their range rules; using them here fails a bad config
+        # before any trial runs.
+        try:
+            paths = sample_paths(self.paths, SeededRng(0), self.angle_range)
+            build_channel(paths, self.n_t, self.n_r)
+            build_codebook(self.p_count, self.q_count, self.n_t, self.n_r)
+            algorithm.check_counts(self.l_desired, self.rounds, self.n_r, self.n_t)
+            if "dft_peak" in self.methods:
+                analysis.check_n_dft(self.n_dft, self.n_r, self.n_t)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         pairings = math.perm(max(self.paths, self.l_desired), min(self.paths, self.l_desired))
         if set(self.methods) - {"ls"} and pairings > MAX_PAIRINGS:
             raise ConfigError(
                 f"paths = {self.paths} and l_desired = {self.l_desired} give {pairings} "
                 f"path pairings per trial to score, more than {MAX_PAIRINGS} (8 paths)"
             )
-        # The codebook, the path sampler, TSDCE and dft_peak own their range rules;
-        # using them here fails a bad config before any trial runs.
-        try:
-            build_codebook(self.p_count, self.q_count, self.n_t, self.n_r)
-            sample_paths(1, SeededRng(0), self.angle_range)
-            algorithm.check_counts(self.l_desired, self.rounds, self.n_r, self.n_t)
-            if "dft_peak" in self.methods:
-                analysis.check_n_dft(self.n_dft, self.n_r, self.n_t)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     @property
     def snr_list(self):
@@ -208,7 +207,7 @@ def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
                     est = algorithm.run(h_ls, cfg.l_desired, cfg.rounds)
                 else:  # dft_peak
                     est = analysis.dft_peak_baseline(h_ls, cfg.l_desired, cfg.n_dft)
-                h_hat = algorithm.reconstruct_channel(est, cfg.n_t, cfg.n_r)
+                h_hat = build_channel(est, cfg.n_t, cfg.n_r)
                 errors = match_paths(paths, est)[1]
         except Exception as exc:  # noqa: BLE001 - per-trial failures are counted
             out[method] = {"failed": repr(exc), "wall_ms": 0.0}
@@ -263,26 +262,30 @@ def run_experiment(cfg: ExperimentConfig):
     return records
 
 
-CSV_HEADER = ",".join(f.name for f in fields(MetricRecord))
-
-
-def _fmt(x) -> str:
+def _fmt(x, digits: int) -> str:
     if isinstance(x, float):
         if x != x:  # NaN: empty field for "absent"
             return ""
-        return f"{x:.6g}"
+        return f"{x:.{digits}g}"
     return str(x)
+
+
+def write_csv(path, lines, digits: int = 6) -> None:
+    """Write each line's values comma-separated as UTF-8 with "\\n" line
+    ends: floats with ``digits`` significant digits, NaN as an empty field,
+    anything else as ``str``. Every CSV the program writes goes through here."""
+    text = "".join(",".join(_fmt(v, digits) for v in line) + "\n" for line in lines)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
 def emit_csv(records, path):
     """Write one row per record; floats use 6 significant digits and an
     absent RMSE is an empty field."""
-    lines = [CSV_HEADER] + [",".join(_fmt(v) for v in astuple(r)) for r in records]
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    write_csv(path, [[f.name for f in fields(MetricRecord)]] + [astuple(r) for r in records])
 
 
 def _parse_value(default, text: str):
@@ -304,28 +307,28 @@ def load_config(path) -> ExperimentConfig:
     the type of its default and set at most once. Lines starting with #
     are comments; tuple values are comma-separated.
     """
-    values, seen = {}, {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key not in _DEFAULTS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                if key in seen:
-                    raise ConfigError(f"{path}:{lineno}: {key} already set on line {seen[key]}")
-                seen[key] = lineno
-                try:
-                    values[key] = _parse_value(_DEFAULTS[key], value)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    values, seen = {}, {}
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _DEFAULTS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: {key} already set on line {seen[key]}")
+        seen[key] = lineno
+        try:
+            values[key] = _parse_value(_DEFAULTS[key], value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     try:
         return ExperimentConfig(**values)
     except TypeError as exc:

@@ -92,7 +92,7 @@ def sample_paths(L: int, rng: SeededRng, angle_range=(0.0, np.pi)):
     decreasing gain magnitude so index 0 is always the dominant path.
     """
     if L < 1:
-        raise ValueError("L must be >= 1")
+        raise ValueError(f"the path count must be >= 1, got {L}")
     if len(angle_range) != 2 or not 0.0 <= angle_range[0] < angle_range[1] <= np.pi:
         raise ValueError(f"angle_range must be two angles 0 <= lo < hi <= pi, got {angle_range}")
     lo, hi = angle_range
@@ -107,12 +107,13 @@ def sample_paths(L: int, rng: SeededRng, angle_range=(0.0, np.pi)):
 
 
 def build_channel(paths, n_t: int, n_r: int) -> np.ndarray:
-    """The n_r x n_t channel H[m, n] = sum_l alpha_l exp(j(omega_aoa*m + omega_aod*n)),
-    summed in decreasing gain order."""
+    """The n_r x n_t channel H[m, n] = sum_l alpha_l exp(j(omega_aoa*m + omega_aod*n))
+    of true paths or their estimates, summed in the order given."""
     if n_t < 2 or n_r < 2:
-        raise ValueError("n_t and n_r must be >= 2")
-    ordered = sorted(paths, key=lambda p: p.gain_magnitude, reverse=True)
-    gains, w_aoa, w_aod = zip(*[(p.gain, p.omega_aoa, p.omega_aod) for p in ordered])
+        raise ValueError(f"n_t and n_r must be >= 2, got {n_t} and {n_r}")
+    if not paths:
+        raise ValueError("need at least one path")
+    gains, w_aoa, w_aod = zip(*[(p.gain, p.omega_aoa, p.omega_aod) for p in paths])
     return cisoid_sum(gains, w_aoa, w_aod, n_r, n_t)
 
 

@@ -18,19 +18,15 @@ import sys
 import numpy as np
 
 from . import algorithm, analysis, bench
-from .channel import sample_paths
+from .channel import build_channel, sample_paths
 from .numkit import SeededRng
 from .observation import snr_in_spatial_domain, to_spatial
 
 
 def _dump_matrix(path, m):
-    m = np.atleast_2d(np.asarray(m))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("m,n,re,im\n")
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                z = complex(m[i, j])
-                fh.write(f"{i},{j},{z.real:.17g},{z.imag:.17g}\n")
+    """One row per entry of the matrix m; 17 significant digits round-trip."""
+    rows = [(i, j, z.real, z.imag) for (i, j), z in np.ndenumerate(np.asarray(m, dtype=complex))]
+    bench.write_csv(path, [("m", "n", "re", "im"), *rows], digits=17)
 
 
 def _check_out(path) -> None:
@@ -81,15 +77,12 @@ def _cmd_single(args) -> int:
     for step in trace:
         name = f"residual_k{step['round']}_l{step['path']}.csv"
         _dump_matrix(os.path.join(args.dump, name), step["residual"])
-    with open(os.path.join(args.dump, "estimates.csv"), "w", encoding="utf-8") as fh:
-        fh.write("path,gain_magnitude,gain_phase,aoa,aod,omega_aoa,omega_aod\n")
-        for i, e in enumerate(estimates, 1):
-            fh.write(
-                f"{i},{e.gain_magnitude:.9g},{e.gain_phase:.9g},"
-                f"{e.aoa:.9g},{e.aod:.9g},{e.omega_aoa:.9g},{e.omega_aod:.9g}\n"
-            )
-    h_hat = algorithm.reconstruct_channel(estimates, cfg.n_t, cfg.n_r)
-    _dump_matrix(os.path.join(args.dump, "H_hat.csv"), h_hat)
+    columns = ("gain_magnitude", "gain_phase", "aoa", "aod", "omega_aoa", "omega_aod")
+    rows = [(i, *(getattr(e, c) for c in columns)) for i, e in enumerate(estimates, 1)]
+    bench.write_csv(
+        os.path.join(args.dump, "estimates.csv"), [("path", *columns), *rows], digits=9
+    )
+    _dump_matrix(os.path.join(args.dump, "H_hat.csv"), build_channel(estimates, cfg.n_t, cfg.n_r))
     print(f"dumped realization to {args.dump}")
     return 0
 
@@ -103,7 +96,7 @@ def _cmd_bound(args) -> int:
             f"n_r = {cfg.n_r}, n_t = {cfg.n_t}"
         )
     _check_out(args.out)
-    rows = ["kind,snr_db,mean_sse,nmse_db"]
+    rows = [("kind", "snr_db", "mean_sse", "nmse_db")]
     e_h_sq = cfg.n_t * cfg.n_r  # expected ||H||_F^2 under unit path power
     for snr_db, snr in zip(cfg.snr_db_list, cfg.snr_list):
         sigma_n_sq = 1.0 / snr
@@ -120,11 +113,8 @@ def _cmd_bound(args) -> int:
                 paths = sample_paths(cfg.paths, base.substream(t), cfg.angle_range)
                 ratios.append(analysis.crlb_nmse_bound(paths, cfg.n_t, cfg.n_r, sigma_z_sq))
             sse = float(np.mean(ratios)) * e_h_sq
-        rows.append(
-            f"{args.kind},{snr_db:.6g},{sse:.6g},{bench.ratio_to_db(sse / e_h_sq):.6g}"
-        )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+        rows.append((args.kind, snr_db, sse, bench.ratio_to_db(sse / e_h_sq)))
+    bench.write_csv(args.out, rows)
     print(f"wrote {args.kind} bound curve to {args.out}")
     return 0
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from tsdce.algorithm import reconstruct_channel, run
+from tsdce.algorithm import run
 from tsdce.analysis import crlb_nmse_bound, ordered_eigenvalue_mean, upper_bound_single_path
 from tsdce.bench import ExperimentConfig, emit_csv, nmse_ratio, run_experiment
 from tsdce.channel import PathParams, build_channel, sample_paths
@@ -46,7 +46,7 @@ def spatial_ls(y):
 
 
 def tsdce_estimate(y, l_desired, rounds):
-    return reconstruct_channel(run(spatial_ls(y), l_desired, rounds), N, N)
+    return build_channel(run(spatial_ls(y), l_desired, rounds), N, N)
 
 
 def ls_nmse_db(cb, snr_db, trials, seed, L=3):
@@ -80,7 +80,7 @@ def test_criterion_01_exact_recovery():
             abs(est.omega_aoa - truth.omega_aoa),
         )
         worst_nmse = max(worst_nmse,
-                         nmse_ratio(reconstruct_channel([est], N, N), h))
+                         nmse_ratio(build_channel([est], N, N), h))
     elapsed = time.perf_counter() - start
     ok = worst_param < 1e-8 and worst_nmse < 1e-15 and elapsed < 1.0
     report(1, ok, f"worst parameter error {worst_param:.2e}, worst NMSE ratio "

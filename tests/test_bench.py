@@ -187,6 +187,17 @@ methods = tsdce, ls
         with pytest.raises(ConfigError):
             ExperimentConfig(methods=("tsdce", "omp"))
 
+    # the path sampler and the channel synthesizer own these rules; the config
+    # applies them before its pairings count, which math.perm would fail on a
+    # negative path count
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(paths=0), "got 0"), (dict(paths=-1), "got -1"),
+        (dict(n_t=1), "got 1 and 16"), (dict(n_r=0), "got 16 and 0"),
+    ])
+    def test_owner_rules_name_the_offending_values(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**kwargs)
+
     # match_paths tries perm(max(L, L_d), min(L, L_d)) pairings, at most 8!
     @pytest.mark.parametrize("paths, l_desired, ok", [
         (8, 0, True), (12, 3, True), (3, 16, True), (9, 0, False), (12, 0, False), (4, 16, False),

@@ -115,11 +115,19 @@ class TestBuildChannel:
         assert np.allclose(h, expected, atol=1e-12)
 
     def test_shape_and_summation_order(self):
-        # the paths are summed strongest first whatever order they come in
-        paths = sample_paths(3, SeededRng(6))
+        # true paths and estimates alike are summed in the order given, here
+        # weakest first
+        paths = sample_paths(3, SeededRng(6))[::-1]
         h = build_channel(paths, 12, 10)
         assert h.shape == (10, 12)
-        assert np.array_equal(build_channel(paths[::-1], 12, 10), h)
+        gains, w_aoa, w_aod = zip(*[(p.gain, p.omega_aoa, p.omega_aod) for p in paths])
+        assert np.array_equal(h, cisoid_sum(gains, w_aoa, w_aod, 10, 12))
+
+    def test_rejects_no_paths_and_small_arrays(self):
+        with pytest.raises(ValueError, match="at least one path"):
+            build_channel([], 16, 16)
+        with pytest.raises(ValueError, match="got 1 and 16"):
+            build_channel(sample_paths(1, SeededRng(6)), 1, 16)
 
     def test_mean_frobenius_power(self):
         # E{||H||_F^2} = n_t n_r for unit total path power

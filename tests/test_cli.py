@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import tsdce
-from tsdce import analysis, bench
+from tsdce import algorithm, analysis, bench
+from tsdce.channel import build_channel
 from tsdce.cli import main
+from tsdce.observation import to_spatial
 
 
 CONFIG = """
@@ -96,6 +98,7 @@ class TestConfigErrors:
         "snr_db_list =",
         "methods = dft_peak, dft_peak",
         "paths = 12",
+        "paths = -1",
         "snr_db_list = nan",
         "snr_db_list = 0, -inf",
         "snr_db_list = inf",
@@ -252,6 +255,30 @@ class TestSingleCommand:
         assert np.array_equal(read_matrix(dump / "H_true.csv"), h)
         assert np.array_equal(read_matrix(dump / "Y.csv"), y)
 
+    def test_dumps_the_estimates_and_their_channel(self, tmp_path):
+        # H_hat.csv is the channel of TSDCE's estimates from the trial's
+        # spatial LS estimate, exact at 17 digits; estimates.csv holds them
+        # to 9 significant digits
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(config_with("paths = 3\nrounds = 2"), encoding="utf-8")
+        cfg = bench.load_config(config_path)
+        _, _, y = bench.draw_trial(cfg, 1, 2)
+        estimates = algorithm.run(to_spatial(y, cfg.n_t, cfg.n_r), cfg.l_desired, cfg.rounds)
+        dump = tmp_path / "dump"
+        rc = main(["single", "--config", str(config_path), "--snr-index", "1",
+                   "--trial", "2", "--dump", str(dump)])
+        assert rc == 0
+        assert np.array_equal(read_matrix(dump / "H_hat.csv"),
+                              build_channel(estimates, cfg.n_t, cfg.n_r))
+        columns = ["gain_magnitude", "gain_phase", "aoa", "aod", "omega_aoa", "omega_aod"]
+        with open(dump / "estimates.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["path", *columns]
+        assert [r["path"] for r in rows] == ["1", "2", "3"]
+        for row, e in zip(rows, estimates):
+            assert [row[c] for c in columns] == [f"{getattr(e, c):.9g}" for c in columns]
+
     # the config has 2 SNRs and 5 trials; a negative trial would alias
     # another SNR index's key and a trial past the end is one no sweep runs
     @pytest.mark.parametrize("snr_index, trial", [
@@ -290,14 +317,22 @@ class TestBoundCommand:
         assert [r["kind"] for r in rows] == ["crlb", "crlb"]
 
     def test_crlb_synthesizes_no_channel(self, config_path, tmp_path, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the CRLB built a channel matrix")
+        # loading the config builds a channel to apply the synthesizer's size
+        # rule; the bound's samples build none
+        calls, build = [], tsdce.channel.build_channel
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("tsdce") and hasattr(module, "build_channel"):
-                monkeypatch.setattr(module, "build_channel", refuse)
+                monkeypatch.setattr(module, "build_channel", counting)
+        bench.load_config(config_path)
+        loading = len(calls)
         out = str(tmp_path / "crlb.csv")
         assert main(["bound", "--config", config_path, "--kind", "crlb", "--out", out]) == 0
+        assert len(calls) == 2 * loading
 
     @pytest.mark.parametrize("kind", ["lemma3", "lemma4", "crlb"])
     def test_bound_curves(self, config_path, tmp_path, kind):

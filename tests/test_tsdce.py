@@ -13,7 +13,6 @@ from tsdce.algorithm import (
     estimate_amplitude,
     extract_rank_one,
     phase_differences,
-    reconstruct_channel,
     run,
     select_wrap_branch,
     sic,
@@ -111,10 +110,44 @@ class TestEstimateComponentOracle:
         assert cases >= 50
 
 
+def random_complex(rng, shape):
+    return rng.normal(1.0, size=shape) + 1j * rng.normal(1.0, size=shape)
+
+
 class TestExtractRankOne:
+    """`extract_rank_one` is the dominant singular term s_1 u_1 v_1^H."""
+
+    def test_matches_numpy_svd(self):
+        for seed in range(5):
+            m = random_complex(SeededRng(seed), (9, 7))
+            u_ref, s_ref, vh_ref = np.linalg.svd(m)
+            ref = s_ref[0] * np.outer(u_ref[:, 0], vh_ref[0])
+            assert np.allclose(extract_rank_one(m), ref, atol=1e-8)
+
     def test_idempotent_on_rank_one(self):
         m = 1.7 * cisoid(8, 8, 0.9, -1.2, phase=0.4)
         assert np.allclose(extract_rank_one(m), m, atol=1e-10 * np.linalg.norm(m))
+
+    @pytest.mark.parametrize("shape", [(12, 8), (8, 12)], ids=["tall", "wide"])
+    def test_exact_tie(self, shape):
+        # sigma_1 = sigma_2 = 2: every unit vector of the tied pair's span is
+        # a valid answer, and LAPACK routines may pick different ones, so
+        # only the invariants of a best rank-one approximation are checked
+        n_r, n_t = shape
+        k = min(shape)
+        sigma = np.ones(k)
+        sigma[:2] = 2.0
+        for seed in range(5):
+            rng = SeededRng(300 + seed)
+            u_all, _ = np.linalg.qr(random_complex(rng, (n_r, k)))
+            v_all, _ = np.linalg.qr(random_complex(rng, (n_t, k)))
+            m = (u_all * sigma) @ v_all.conj().T
+            r = extract_rank_one(m)
+            assert abs(np.linalg.norm(r) - 2.0) <= 1e-12 * 2.0
+            assert np.linalg.svd(r, compute_uv=False)[1] <= 1e-12 * 2.0
+            m_sq = np.linalg.norm(m) ** 2
+            rest = np.linalg.norm(m - r) ** 2
+            assert abs(rest - (m_sq - 4.0)) <= 1e-10 * m_sq
 
     def test_orthogonal_cisoids_keep_strongest(self):
         # on-grid frequencies a DFT bin apart give orthogonal rank-one
@@ -375,7 +408,7 @@ class TestRun:
             h = build_channel(sample_paths(3, rng), 16, 16)
             h_ls = spatial_ls(synthesize_observation(h, self.cb, 0.1, rng))
             ests = run(h_ls, 3, 2)
-            total = reconstruct_channel(ests, 16, 16)
+            total = build_channel(ests, 16, 16)
             assert np.linalg.norm(h_ls - total) <= np.linalg.norm(h_ls) + 1e-12
 
     # run's range rule, 1 <= l_desired <= min(n_r, n_t) and rounds >= 1, reads
@@ -398,7 +431,7 @@ class TestRun:
             assert abs(wrap(est.gain_phase - truth.gain_phase, -np.pi, np.pi)) < 1e-8
             assert abs(est.omega_aod - truth.omega_aod) < 1e-8
             assert abs(est.omega_aoa - truth.omega_aoa) < 1e-8
-            err = np.linalg.norm(reconstruct_channel([est], n_t, n_r) - h) ** 2
+            err = np.linalg.norm(build_channel([est], n_t, n_r) - h) ** 2
             assert err / np.linalg.norm(h) ** 2 < 1e-15
 
 
@@ -511,11 +544,11 @@ class TestReconstructChannel:
         h = build_channel(paths, 16, 16)
         ests = [PathParams.from_freqs(p.gain_magnitude, p.gain_phase,
                                       p.omega_aod, p.omega_aoa) for p in paths]
-        assert np.allclose(reconstruct_channel(ests, 16, 16), h, atol=1e-10)
+        assert np.allclose(build_channel(ests, 16, 16), h, atol=1e-10)
 
     def test_single_estimate_rank_one(self):
         est = PathParams.from_freqs(1.0, 0.0, 0.4, -0.9)
-        h = reconstruct_channel([est], 16, 16)
+        h = build_channel([est], 16, 16)
         assert np.linalg.svd(h, compute_uv=False)[1] < 1e-10
 
     def test_noiseless_two_orthogonal_paths(self):
@@ -524,7 +557,7 @@ class TestReconstructChannel:
         g2 = PathParams.from_gain_angles(0.4 * np.exp(1j * 1.0),
                                          beam_angle(cb, "tx", 7), beam_angle(cb, "rx", 1))
         h = build_channel([g1, g2], 16, 16)
-        h_hat = reconstruct_channel(run(spatial_ls(synthesize_observation(h, cb, 0.0)), 2, 2), 16, 16)
+        h_hat = build_channel(run(spatial_ls(synthesize_observation(h, cb, 0.0)), 2, 2), 16, 16)
         err = np.linalg.norm(h_hat - h) ** 2 / np.linalg.norm(h) ** 2
         assert 10 * np.log10(err) < -160.0
 
@@ -545,7 +578,7 @@ class TestGenieSic:
                 paths = sample_paths(3, stream)
                 h = build_channel(paths, 16, 16)
                 y = synthesize_observation(h, cb, sigma_n_sq, stream)
-                h_hat = reconstruct_channel(genie_sic(spatial_ls(y), paths), 16, 16)
+                h_hat = build_channel(genie_sic(spatial_ls(y), paths), 16, 16)
                 genie.append(nmse_ratio(h_hat, h))
                 crlb.append(crlb_nmse_bound(paths, 16, 16, sigma_n_sq / 256))
             gaps[snr_db] = 10 * np.log10(np.mean(genie) / np.mean(crlb))
