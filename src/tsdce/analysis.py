@@ -23,6 +23,10 @@ from .observation import wrap
 # Largest number of spectrum bins the dft_peak scan computes in one product,
 # the size of its buffers: 64 rows of a 1024-bin spectrum.
 _SCAN_BINS = 64 * 1024
+# The first level of the dft_peak scan has the largest step c with margin
+# (c + 1) kappa_1 <= _FIRST_MARGIN < pi/2 (see `dft_peak_baseline`), chosen
+# by timing on seed 5151, which no test or workload uses.
+_FIRST_MARGIN = 1.2
 
 
 def check_n_dft(n_dft: int, n_r: int, n_t: int) -> None:
@@ -31,28 +35,13 @@ def check_n_dft(n_dft: int, n_r: int, n_t: int) -> None:
         raise ValueError(f"n_dft must be a power of two >= max(n_r, n_t), got {n_dft}")
 
 
-def _coarse_grid(n_dft: int, n_t: int, n_r: int) -> tuple[int, float]:
-    """Step c and margin factor kappa of the dft_peak scan's coarse grid.
-
-    kappa = delta (sigma_t + sigma_r), where sigma = (n - 1)/2 is the
-    spectrum's type along each axis and delta = c pi / n_dft the greatest
-    distance of a bin from its nearest coarse sample. c is the largest
-    power of two with kappa <= 1/4, or 1 when c = 2 already exceeds it.
-    """
-    kappa_per_step = np.pi / n_dft * (n_t + n_r - 2) / 2
-    c = 1
-    while 2 * c <= n_dft and 2 * c * kappa_per_step <= 0.25:
-        c *= 2
-    return c, c * kappa_per_step
-
-
-def _power_blocks(left, right, spec, power):
-    """(first row, |bin|^2) of each block of rows of left @ right, formed in
-    turn in the front of the flat buffers ``spec`` (complex) and ``power``
-    (float): re^2 + im^2 in place, one contiguous pass and one strided add."""
-    width = right.shape[1]
-    step = len(spec) // width
-    spec, power = spec[:step * width].reshape(step, -1), power[:step * width].reshape(step, -1)
+def _power_blocks(left, right):
+    """(first row, |bin|^2) of each block of at most _SCAN_BINS bins of
+    left @ right, whole rows, formed in turn in one pair of buffers:
+    re^2 + im^2 in place, one contiguous pass and one strided add."""
+    step = max(_SCAN_BINS // right.shape[1], 1)
+    spec = np.empty((min(step, len(left)), right.shape[1]), dtype=complex)
+    power = np.empty(spec.shape)
     for b in range(0, len(left), step):
         rows = left[b:b + step]
         parts = np.matmul(rows, right, out=spec[:len(rows)]).view(float)
@@ -60,33 +49,42 @@ def _power_blocks(left, right, spec, power):
         yield b, np.add(parts[:, 0::2], parts[:, 1::2], out=power[:len(rows)])
 
 
-def _kept_cells(left, f_r_t, c: int, kappa: float, spec, power) -> list[np.ndarray]:
-    """The AoD rows and the AoA columns, ascending, that may hold the
-    spectrum's maximum: the c bins of each coarse row and column whose
-    largest |bin| reaches A (1 - 1e-9) - kappa A / (1 - kappa), A the
-    largest coarse |bin| (see `dft_peak_baseline`). The coarse spectrum,
-    the bins at k c + c/2 for the `_coarse_grid` (c >= 2, kappa), is formed
-    a block of rows at a time in the scan's buffers ``spec`` and ``power``."""
-    right = np.ascontiguousarray(f_r_t[:, c // 2::c])
-    row_peaks, col_peaks = np.empty(right.shape[1]), np.zeros(right.shape[1])
-    for k, block in _power_blocks(left[c // 2::c], right, spec, power):
-        block.max(axis=1, out=row_peaks[k:k + len(block)])
-        np.maximum(col_peaks, block.max(axis=0), out=col_peaks)
-    a = np.sqrt(row_peaks.max())
-    floor = (a * (1 - 1e-9) - kappa / (1 - kappa) * a) ** 2  # > 0 as kappa <= 1/4
-    return [(np.flatnonzero(peaks >= floor)[:, None] * c + np.arange(c)).ravel()
-            for peaks in (row_peaks, col_peaks)]
-
-
-def _strongest_bin(left, right, spec, power) -> int:
-    """Flat index of the largest |bin| of left @ right, the first one on a
-    tie, computed a block of rows at a time in ``spec`` and ``power``."""
-    best, flat = -1.0, 0
-    for b, block in _power_blocks(left, right, spec, power):
-        i = int(np.argmax(block))
-        if block.flat[i] > best:
-            best, flat = block.flat[i], b * right.shape[1] + i
-    return flat
+def _scan(residual, f_t, f_r, levels=None) -> tuple[int, int]:
+    """(AoD bin, AoA bin) of the largest |bin| of the spectrum of
+    ``residual`` zero-padded to len(f_t) x len(f_t), the first one in
+    AoD-major order on a tie, by the level loop of `dft_peak_baseline`. If
+    ``levels`` is a list, each level's (c, AoD rows, AoA columns) is
+    appended to it, the cells' first bins for c >= 2, the bins at c = 1."""
+    n_dft, (n_r, n_t) = len(f_t), residual.shape
+    kappa_1 = np.pi / n_dft * (n_t + n_r - 2) / 2
+    c = 1
+    while 2 * c <= n_dft and (2 * c + 1) * kappa_1 <= _FIRST_MARGIN:
+        c *= 2
+    rows = cols = np.arange(0, n_dft, c)
+    while True:
+        if levels is not None:
+            levels.append((c, rows, cols))
+        row_peaks, col_peaks = np.empty(len(rows)), np.zeros(len(cols))
+        best, flat = -1.0, 0
+        for b, block in _power_blocks(f_t[rows + c // 2] @ residual.T, f_r[cols + c // 2].T):
+            if c == 1:
+                i = int(np.argmax(block))
+                if block.flat[i] > best:
+                    best, flat = block.flat[i], b * len(cols) + i
+            else:
+                block.max(axis=1, out=row_peaks[b:b + len(block)])
+                np.maximum(col_peaks, block.max(axis=0), out=col_peaks)
+        if c == 1:
+            return int(rows[flat // len(cols)]), int(cols[flat % len(cols)])
+        floor = row_peaks.max() * (math.cos((c + 1) * kappa_1) * (1 - 1e-9)) ** 2
+        kept_r, kept_c = rows[row_peaks >= floor], cols[col_peaks >= floor]
+        # split a kept cell s x s ways, s the largest power of two <= c, and
+        # at least 2, whose next level computes no more bins than this one
+        s = 2
+        while 2 * s <= c and len(kept_r) * len(kept_c) * 4 * s * s <= len(rows) * len(cols):
+            s *= 2
+        c, cells = c // s, np.arange(0, c, c // s)
+        rows, cols = ((kept[:, None] + cells).ravel() for kept in (kept_r, kept_c))
 
 
 def dft_peak_baseline(h_ls, L_d: int, n_dft: int = 1024):
@@ -98,53 +96,48 @@ def dft_peak_baseline(h_ls, L_d: int, n_dft: int = 1024):
     gain. Frequency accuracy is limited to the bin width 2*pi/n_dft.
 
     The padded spectrum is never held whole. Its transpose is
-    (F_t @ residual^T) @ F_r^T with the cached DFT columns F_t and F_r,
-    rows indexed by the AoD bin and columns by the AoA bin, and the left
-    factor is formed once per path. A coarse pass keeps the rows and the
-    columns that may hold the maximum (`_kept_cells`), a peak near AoA bin 0
-    keeping columns at both ends, and only their rectangle is computed
-    (`_strongest_bin`) in buffers allocated once per call; where every row
-    or column is kept, the factor itself is multiplied, not a gathered copy.
+    (F_t @ residual^T) @ F_r^T with the cached DFT columns F_t and F_r, rows
+    indexed by the AoD bin and columns by the AoA bin. `_scan` computes it
+    level by level on square cells: at step c a cell is c x c bins, read at
+    its sample, the bin k c + c/2 of each axis (the bin itself at c = 1). A
+    level keeps the rows and the columns whose largest sample reaches the
+    floor below and splits each kept cell s x s ways, s the largest power of
+    two, at least 2 and at most c, whose next level computes no more bins
+    than this one: c itself where one peak stands clear, 2 on noise, where
+    the floor keeps many. Only the rows of F_t and F_r that a level reads
+    are formed, in products of at most _SCAN_BINS bins; a peak near bin 0
+    keeps cells at both ends.
 
     Bound. Centred, the spectrum g is a 2D exponential sum of type
-    sigma_t = (n_t - 1)/2 in AoD and sigma_r = (n_r - 1)/2 in AoA, so by
-    Bernstein's inequality each partial derivative is at most sigma M,
-    M = max |g|. Every bin lies within delta = c pi / n_dft, in each
-    frequency, of the coarse sample k c + c/2 of its own cell of c x c
-    bins, so |g(bin)| <= |g(sample)| + kappa M with
-    kappa = delta (sigma_t + sigma_r) <= 1/4 (`_coarse_grid`). With A the
-    largest coarse |bin|, A <= M (the samples are bins) and
-    M <= A / (1 - kappa). So the sample of the cell of the maximum, or of a
-    bin tied with it, reads at least A - kappa A / (1 - kappa), and so does
-    the maximum of its coarse row and of its coarse column: only rows and
-    columns below A (1 - 1e-9) - kappa A / (1 - kappa) are dropped, the
-    1e-9 covering rounding. Below c = 2 all are kept and the coarse pass is
-    skipped: the scan is the exhaustive one.
+    sigma_t = (n_t - 1)/2 in AoD and sigma_r = (n_r - 1)/2 in AoA, so along
+    a segment of (Delta_t, Delta_r) every f = Re(e^(-j phi) g) is a real one
+    of type sigma_t |Delta_t| + sigma_r |Delta_r|, bounded by M = max |g|.
+    By Szego's inequality in the form of Duffin and Schaeffer,
+    f'^2 + B^2 f^2 <= B^2 M^2 (R. J. Duffin and A. C. Schaeffer, Bull. AMS
+    43, 1937), so f = M cos(theta) has |theta'| <= B. A bin lies within
+    delta_c = c pi / n_dft of its cell's sample in each frequency, so
+    kappa_c = delta_c (sigma_t + sigma_r) = c kappa_1 bounds theta's change
+    between them. The bin nearest the maximum of |g| reads at least
+    M cos(kappa_1), so the strongest bin, and any bin tied with it, does
+    too, and its cell's sample reads at least M cos(kappa_1 + kappa_c)
+    >= A cos((c + 1) kappa_1), with A <= M the level's largest sample. So
+    only rows and columns whose largest sample is below that floor, times
+    1 - 1e-9 for rounding, are dropped; the first level has
+    (c + 1) kappa_1 <= _FIRST_MARGIN < pi/2, where the floor is positive.
+    Below c = 2 the first level is the exhaustive scan.
 
     Tie rule. An exact tie goes to the lowest flat index in AoD-major order
     (the lower AoD bin, then the lower AoA bin), as one argmax over the
-    whole spectrum would pick: the kept rows and columns are ascending, so
-    the rectangle's row-major scan meets that bin first.
+    whole spectrum would pick: the kept rows and columns stay ascending, so
+    the last level's row-major scan meets that bin first.
     """
     n_r, n_t = h_ls.shape
     check_n_dft(n_dft, n_r, n_t)
-    f_t = dft_columns(n_dft, n_t)
-    f_r_t = dft_columns(n_dft, n_r).T
-    c, kappa = _coarse_grid(n_dft, n_t, n_r)
-    every_bin = np.arange(n_dft)
-    size = n_dft * min(n_dft, max(_SCAN_BINS // n_dft, 1))  # whole rows, at least one
-    spec, power = np.empty(size, dtype=complex), np.empty(size)
-    left = np.empty((n_dft, n_r), dtype=complex)
+    f_t, f_r = dft_columns(n_dft, n_t), dft_columns(n_dft, n_r)
 
     def component(residual, k, l):
-        np.matmul(f_t, residual.T, out=left)
-        rows, cols = ((every_bin, every_bin) if c < 2
-                      else _kept_cells(left, f_r_t, c, kappa, spec, power))
-        flat = _strongest_bin(left if len(rows) == n_dft else left[rows],
-                              f_r_t if len(cols) == n_dft else f_r_t[:, cols], spec, power)
-        r, q = divmod(flat, len(cols))
         # bins as frequencies in (-pi, pi], Python floats: numpy scalars slow later steps
-        omega_aod, omega_aoa = wrap(2 * np.pi * np.array([rows[r], cols[q]]) / n_dft,
+        omega_aod, omega_aoa = wrap(2 * np.pi * np.array(_scan(residual, f_t, f_r)) / n_dft,
                                     -np.pi, np.pi).tolist()
         gain, cis = derotated_mean(residual, omega_aoa, omega_aod)
         return PathParams.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa), cis

@@ -311,6 +311,8 @@ def load_config(path) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8: {exc}") from exc
     values, seen = {}, {}
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()

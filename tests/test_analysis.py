@@ -12,9 +12,7 @@ from scipy import integrate
 
 from tsdce import analysis, bench
 from tsdce.analysis import (
-    _SCAN_BINS,
-    _coarse_grid,
-    _kept_cells,
+    _scan,
     crlb_nmse_bound,
     dft_peak_baseline,
     fisher_matrix,
@@ -179,10 +177,14 @@ class TestDftPeakBaseline:
                     (r.omega_aod, r.omega_aoa), abs=1e-12)
                 assert e.gain == pytest.approx(r.gain, rel=1e-9)
 
-    # at 2 x 2 with n_dft = 1024 the coarse step c = 64 equals the tile side
+    # 2 x 2 at n_dft = 1024 starts at c = 256, a 4 x 4 grid of cells; 32 x 32
+    # and 64 x 64 start at c = 8 and c = 4
     @settings(max_examples=40, deadline=None)
     @example(shape=(2, 2), n_dft=1024, noise_only=False, L=2, seed=7)
     @example(shape=(2, 2), n_dft=1024, noise_only=True, L=1, seed=7)
+    @example(shape=(32, 32), n_dft=1024, noise_only=False, L=3, seed=7)
+    @example(shape=(64, 64), n_dft=1024, noise_only=False, L=3, seed=7)
+    @example(shape=(64, 64), n_dft=1024, noise_only=True, L=2, seed=7)
     @given(
         shape=st.sampled_from([(16, 16), (8, 12), (12, 8), (4, 16), (2, 2)]),
         n_dft=st.sampled_from([32, 64, 256, 1024]),
@@ -192,12 +194,13 @@ class TestDftPeakBaseline:
     )
     def test_pruned_scan_matches_padded_reference(self, shape, n_dft, noise_only, L, seed):
         n_t, n_r = shape
+        p, q = max(16, n_t), max(16, n_r)
         stream = SeededRng(seed)
         if noise_only:
-            y = sample_complex_gaussian(stream, 1.0, (16, 16))
+            y = sample_complex_gaussian(stream, 1.0, (q, p))
         else:
             h = build_channel(sample_paths(L, stream), n_t, n_r)
-            y = synthesize_observation(h, build_codebook(16, 16, n_t, n_r), 1e-3, stream)
+            y = synthesize_observation(h, build_codebook(p, q, n_t, n_r), 1e-3, stream)
         got = dft_peak_baseline(spatial_ls(y, n_t, n_r), L, n_dft=n_dft)
         ref = padded_dft_peak_oracle(y, L, n_dft, n_t, n_r)
 
@@ -217,50 +220,52 @@ class TestDftPeakBaseline:
         )
 
     def test_peak_between_coarse_samples_beats_one_on_them(self):
-        # The coarse grid (c = 4) holds the bins 4k + 2. The strong path peaks
-        # two bins from it in both frequencies, so its coarse samples read
-        # 0.997 of its peak; the weak path sits on a coarse sample at 0.999.
-        # Only the kappa margin keeps the strong path's tiles.
-        strong, weak = self.on_bins(1.0, 160, 400), self.on_bins(0.999j, 682, 122)
+        # The first level (c = 16) reads the bins 16k + 8. The strong path
+        # peaks eight bins from them in both frequencies, so its samples read
+        # 0.950 of its peak; the weak path sits on a sample at 0.97. Only the
+        # floor's margin keeps the strong path's cells.
+        strong, weak = self.on_bins(1.0, 160, 400), self.on_bins(0.97j, 680, 120)
         h = build_channel([strong, weak], 16, 16)
         y = synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.0)
         padded = np.zeros((1024, 1024), dtype=complex)
         padded[:16, :16] = spatial_ls(y)
         spectrum = np.abs(np.fft.fft2(padded))  # [AoA bin, AoD bin]
-        coarse = spectrum[2::4, 2::4]
-        assert np.unravel_index(np.argmax(coarse), coarse.shape) == (122 // 4, 682 // 4)
+        coarse = spectrum[8::16, 8::16]
+        assert np.unravel_index(np.argmax(coarse), coarse.shape) == (120 // 16, 680 // 16)
         assert np.unravel_index(np.argmax(spectrum), spectrum.shape) == (400, 160)
         est = dft_peak_baseline(spatial_ls(y), 1, n_dft=1024)[0]
         assert (est.omega_aod, est.omega_aoa) == pytest.approx(
             (strong.omega_aod, strong.omega_aoa), abs=1e-12)
 
     @staticmethod
-    def kept_cells(y, n_dft=1024, n_t=16, n_r=16):
-        """The AoD rows and AoA columns that the first path's scan computes."""
-        f_r_t = dft_columns(n_dft, n_r).T
-        left = dft_columns(n_dft, n_t) @ spatial_ls(y, n_t, n_r).T
-        spec, power = np.empty(_SCAN_BINS, dtype=complex), np.empty(_SCAN_BINS)
-        return _kept_cells(left, f_r_t, *_coarse_grid(n_dft, n_t, n_r), spec, power)
+    def levels(h_ls, n_dft=1024):
+        """(c, AoD rows, AoA columns) of each level of the first path's scan."""
+        (n_r, n_t), levels = h_ls.shape, []
+        _scan(h_ls, dft_columns(n_dft, n_t), dft_columns(n_dft, n_r), levels)
+        return levels
 
     def test_on_grid_path_scans_few_bins(self):
         h = build_channel([self.on_bins(0.9, 300, 700)], 16, 16)
         y = synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.0)
-        rows, cols = self.kept_cells(y)
+        levels = self.levels(spatial_ls(y))
+        # a 64 x 64 grid of cells of 16 x 16 bins, then the 4 x 4 kept cells'
+        # bins: 8192 bins, against 1 048 576 for the whole spectrum
+        assert [(c, len(rows), len(cols)) for c, rows, cols in levels] \
+            == [(16, 64, 64), (1, 64, 64)]
+        _, rows, cols = levels[-1]
         assert 300 in rows and 700 in cols
-        # 4096 bins at most, against 1 048 576 for the whole spectrum
-        assert len(rows) * len(cols) <= 64 * 64
         est = dft_peak_baseline(spatial_ls(y), 1, n_dft=1024)[0]
         assert [round(w * 1024 / (2 * np.pi)) % 1024 for w in (est.omega_aod, est.omega_aoa)] \
             == [300, 700]
 
-    # the spectrum is periodic: a peak at AoA bin 1 or 1022 is within a few
-    # bins of the coarse samples at both ends (AoA bins 2 and 1022), so
-    # columns at both ends are kept, and few in all
+    # the spectrum is periodic: a peak at AoA bin 1 or 1022 is within nine
+    # bins of the first level's samples at both ends (AoA bins 8 and 1016),
+    # so the last level keeps columns at both ends, and few in all
     @pytest.mark.parametrize("q", [1, 1022])
     def test_peak_at_aoa_wrap_keeps_columns_at_both_ends(self, q):
         h = build_channel([self.on_bins(0.9, 300, q)], 16, 16)
         y = synthesize_observation(h, build_codebook(16, 16, 16, 16), 0.0)
-        rows, cols = self.kept_cells(y)
+        _, rows, cols = self.levels(spatial_ls(y))[-1]
         assert 300 in rows
         assert cols[0] == 0 and cols[-1] == 1023
         assert len(cols) <= 64
@@ -271,14 +276,15 @@ class TestDftPeakBaseline:
             == [300, q]
 
     def test_two_peaks_leave_two_empty_cells_in_the_rectangle(self):
-        # Equal gains at (200, 800) and (700, 100): the kept rows hold AoD
-        # bins 200 and 700, the kept columns AoA bins 100 and 800, so the
-        # scanned rectangle also holds (200, 100) and (700, 800), where
-        # neither path peaks.
+        # Equal gains at (200, 800) and (700, 100): the last level's rows hold
+        # AoD bins 200 and 700, its columns AoA bins 100 and 800, so its
+        # rectangle also holds (200, 100) and (700, 800), where neither path
+        # peaks.
         paths = [self.on_bins(0.8, 200, 800), self.on_bins(0.8j, 700, 100)]
         y = synthesize_observation(build_channel(paths, 16, 16), build_codebook(16, 16, 16, 16),
                                    1e-4, SeededRng(98))
-        rows, cols = self.kept_cells(y)
+        c, rows, cols = self.levels(spatial_ls(y))[-1]
+        assert c == 1
         assert {200, 700} <= set(rows.tolist()) and {100, 800} <= set(cols.tolist())
         assert len(rows) < 1024 and len(cols) < 1024
         got = dft_peak_baseline(spatial_ls(y), 2, n_dft=1024)
@@ -287,9 +293,11 @@ class TestDftPeakBaseline:
             assert (e.omega_aod, e.omega_aoa) == (r.omega_aod, r.omega_aoa)
             assert e.gain == pytest.approx(r.gain, rel=1e-9)
 
-    def test_coarse_step_of_128_matches_padded_reference(self):
-        # 2 x 2 at n_dft = 2048: c = 128, so a kept coarse row is 128 AoD rows
-        assert _coarse_grid(2048, 2, 2)[0] == 128
+    def test_coarse_step_of_512_matches_padded_reference(self):
+        # 2 x 2 at n_dft = 2048: c = 512, so the first level is 4 x 4 cells
+        y = synthesize_observation(build_channel(sample_paths(2, SeededRng(97)), 2, 2),
+                                   build_codebook(16, 16, 2, 2), 1e-3, SeededRng(97))
+        assert self.levels(spatial_ls(y, 2, 2), 2048)[0][0] == 512
         cb = build_codebook(16, 16, 2, 2)
         for t in range(3):
             stream = SeededRng(97).substream(t)
@@ -302,27 +310,74 @@ class TestDftPeakBaseline:
 
     def test_benchmark_sweep_scans_few_bins_per_path(self, monkeypatch):
         # The benchmark's sweep_dft_peak config (16 x 16, L = 3, seed 7, 8
-        # trials per SNR). A path scans about 5 700 bins on average there; a
-        # bound or pruning rule that keeps far more rows or columns would
-        # still pick the same bins, so only this count shows it.
+        # trials per SNR). A path computes 7 235 bins on average there, over
+        # every level; a bound or pruning rule that keeps far more rows or
+        # columns would still pick the same bins, so only this count shows it.
         scanned = []
 
-        def counting(left, right, spec, power):
-            scanned.append(len(left) * right.shape[1])
-            return strongest_bin(left, right, spec, power)
+        def counting(residual, f_t, f_r):
+            levels = []
+            pick = scan(residual, f_t, f_r, levels)
+            scanned.append(sum(len(rows) * len(cols) for _, rows, cols in levels))
+            return pick
 
-        strongest_bin = analysis._strongest_bin
-        monkeypatch.setattr(analysis, "_strongest_bin", counting)
+        scan = analysis._scan
+        monkeypatch.setattr(analysis, "_scan", counting)
         bench.run_experiment(bench.ExperimentConfig(
             paths=3, trials=8, seed=7, methods=("dft_peak",), max_failure_rate=0))
         assert len(scanned) == 3 * 8 * 3
-        assert np.mean(scanned) <= 16384
+        assert np.mean(scanned) <= 11000
 
-    # kappa <= 1/4 allows c = 4 at 16 x 16 with n_dft = 1024; 16 x 16 at
-    # n_dft = 32 and 64 x 64 at 1024 allow no c >= 2, so every block is scanned
-    @pytest.mark.parametrize("n, n_dft, c", [(16, 1024, 4), (16, 32, 1), (64, 1024, 1)])
+    # the first level's step: the largest power of two c with
+    # (c + 1) kappa_1 <= 1.2, kappa_1 = (n - 1) pi / n_dft; 16 x 16 at
+    # n_dft = 32 allows no c >= 2, so its one level is the exhaustive scan
+    @pytest.mark.parametrize("n, n_dft, c", [(16, 1024, 16), (16, 32, 1), (64, 1024, 4)])
     def test_coarse_step(self, n, n_dft, c):
-        assert _coarse_grid(n_dft, n, n)[0] == c
+        levels = self.levels(sample_complex_gaussian(SeededRng(100), 1.0, (n, n)), n_dft)
+        assert levels[0][0] == c and levels[-1][0] == 1
+        assert len(levels[0][1]) == len(levels[0][2]) == n_dft // c
+
+    # Step 4 of the bound in `dft_peak_baseline`, on the whole padded
+    # spectrum: at every step c whose margin (c + 1) kappa_1 is below pi/2,
+    # every bin tied with the maximum has a cell whose sample reads at least
+    # max cos((c + 1) kappa_1). A floor set too high fails here even where
+    # the picks happen to agree.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(2, 2), (3, 5), (8, 8), (12, 4), (16, 16)]),
+        n_dft=st.sampled_from([16, 32, 64, 256]),
+        kind=st.sampled_from(["gains", "equal_pair", "corner", "noise"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cell_sample_reaches_the_floor(self, shape, n_dft, kind, seed):
+        n_t, n_r = shape
+        rng = np.random.default_rng(seed)
+        if kind == "noise":
+            x = rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t))
+        else:
+            count = {"gains": 3, "equal_pair": 2, "corner": 1}[kind]
+            gains = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+            if kind == "equal_pair":
+                gains /= np.abs(gains)
+            # AoA and AoD frequencies; at a corner, half a bin before the
+            # first bin of a random cell of a random step, in both axes
+            freqs = rng.uniform(-np.pi, np.pi, (count, 2))
+            if kind == "corner":
+                step = 2 ** rng.integers(1, n_dft.bit_length())
+                freqs = 2 * np.pi * (step * rng.integers(0, n_dft // step, (1, 2)) - 0.5) / n_dft
+            x = np.einsum("l,lm,ln->mn", gains,
+                          np.exp(1j * freqs[:, :1] * np.arange(n_r)),
+                          np.exp(1j * freqs[:, 1:] * np.arange(n_t)))
+        spectrum = np.abs(np.fft.fft2(x, (n_dft, n_dft)))  # [AoA bin, AoD bin]
+        top = spectrum.max()
+        tied = np.argwhere(spectrum >= top * (1 - 1e-12))
+        kappa_1 = np.pi / n_dft * (n_t + n_r - 2) / 2
+        c = 2
+        while c <= n_dft and (c + 1) * kappa_1 < np.pi / 2:
+            samples = spectrum[tuple((tied // c * c + c // 2).T)]
+            # 1e-12 for the FFT's rounding
+            assert samples.min() >= top * np.cos((c + 1) * kappa_1) * (1 - 1e-12)
+            c *= 2
 
     def test_zero_observation_picks_first_bin(self):
         # every bin ties at zero power, so the lowest flat index, (0, 0), wins
@@ -333,19 +388,34 @@ class TestDftPeakBaseline:
             assert (e.omega_aod, e.omega_aoa) == (r.omega_aod, r.omega_aoa) == (0.0, 0.0)
             assert e.gain == r.gain == 0
 
-    def test_no_full_spectrum_allocated(self):
-        # the whole 1024 x 1024 complex spectrum alone would take 16 MB
-        cb = build_codebook(16, 16, 16, 16)
-        stream = SeededRng(99)
-        h = build_channel(sample_paths(3, stream), 16, 16)
-        h_ls = spatial_ls(synthesize_observation(h, cb, 0.1, stream))
+    @staticmethod
+    def peak_bytes(h_ls):
+        """Peak traced memory of one L = 3 dft_peak call at n_dft = 1024,
+        after a first call has filled the process-wide DFT-column cache."""
+        dft_peak_baseline(h_ls, 3, n_dft=1024)
         tracemalloc.start()
         try:
             dft_peak_baseline(h_ls, 3, n_dft=1024)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * 2**20
+
+    def test_no_full_spectrum_allocated(self):
+        # the whole 1024 x 1024 complex spectrum alone would take 16 MB; the
+        # levels of this call peak at 0.17 MB
+        cb = build_codebook(16, 16, 16, 16)
+        stream = SeededRng(99)
+        h = build_channel(sample_paths(3, stream), 16, 16)
+        assert self.peak_bytes(spatial_ls(synthesize_observation(h, cb, 0.1, stream))) \
+            < 0.25 * 2**20
+
+    def test_levels_stay_blocked_on_noise_at_64x64(self):
+        # On noise the c = 4 level keeps almost every row and column, so the
+        # c = 2 level covers about 500 x 500 bins: 6 MB formed whole, 3.3 MB
+        # peak in blocks of _SCAN_BINS
+        h_ls = sample_complex_gaussian(SeededRng(99), 1.0, (64, 64))
+        assert self.levels(h_ls)[1][0] == 2
+        assert self.peak_bytes(h_ls) < 4 * 2**20
 
     @pytest.mark.parametrize("n_dft", [1000, 8])
     def test_rejects_bad_n_dft(self, n_dft):

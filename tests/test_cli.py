@@ -134,6 +134,15 @@ class TestConfigErrors:
         assert "unknown key 'rho'" in capsys.readouterr().err
         assert calls == []
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(bench, "_run_trial", lambda *args: calls.append(args))
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(CONFIG.encode() + b"# caf\xff\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "m.csv")]) == 2
+        assert f"config error: {bad} is not UTF-8" in capsys.readouterr().err
+        assert calls == []
+
     def test_bound_exits_2_on_bad_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(config_with("trials = ten"), encoding="utf-8")
