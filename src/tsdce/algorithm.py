@@ -16,9 +16,8 @@ import functools
 
 import numpy as np
 
-from .channel import PathParams, cisoid_sum
+from .channel import PathParams, cisoid_sum, wrap_phase
 from .numkit import acf2d_unbiased
-from .observation import wrap
 
 
 def check_counts(l_desired: int, rounds: int, n_r: int, n_t: int) -> None:
@@ -136,7 +135,7 @@ def _estimate_component(h) -> tuple[PathParams, np.ndarray]:
     r = acf2d_unbiased(h)
     # WLS slopes of the unwrapped phases cumsum(delta) along each lag axis
     omega_aoa, omega_aod = (
-        wrap(_slope_weights(len(seq)) @ select_wrap_branch(phase_differences(seq)), -np.pi, np.pi)
+        wrap_phase(_slope_weights(len(seq)) @ select_wrap_branch(phase_differences(seq)))
         for seq in (r[:, 0], r[0, :])
     )
     mean, cis = derotated_mean(h, omega_aoa, omega_aod)

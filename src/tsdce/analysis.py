@@ -16,9 +16,8 @@ import math
 import numpy as np
 
 from .algorithm import derotated_mean, sic
-from .channel import PathParams, _index, _steering_factors
+from .channel import PathParams, _index, _steering_factors, wrap_phase
 from .numkit import dft_columns
-from .observation import wrap
 
 # Largest number of spectrum bins the dft_peak scan computes in one product,
 # the size of its buffers: 64 rows of a 1024-bin spectrum.
@@ -137,8 +136,8 @@ def dft_peak_baseline(h_ls, L_d: int, n_dft: int = 1024):
 
     def component(residual, k, l):
         # bins as frequencies in (-pi, pi], Python floats: numpy scalars slow later steps
-        omega_aod, omega_aoa = wrap(2 * np.pi * np.array(_scan(residual, f_t, f_r)) / n_dft,
-                                    -np.pi, np.pi).tolist()
+        omega_aod, omega_aoa = (wrap_phase(2 * np.pi * b / n_dft)
+                                for b in _scan(residual, f_t, f_r))
         gain, cis = derotated_mean(residual, omega_aoa, omega_aod)
         return PathParams.from_freqs(abs(gain), np.angle(gain), omega_aod, omega_aoa), cis
 

@@ -201,7 +201,7 @@ def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
         t0 = time.perf_counter() - shared_s  # the clock starts with the shared estimate
         try:
             if method == "ls":
-                h_hat, errors = h_ls, None
+                h_hat, errors = h_ls, []  # no angles to score
             else:
                 if method == "tsdce":
                     est = algorithm.run(h_ls, cfg.l_desired, cfg.rounds)
@@ -240,13 +240,8 @@ def run_experiment(cfg: ExperimentConfig):
                 )
             ok = [p for p in per if "failed" not in p]
             ratios = [p["ratio"] for p in ok]
-            errors = [e for p in ok if p["errors"] is not None for e in p["errors"]]
-            if any(p["errors"] is not None for p in ok):
-                rmse, p_det = doa_metrics(
-                    errors, cfg.detection_threshold_deg, 2 * cfg.paths * len(ok)
-                )
-            else:
-                rmse, p_det = float("nan"), 0.0
+            errors = [e for p in ok for e in p["errors"]]
+            rmse, p_det = doa_metrics(errors, cfg.detection_threshold_deg, 2 * cfg.paths * len(ok))
             records.append(
                 MetricRecord(
                     method=method,
@@ -301,14 +296,15 @@ _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a flat `key = value` UTF-8 config file.
+    """Parse a flat `key = value` UTF-8 config file (a leading byte-order mark
+    is skipped).
 
     The keys are the fields of `ExperimentConfig`, each parsed as
     the type of its default and set at most once. Lines starting with #
     are comments; tuple values are comma-separated.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -2,12 +2,14 @@
 angle <-> spatial-frequency dictionary.
 
 Per-path spatial angular frequencies follow the half-wavelength ULA
-convention: omega_aod = pi*cos(aod), omega_aoa = -pi*cos(aoa).
+convention: omega_aod = pi*cos(aod), omega_aoa = -pi*cos(aoa), and
+`wrap_phase` maps any frequency into their range (-pi, pi].
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +42,18 @@ class PathParams:
 
     @classmethod
     def from_freqs(cls, gain_magnitude, gain_phase, omega_aod, omega_aoa) -> "PathParams":
+        """Invert the frequency map: aod = arccos(omega_aod/pi) and
+        aoa = arccos(-omega_aoa/pi), with |omega| <= pi up to 1e-12 relative
+        and each cosine clipped to [-1, 1]."""
+        cosines = (omega_aod / np.pi, -omega_aoa / np.pi)
+        if max(abs(c) for c in cosines) > 1.0 + 1e-12:
+            raise ValueError(f"|omega| must be <= pi, got {omega_aod} and {omega_aoa}")
+        aod, aoa = (float(np.arccos(min(1.0, max(-1.0, c)))) for c in cosines)
         return cls(
             gain_magnitude=float(gain_magnitude),
             gain_phase=float(gain_phase),
-            aod=freq_to_angle(omega_aod, "aod"),
-            aoa=freq_to_angle(omega_aoa, "aoa"),
+            aod=aod,
+            aoa=aoa,
             omega_aod=float(omega_aod),
             omega_aoa=float(omega_aoa),
         )
@@ -117,12 +126,10 @@ def build_channel(paths, n_t: int, n_r: int) -> np.ndarray:
     return cisoid_sum(gains, w_aoa, w_aod, n_r, n_t)
 
 
-def freq_to_angle(omega: float, side: str) -> float:
-    """Invert the frequency map: aod = arccos(omega/pi), aoa = arccos(-omega/pi)."""
-    if side not in ("aoa", "aod"):
-        raise ValueError(f"side must be 'aoa' or 'aod', got {side!r}")
-    x = omega / np.pi
-    if abs(x) > 1.0 + 1e-12:
-        raise ValueError(f"|omega| must be <= pi, got {omega}")
-    x = min(1.0, max(-1.0, x))
-    return float(np.arccos(x if side == "aod" else -x))
+def wrap_phase(x) -> float:
+    """x wrapped into (-pi, pi] as x - 2pi ceil((x - pi)/2pi): +0.0 for
+    either zero, NaN for a non-finite x."""
+    q = (x - math.pi) / (2 * math.pi)
+    if not math.isfinite(q):
+        return math.nan
+    return float(x - 2 * math.pi * math.ceil(q)) + 0.0  # -0.0 + 0.0 is +0.0

@@ -5,7 +5,6 @@ informative crop, rescaled) and the out-of-crop noise variance estimate."""
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -14,34 +13,11 @@ import numpy as np
 from .numkit import SeededRng, dft_columns, sample_complex_gaussian
 
 
-def wrap(x, lo: float, hi: float):
-    """Wrap x into (lo, hi] via x - (hi-lo)*ceil((x-hi)/(hi-lo)).
-
-    Works elementwise on arrays. Periodic with period hi-lo. A nonzero
-    float (``np.float64`` too) with a finite quotient takes a scalar path
-    with the same IEEE steps, so it returns the array path's value as a
-    Python float; zeros stay on the array path, whose np.ceil keeps the
-    sign of a zero quotient (wrap(-0.0, -pi, pi) is +0.0).
-    """
-    if not lo < hi:
-        raise ValueError("wrap requires lo < hi")
-    span = hi - lo
-    if isinstance(x, float) and x:
-        q = (x - hi) / span
-        if math.isfinite(q):
-            return float(x - span * math.ceil(q))
-    x = np.asarray(x, dtype=float)
-    out = x - span * np.ceil((x - hi) / span)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class Codebook:
     """DFT-structured beam codebook: the beamforming (f: n_t x P) and
     combining (w: n_r x Q) matrices."""
 
-    p_count: int
-    q_count: int
     f: np.ndarray
     w: np.ndarray
 
@@ -66,7 +42,7 @@ def build_codebook(P: int, Q: int, n_t: int, n_r: int) -> Codebook:
     w = np.ascontiguousarray(dft_columns(Q, n_r).conj().T / np.sqrt(n_r))
     for a in (f, w):
         a.setflags(write=False)
-    return Codebook(p_count=P, q_count=Q, f=f, w=w)
+    return Codebook(f=f, w=w)
 
 
 def synthesize_observation(

@@ -27,7 +27,7 @@ from scipy.special import gammaln, roots_laguerre
 
 from tsdce.algorithm import _estimate_component
 from tsdce.channel import cisoid_sum
-from tsdce.observation import Codebook, wrap
+from tsdce.observation import Codebook
 
 
 def steering_vector(angle: float, n: int) -> np.ndarray:
@@ -43,12 +43,12 @@ def beam_angle(cb: Codebook, side: str, index: int) -> float:
     """Angle of beam ``index`` of the codebook: transmit beam p has cosine
     2p/P and receive beam q cosine -2q/Q, each wrapped into (-1, 1]."""
     if side == "tx":
-        cosine = 2.0 * index / cb.p_count
+        cosine = 2.0 * index / cb.f.shape[1]
     elif side == "rx":
-        cosine = -2.0 * index / cb.q_count
+        cosine = -2.0 * index / cb.w.shape[1]
     else:
         raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
-    return float(np.arccos(wrap(cosine, -1.0, 1.0)))
+    return float(np.arccos(cosine - 2.0 * np.ceil((cosine - 1.0) / 2.0)))
 
 
 class RankDeficiencyError(ValueError):

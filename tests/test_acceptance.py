@@ -14,7 +14,7 @@ import pytest
 from tsdce.algorithm import run
 from tsdce.analysis import crlb_nmse_bound, ordered_eigenvalue_mean, upper_bound_single_path
 from tsdce.bench import ExperimentConfig, emit_csv, nmse_ratio, run_experiment
-from tsdce.channel import PathParams, build_channel, sample_paths
+from tsdce.channel import PathParams, build_channel, sample_paths, wrap_phase
 from tsdce.numkit import SeededRng, sample_complex_gaussian
 from tsdce.observation import (
     build_codebook,
@@ -22,7 +22,6 @@ from tsdce.observation import (
     snr_in_spatial_domain,
     synthesize_observation,
     to_spatial,
-    wrap,
 )
 from oracles import MarchenkoPastur, _channel_jacobian, ls_estimate_explicit, mp_density
 
@@ -75,7 +74,7 @@ def test_criterion_01_exact_recovery():
         worst_param = max(
             worst_param,
             abs(est.gain_magnitude - truth.gain_magnitude),
-            abs(wrap(est.gain_phase - truth.gain_phase, -np.pi, np.pi)),
+            abs(wrap_phase(est.gain_phase - truth.gain_phase)),
             abs(est.omega_aod - truth.omega_aod),
             abs(est.omega_aoa - truth.omega_aoa),
         )

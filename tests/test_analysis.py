@@ -20,9 +20,9 @@ from tsdce.analysis import (
     upper_bound_multi_path,
     upper_bound_single_path,
 )
-from tsdce.channel import PathParams, build_channel, sample_paths
+from tsdce.channel import PathParams, build_channel, sample_paths, wrap_phase
 from tsdce.numkit import SeededRng, dft_columns, sample_complex_gaussian
-from tsdce.observation import build_codebook, synthesize_observation, to_spatial, wrap
+from tsdce.observation import build_codebook, synthesize_observation, to_spatial
 from oracles import (
     MarchenkoPastur,
     _channel_jacobian,
@@ -61,8 +61,8 @@ def padded_dft_peak_oracle(y, L_d, n_dft, n_t, n_r):
         padded[:n_r, :n_t] = work
         spectrum = np.fft.fft2(padded)
         qi, pi_ = np.unravel_index(np.argmax(np.abs(spectrum)), spectrum.shape)
-        omega_aoa = wrap(2 * np.pi * qi / n_dft, -np.pi, np.pi)
-        omega_aod = wrap(2 * np.pi * pi_ / n_dft, -np.pi, np.pi)
+        omega_aoa = wrap_phase(2 * np.pi * qi / n_dft)
+        omega_aod = wrap_phase(2 * np.pi * pi_ / n_dft)
         cisoid = np.exp(1j * (omega_aoa * m + omega_aod * n))
         a_hat = (work * cisoid.conj()).mean()
         gain = np.sqrt(n_t * n_r) * a_hat
@@ -147,8 +147,8 @@ class TestDftPeakBaseline:
             y = synthesize_observation(build_channel([path], 16, 16), cb, 0.0)
             est = dft_peak_baseline(spatial_ls(y), 1, n_dft=1024)[0]
             # frequencies live on the circle: compare modulo 2*pi
-            d1 = wrap(est.omega_aod - path.omega_aod, -np.pi, np.pi)
-            d2 = wrap(est.omega_aoa - path.omega_aoa, -np.pi, np.pi)
+            d1 = wrap_phase(est.omega_aod - path.omega_aod)
+            d2 = wrap_phase(est.omega_aoa - path.omega_aoa)
             worst = max(worst, abs(d1), abs(d2))
         assert worst <= np.pi / 1024 + 1e-9
 
@@ -216,7 +216,7 @@ class TestDftPeakBaseline:
         """A 16 x 16 path whose spectrum peaks at AoD bin p, AoA bin q."""
         return PathParams.from_freqs(
             abs(gain), np.angle(gain),
-            wrap(2 * np.pi * p / n_dft, -np.pi, np.pi), wrap(2 * np.pi * q / n_dft, -np.pi, np.pi),
+            wrap_phase(2 * np.pi * p / n_dft), wrap_phase(2 * np.pi * q / n_dft),
         )
 
     def test_peak_between_coarse_samples_beats_one_on_them(self):

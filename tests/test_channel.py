@@ -10,7 +10,6 @@ from tsdce.channel import (
     PathParams,
     build_channel,
     cisoid_sum,
-    freq_to_angle,
     sample_paths,
 )
 from tsdce.numkit import SeededRng
@@ -93,8 +92,8 @@ class TestSamplePaths:
         with pytest.raises(ValueError):
             sample_paths(0, SeededRng(4))
 
-    # freq_to_angle folds estimates into [0, pi], so angles outside it could
-    # never be matched
+    # PathParams.from_freqs folds estimates into [0, pi], so angles outside
+    # it could never be matched
     @pytest.mark.parametrize("angle_range", [(-1.0, 4.0), (-0.1, 1.0), (0.0, 3.2)])
     def test_rejects_range_outside_zero_to_pi(self, angle_range):
         with pytest.raises(ValueError, match="angle_range"):
@@ -140,16 +139,23 @@ class TestBuildChannel:
 
 
 class TestFreqToAngle:
+    """PathParams.from_freqs reads the angles off the frequencies."""
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=1e-6, max_value=np.pi - 1e-6))
     def test_roundtrip(self, angle):
-        assert freq_to_angle(np.pi * np.cos(angle), "aod") == pytest.approx(angle, abs=1e-9)
-        assert freq_to_angle(-np.pi * np.cos(angle), "aoa") == pytest.approx(angle, abs=1e-9)
+        p = PathParams.from_freqs(1.0, 0.0, np.pi * np.cos(angle), -np.pi * np.cos(angle))
+        assert p.aod == pytest.approx(angle, abs=1e-9)
+        assert p.aoa == pytest.approx(angle, abs=1e-9)
 
     def test_endpoints_clip(self):
-        assert freq_to_angle(np.pi, "aod") == pytest.approx(0.0)
-        assert freq_to_angle(-np.pi, "aod") == pytest.approx(np.pi)
+        # a cosine past +-1 by rounding reads as the endpoint's angle
+        p = PathParams.from_freqs(1.0, 0.0, np.pi * (1 + 1e-13), np.pi * (1 + 1e-13))
+        assert (p.aod, p.aoa) == (0.0, np.pi)
+        p = PathParams.from_freqs(1.0, 0.0, -np.pi, -np.pi)
+        assert p.aod == pytest.approx(np.pi) and p.aoa == pytest.approx(0.0)
 
     def test_rejects_out_of_band(self):
-        with pytest.raises(ValueError):
-            freq_to_angle(4.0, "aod")
+        for omega_aod, omega_aoa in [(4.0, 0.0), (0.0, -4.0)]:
+            with pytest.raises(ValueError, match="must be <= pi"):
+                PathParams.from_freqs(1.0, 0.0, omega_aod, omega_aoa)

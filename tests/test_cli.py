@@ -143,6 +143,15 @@ class TestConfigErrors:
         assert f"config error: {bad} is not UTF-8" in capsys.readouterr().err
         assert calls == []
 
+    def test_config_with_a_byte_order_mark_runs(self, tmp_path):
+        # editors that save UTF-8 with a BOM put it before the first key
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + CONFIG.lstrip().encode())
+        assert main(["run", "--config", str(bom), "--out", str(tmp_path / "m.csv")]) == 0
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(CONFIG, encoding="utf-8")
+        assert bench.load_config(bom) == bench.load_config(plain)
+
     def test_bound_exits_2_on_bad_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(config_with("trials = ten"), encoding="utf-8")

@@ -4,6 +4,7 @@ cli, the order the benchmark reports as layers. A formula moved to another
 owner therefore cannot make an import cycle."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import tsdce
@@ -38,3 +39,30 @@ def test_modules_import_only_lower_layers():
     # the guard reads both forms: `from . import algorithm, analysis` and
     # `from .channel import build_channel, sample_paths`
     assert {"algorithm", "channel"} <= set(package_imports("bench"))
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    # a helper that outlives its last caller shows up here: each top-level
+    # function and class is named (as a name, an attribute or an import)
+    # somewhere in the package outside its own definition, or exported
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+
+    def names(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+            elif isinstance(n, ast.alias):
+                yield n.name
+
+    used = Counter(name for tree in trees for name in names(tree))
+    unused = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in tsdce.__all__
+        and used[node.name] == Counter(names(node))[node.name]
+    ]
+    assert unused == []

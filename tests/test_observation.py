@@ -1,4 +1,4 @@
-"""Observation model tests: wrapping, DFT codebooks, beam-sweep synthesis,
+"""Observation model tests: the frequency wrap, DFT codebooks, beam-sweep synthesis,
 the spatial LS estimate and the out-of-crop noise variance estimate."""
 
 import numpy as np
@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsdce import observation
-from tsdce.channel import PathParams, build_channel, sample_paths
+from tsdce.channel import PathParams, build_channel, sample_paths, wrap_phase
 from tsdce.numkit import SeededRng
 from tsdce.observation import (
     build_codebook,
@@ -15,7 +14,6 @@ from tsdce.observation import (
     snr_in_spatial_domain,
     synthesize_observation,
     to_spatial,
-    wrap,
 )
 from oracles import beam_angle, ls_estimate_explicit, steering_vector
 
@@ -32,12 +30,12 @@ def on_grid_path(cb, q, p, gain):
 def dirichlet_observation(paths, cb, n_t, n_r):
     """Closed-form noiseless observation built from geometric sums of the
     beam/steering inner products, independent of the matrix product."""
-    y = np.zeros((cb.q_count, cb.p_count), dtype=complex)
+    y = np.zeros((cb.w.shape[1], cb.f.shape[1]), dtype=complex)
     m = np.arange(n_r)
     n = np.arange(n_t)
-    for q in range(cb.q_count):
+    for q in range(cb.w.shape[1]):
         w_omega = -np.pi * np.cos(beam_angle(cb, "rx", q))
-        for p in range(cb.p_count):
+        for p in range(cb.f.shape[1]):
             f_omega = np.pi * np.cos(beam_angle(cb, "tx", p))
             for path in paths:
                 s_r = np.sum(np.exp(1j * (path.omega_aoa - w_omega) * m)) / n_r
@@ -46,64 +44,76 @@ def dirichlet_observation(paths, cb, n_t, n_r):
     return y
 
 
+def wrap_reference(x):
+    """The numpy formula x - 2pi ceil((x - pi)/2pi) on an array of floats."""
+    x = np.asarray(x, dtype=float)
+    return x - 2 * np.pi * np.ceil((x - np.pi) / (2 * np.pi))
+
+
 class TestWrap:
+    """channel.wrap_phase, the one wrap of a frequency into (-pi, pi]."""
+
     def test_codebook_examples(self):
-        assert wrap(2 * 3 / 32, -1.0, 1.0) == pytest.approx(0.1875)
-        assert wrap(2 * 20 / 32, -1.0, 1.0) == pytest.approx(-0.75)
+        assert wrap_phase(2 * np.pi * 3 / 32) == pytest.approx(0.1875 * np.pi)
+        assert wrap_phase(2 * np.pi * 20 / 32) == pytest.approx(-0.75 * np.pi)
 
     def test_half_open_range(self):
-        # the ceiling form maps onto (lo, hi]: hi is fixed, lo maps to hi
-        assert wrap(1.0, -1.0, 1.0) == pytest.approx(1.0)
-        assert wrap(-1.0, -1.0, 1.0) == pytest.approx(1.0)
+        # the ceiling form maps onto (-pi, pi]: pi is fixed, -pi maps to pi
+        assert wrap_phase(np.pi) == np.pi
+        assert wrap_phase(-np.pi) == np.pi
 
     @staticmethod
-    def assert_scalar_path_exact(x, lo, hi):
-        # a float and its np.float64 give the array path's value bit for bit
+    def assert_exact(x):
+        # a float and its np.float64 give the numpy formula's value bit for
+        # bit, as a Python float
         for arg in (float(x), np.float64(x)):
-            out = wrap(arg, lo, hi)
+            out = wrap_phase(arg)
             assert type(out) is float
-            assert np.float64(out).tobytes() == wrap(np.array([arg]), lo, hi)[0].tobytes()
+            assert np.float64(out).tobytes() == wrap_reference([arg])[0].tobytes()
 
-    @pytest.mark.parametrize("lo, hi", [(-np.pi, np.pi), (-1.0, 1.0), (0.0, 1.0), (-2.0, -0.5)])
-    def test_scalar_path_boundaries(self, lo, hi):
-        span = hi - lo
-        values = [lo, hi, -0.0, 0.0, 1e6, -1e6, 5e-324, -5e-324, np.nextafter(hi, np.inf),
-                  np.nextafter(lo, -np.inf)]
-        values += [hi + k * span for k in (-7, -2, -1, 1, 2, 7)]
+    def test_boundaries(self):
+        values = [-np.pi, np.pi, 1e6, -1e6, 5e-324, -5e-324, np.nextafter(np.pi, np.inf),
+                  np.nextafter(-np.pi, -np.inf), 1e300, -1e300]
+        values += [np.pi + 2 * np.pi * k for k in (-7, -2, -1, 1, 2, 7)]
         for x in values:
-            self.assert_scalar_path_exact(x, lo, hi)
+            self.assert_exact(x)
 
     def test_non_finite_scalars_give_nan_as_arrays_do(self):
-        with np.errstate(invalid="ignore"):  # inf - inf in the array path
+        with np.errstate(invalid="ignore"):  # inf - inf in the numpy formula
             for x in (np.inf, -np.inf, np.nan):
-                self.assert_scalar_path_exact(x, -1.0, 1.0)
-                assert np.isnan(wrap(x, -1.0, 1.0))
+                assert np.isnan(wrap_reference([x])[0])
+                for arg in (float(x), np.float64(x)):
+                    out = wrap_phase(arg)
+                    assert type(out) is float and np.isnan(out)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_scalar_path_matches_array_path(self, x):
-        self.assert_scalar_path_exact(x, -np.pi, np.pi)
+        self.assert_exact(x)
 
-    def test_ints_and_zeros_take_array_path(self, monkeypatch):
-        monkeypatch.setattr(observation, "math", None)  # the scalar path would fail
-        for x in (3, -5, np.int64(7), 0.0, -0.0):
-            out = wrap(x, -1.0, 1.0)
+    def test_ints_and_zeros_take_array_path(self):
+        # ints, and zeros of either sign, give the numpy formula's float:
+        # +0.0 for both zeros, as np.ceil keeps the sign of the -0.5 quotient
+        for x in (3, -5, np.int64(7), 0, 0.0, -0.0):
+            out = wrap_phase(x)
             assert type(out) is float
-            assert np.float64(out).tobytes() == wrap(np.array([x], dtype=float), -1.0, 1.0)[0].tobytes()
-        with pytest.raises(AttributeError):
-            wrap(0.5, -1.0, 1.0)
+            assert np.float64(out).tobytes() == wrap_reference([x])[0].tobytes()
+        assert np.float64(wrap_phase(-0.0)).tobytes() == np.float64(0.0).tobytes()
+
+    @pytest.mark.parametrize("n_dft", [32, 1024, 2048])
+    def test_dft_bins_match_the_numpy_formula(self, n_dft):
+        # the dft_peak frequencies: every bin k of an n_dft-point DFT
+        x = 2 * np.pi * np.arange(n_dft) / n_dft
+        got = np.array([wrap_phase(2 * np.pi * k / n_dft) for k in range(n_dft)])
+        assert got.tobytes() == wrap_reference(x).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=-50, max_value=50))
     def test_in_range_and_congruent(self, x):
-        w = wrap(x, -np.pi, np.pi)
+        w = wrap_phase(x)
         assert -np.pi < w <= np.pi + 1e-12
         k = (x - w) / (2 * np.pi)
         assert k == pytest.approx(round(k), abs=1e-9)
-
-    def test_elementwise(self):
-        out = wrap(np.array([0.25, 1.25, -1.25]), -1.0, 1.0)
-        assert np.allclose(out, [0.25, -0.75, 0.75])
 
 
 class TestBuildCodebook:

@@ -19,9 +19,9 @@ from tsdce.algorithm import (
 )
 from tsdce.analysis import crlb_nmse_bound, dft_peak_baseline
 from tsdce.bench import nmse_ratio
-from tsdce.channel import PathParams, build_channel, cisoid_sum, sample_paths
+from tsdce.channel import PathParams, build_channel, cisoid_sum, sample_paths, wrap_phase
 from tsdce.numkit import SeededRng, acf2d_unbiased
-from tsdce.observation import build_codebook, synthesize_observation, to_spatial, wrap
+from tsdce.observation import build_codebook, synthesize_observation, to_spatial
 from oracles import beam_angle, genie_sic, wls_slope, wls_weights
 
 
@@ -73,7 +73,7 @@ def estimate_component_oracle(h):
         delta[1:] = np.angle(seq[1:] * np.conj(seq[:-1]))
         delta = select_wrap_branch_oracle(delta)
         slope = wls_slope_oracle(np.cumsum(delta), wls_weights(len(seq)))
-        return wrap(slope, -np.pi, np.pi)
+        return wrap_phase(slope)
 
     w_aoa, w_aod = frequency(r[:, 0]), frequency(r[0, :])
     kappa = (n_r - np.arange(n_r))[:, None] * (n_t - np.arange(n_t))[None, :]
@@ -389,7 +389,7 @@ class TestRun:
         beta = 1.1
         base = run(spatial_ls(y), 1, 1)[0]
         est = run(spatial_ls(np.exp(1j * beta) * y), 1, 1)[0]
-        shift = wrap(est.gain_phase - base.gain_phase, -np.pi, np.pi)
+        shift = wrap_phase(est.gain_phase - base.gain_phase)
         assert shift == pytest.approx(beta, abs=1e-8)
         assert est.gain_magnitude == pytest.approx(base.gain_magnitude, rel=1e-8)
 
@@ -428,7 +428,7 @@ class TestRun:
             h = build_channel([truth], n_t, n_r)
             est = run(spatial_ls(synthesize_observation(h, cb, 0.0), n_t, n_r), 1, 1)[0]
             assert abs(est.gain_magnitude - truth.gain_magnitude) < 1e-8
-            assert abs(wrap(est.gain_phase - truth.gain_phase, -np.pi, np.pi)) < 1e-8
+            assert abs(wrap_phase(est.gain_phase - truth.gain_phase)) < 1e-8
             assert abs(est.omega_aod - truth.omega_aod) < 1e-8
             assert abs(est.omega_aoa - truth.omega_aoa) < 1e-8
             err = np.linalg.norm(build_channel([est], n_t, n_r) - h) ** 2
